@@ -1,9 +1,7 @@
 """Integer hot loops: lattice-point box scans and the planar tile search.
 
-Each kernel has a jitted path (numba) and a pure fallback; results are
-identical and the suite cross-checks them.  All arithmetic here is on
-machine integers; callers are responsible for routing anything that could
-overflow int64 through the exact rational code paths instead.
+Everything here is exact Python integer arithmetic, so coefficients and
+coordinates of any size are safe.
 """
 
 from __future__ import annotations
@@ -11,73 +9,45 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
 
-from ._jit import JIT_AVAILABLE, njit
-
-INT64_SAFE = 2**62
-
-
-def box_scan_numpy(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict):
+def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
     """Integer points z in the box with eq_rows@z == eq_rhs, le_rows@z <= le_rhs.
 
     With strict=True the inequalities are evaluated strictly.  Returns a list
-    of int tuples.  Assumes the caller verified int64 safety.
+    of int tuples in lexicographic order.  The scan runs over the first d-1
+    coordinates only: for each prefix every row bounds the last coordinate
+    to an interval, so the work and memory follow the output, not the box.
     """
-    d = len(lo)
-    ranges = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    if any(len(r) == 0 for r in ranges):
+    if any(b < a for a, b in zip(lo, hi)):
         return []
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-    mask = np.ones(len(grid), dtype=bool)
-    if eq_rows:
-        vals = grid @ np.asarray(eq_rows, dtype=np.int64).T
-        mask &= (vals == np.asarray(eq_rhs, dtype=np.int64)).all(axis=1)
-    if le_rows:
-        vals = grid @ np.asarray(le_rows, dtype=np.int64).T
-        rhs = np.asarray(le_rhs, dtype=np.int64)
-        mask &= ((vals < rhs) if strict else (vals <= rhs)).all(axis=1)
-    return [tuple(int(c) for c in row) for row in grid[mask]]
-
-
-def box_scan_python(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict):
-    """Pure-python twin of box_scan_numpy; exact for arbitrary integers."""
+    rows = [(r[:-1], r[-1], rhs, True) for r, rhs in zip(eq_rows, eq_rhs)]
+    # for integers, v < rhs is v <= rhs - 1
+    rows += [
+        (r[:-1], r[-1], rhs - 1 if strict else rhs, False)
+        for r, rhs in zip(le_rows, le_rhs)
+    ]
     out = []
-    for z in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        ok = True
-        for row, rhs in zip(eq_rows, eq_rhs):
-            if sum(r * c for r, c in zip(row, z)) != rhs:
-                ok = False
-                break
-        if ok:
-            for row, rhs in zip(le_rows, le_rhs):
-                v = sum(r * c for r, c in zip(row, z))
-                if (v >= rhs) if strict else (v > rhs):
-                    ok = False
+    for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
+        t_lo, t_hi = lo[-1], hi[-1]
+        for head, c, rhs, is_eq in rows:
+            rest = rhs - sum(r * z for r, z in zip(head, prefix))
+            if c == 0:
+                if (rest != 0) if is_eq else (rest < 0):
                     break
-        if ok:
-            out.append(z)
+            elif is_eq:
+                if rest % c:
+                    break
+                t_lo = max(t_lo, rest // c)
+                t_hi = min(t_hi, rest // c)
+            elif c > 0:
+                t_hi = min(t_hi, rest // c)
+            else:
+                t_lo = max(t_lo, -(-rest // c))
+            if t_hi < t_lo:
+                break
+        else:
+            out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
     return out
-
-
-def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
-    """Dispatch between the vectorized and the pure scan.
-
-    The numpy path is taken only when every intermediate value provably fits
-    into int64; otherwise (or with the JIT disabled) the exact path runs.
-    """
-    count = 1
-    for a, b in zip(lo, hi):
-        if b < a:
-            return []
-        count *= b - a + 1
-    big = max((abs(a) for a in list(lo) + list(hi)), default=0)
-    bound = 0
-    for row, rhs in itertools.chain(zip(eq_rows, eq_rhs), zip(le_rows, le_rhs)):
-        bound = max(bound, sum(abs(r) for r in row) * big + abs(rhs))
-    if bound >= INT64_SAFE or count > 8_000_000:
-        return box_scan_python(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict)
-    return box_scan_numpy(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -88,42 +58,24 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
 #
 #   T_q = {t in Z^2 : q_i + n_i <= <t, a_i> <= q_i + L},    q_i in n_i*Z,
 #
-# and a tile survives when it is two-dimensional, its width in direction
-# b1*+b2* is < 1 (after clearing denominators: spread of <t, a1+a2> < L) and
-# its lattice width w(T, Z^2) exceeds 1.
+# with n1 = gcd(h, s) and n2 = l, and a tile survives when it is
+# two-dimensional, its width in direction b1*+b2* is < 1 (after clearing
+# denominators: spread of <t, a1+a2> < L) and its lattice width w(T, Z^2)
+# exceeds 1.
 # ---------------------------------------------------------------------------
 
 
-def _search_base_py(l, h, s, n1, n2):
-    L = l * h
-    stats = [0, 0, 0, 0]  # tried, dim_rejects, diag_rejects, width1_rejects
-    survivors = []
-    dx, dy = h, l - s  # a1 + a2
-    for q1 in range(0, L, n1):
-        lo1, hi1 = q1 + n1, q1 + L
-        for q2 in range(0, L, n2):
-            stats[0] += 1
-            lo2, hi2 = q2 + n2, q2 + L
-            pts = []
-            y0 = -((-lo2) // l)
-            y1 = hi2 // l
-            for y in range(y0, y1 + 1):
-                xlo = -((-(lo1 + s * y)) // h)
-                xhi = (hi1 + s * y) // h
-                for x in range(xlo, xhi + 1):
-                    pts.append((x, y))
-            if not _is_two_dimensional(pts):
-                stats[1] += 1
-                continue
-            vals = [dx * x + dy * y for x, y in pts]
-            if max(vals) - min(vals) >= L:
-                stats[2] += 1
-                continue
-            if _has_width_at_most_one(pts):
-                stats[3] += 1
-                continue
-            survivors.append((q1, q2))
-    return stats, survivors
+def tile_grid(l: int, h: int, s: int, q1: int, q2: int) -> list[tuple[int, int]]:
+    """The integer points of T_q, row by row in increasing y, then x."""
+    big_l = l * h
+    n1 = math.gcd(h, s)
+    pts = []
+    for y in range(-((-(q2 + l)) // l), (q2 + big_l) // l + 1):
+        xlo = -((-(q1 + n1 + s * y)) // h)
+        xhi = (q1 + big_l + s * y) // h
+        for x in range(xlo, xhi + 1):
+            pts.append((x, y))
+    return pts
 
 
 def _is_two_dimensional(pts):
@@ -170,119 +122,34 @@ def _has_width_at_most_one(pts):
     return False
 
 
-@njit(cache=True)
-def _search_base_jit(l, h, s, n1, n2):  # pragma: no cover - exercised via wrapper
-    L = l * h
-    stats = np.zeros(4, dtype=np.int64)
-    max_tiles = ((L + n1 - 1) // n1) * ((L + n2 - 1) // n2)
-    survivors = np.empty((max_tiles, 2), dtype=np.int64)
-    nsurv = 0
-    maxpts = (l + 1) * (h + 1) + 4
-    px = np.empty(maxpts, dtype=np.int64)
-    py = np.empty(maxpts, dtype=np.int64)
-    dx, dy = h, l - s
-    for q1 in range(0, L, n1):
-        lo1, hi1 = q1 + n1, q1 + L
-        for q2 in range(0, L, n2):
-            stats[0] += 1
-            lo2, hi2 = q2 + n2, q2 + L
-            n = 0
-            y0 = -((-lo2) // l)
-            y1 = hi2 // l
-            for y in range(y0, y1 + 1):
-                xlo = -((-(lo1 + s * y)) // h)
-                xhi = (hi1 + s * y) // h
-                for x in range(xlo, xhi + 1):
-                    px[n] = x
-                    py[n] = y
-                    n += 1
-            # two-dimensionality
-            if n < 3:
-                stats[1] += 1
-                continue
-            v1x = px[1] - px[0]
-            v1y = py[1] - py[0]
-            v2x = np.int64(0)
-            v2y = np.int64(0)
-            twodim = False
-            for k in range(2, n):
-                cx = px[k] - px[0]
-                cy = py[k] - py[0]
-                if v1x * cy - v1y * cx != 0:
-                    v2x, v2y = cx, cy
-                    twodim = True
-                    break
-            if not twodim:
-                stats[1] += 1
-                continue
-            # diagonal width filter: spread of <t, a1+a2> < L
-            vmin = dx * px[0] + dy * py[0]
-            vmax = vmin
-            for k in range(1, n):
-                v = dx * px[k] + dy * py[k]
-                if v < vmin:
-                    vmin = v
-                if v > vmax:
-                    vmax = v
-            if vmax - vmin >= L:
-                stats[2] += 1
-                continue
-            # lattice width must exceed 1
-            det = v1x * v2y - v1y * v2x
-            adet = det if det > 0 else -det
-            u1max = (abs(v1y) + abs(v2y)) // adet
-            u2max = (abs(v1x) + abs(v2x)) // adet
-            thin_found = False
-            for u1 in range(-u1max, u1max + 1):
-                if thin_found:
-                    break
-                for u2 in range(-u2max, u2max + 1):
-                    if u1 == 0 and u2 == 0:
-                        continue
-                    wmin = u1 * px[0] + u2 * py[0]
-                    wmax = wmin
-                    thin = True
-                    for k in range(1, n):
-                        w = u1 * px[k] + u2 * py[k]
-                        if w < wmin:
-                            wmin = w
-                        elif w > wmax:
-                            wmax = w
-                        if wmax - wmin > 1:
-                            thin = False
-                            break
-                    if thin:
-                        thin_found = True
-                        break
-            if thin_found:
-                stats[3] += 1
-                continue
-            survivors[nsurv, 0] = q1
-            survivors[nsurv, 1] = q2
-            nsurv += 1
-    return stats, survivors[:nsurv]
-
-
 def search_base_raw(l: int, h: int, s: int):
     """Run the tile scan for one base triple; returns (stats dict, [(q1, q2)]).
 
     Stats record how many tile candidates were tried and why candidates were
     rejected, mirroring the three filters.
     """
-    n1 = math.gcd(h, s)
-    n2 = l
-    if JIT_AVAILABLE:
-        stats, surv = _search_base_jit(l, h, s, n1, n2)
-        stats = [int(v) for v in stats]
-        survivors = [(int(a), int(b)) for a, b in surv]
-    else:
-        stats, survivors = _search_base_py(l, h, s, n1, n2)
-    return (
-        {
-            "q_candidates": stats[0],
-            "dimension_rejects": stats[1],
-            "diagonal_width_rejects": stats[2],
-            "width_one_rejects": stats[3],
-        },
-        survivors,
-    )
+    big_l = l * h
+    stats = {
+        "q_candidates": 0,
+        "dimension_rejects": 0,
+        "diagonal_width_rejects": 0,
+        "width_one_rejects": 0,
+    }
+    survivors = []
+    dx, dy = h, l - s  # a1 + a2
+    for q1 in range(0, big_l, math.gcd(h, s)):
+        for q2 in range(0, big_l, l):
+            stats["q_candidates"] += 1
+            pts = tile_grid(l, h, s, q1, q2)
+            if not _is_two_dimensional(pts):
+                stats["dimension_rejects"] += 1
+                continue
+            vals = [dx * x + dy * y for x, y in pts]
+            if max(vals) - min(vals) >= big_l:
+                stats["diagonal_width_rejects"] += 1
+                continue
+            if _has_width_at_most_one(pts):
+                stats["width_one_rejects"] += 1
+                continue
+            survivors.append((q1, q2))
+    return stats, survivors

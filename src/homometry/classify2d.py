@@ -11,11 +11,11 @@ arithmetic and verified to tile before being classified.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 from dataclasses import dataclass, field
 
 from . import linalg, tiling
-from ._kernels import search_base_raw
+from ._kernels import search_base_raw, tile_grid
+from .errors import InvariantError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from .linalg import mat, mat_vec, vsub
 from .pointset import PointSet, centrally_symmetric
@@ -25,7 +25,6 @@ from .pointset import PointSet, centrally_symmetric
 class SearchConfig:
     det_lo: int = 7
     det_hi: int = 18
-    include_centrally_symmetric: bool = False
     include_width_one_case: bool = False
     workers: int = 1
 
@@ -65,17 +64,7 @@ def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
 
 def tile_points(l: int, h: int, s: int, q1: int, q2: int) -> PointSet:
     """Exact reconstruction of the tile T_q for a surviving offset pair."""
-    big_l = l * h
-    n1 = math.gcd(h, s)
-    pts = []
-    y0 = -((-(q2 + l)) // l)
-    y1 = (q2 + big_l) // l
-    for y in range(y0, y1 + 1):
-        xlo = -((-(q1 + n1 + s * y)) // h)
-        xhi = (q1 + big_l + s * y) // h
-        for x in range(xlo, xhi + 1):
-            pts.append((x, y))
-    return PointSet(pts)
+    return PointSet(tile_grid(l, h, s, q1, q2))
 
 
 def _exact_filters(pts: PointSet, l: int, h: int, s: int):
@@ -100,8 +89,9 @@ def search_tiles_with_base(l: int, h: int, s: int) -> dict:
         pts = tile_points(l, h, s, q1, q2)
         ok, diag_width, lattice_w = _exact_filters(pts, l, h, s)
         if not ok:
-            raise RuntimeError(
-                f"kernel survivor fails exact re-check at base ({l},{h},{s}), q=({q1},{q2})"
+            raise InvariantError(
+                f"kernel survivor fails exact re-check at base ({l},{h},{s}), q=({q1},{q2})",
+                witness={"base": (l, h, s), "q": (q1, q2)},
             )
         survivors.append(
             {
@@ -206,15 +196,19 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
 
     for surv in survivors:
         base = lattice_from_lhs(surv["l"], surv["h"], surv["s"])
-        t = tiling.verify_tiling(Lattice.standard(2), base, surv["points"])
-        assert t.verified
+        try:
+            tiling.verify_tiling(Lattice.standard(2), base, surv["points"])
+        except (NotATilingError, NotLatticeConvexError) as exc:
+            raise InvariantError(
+                f"survivor does not tile: {exc}",
+                witness={"base": (surv["l"], surv["h"], surv["s"]), "q": surv["q"]},
+            ) from exc
 
     central = [c for c in classes if c.centrally_symmetric]
     noncentral = [c for c in classes if not c.centrally_symmetric]
     report = {
         "config": {
             "det_range": [config.det_lo, config.det_hi],
-            "include_centrally_symmetric": config.include_centrally_symmetric,
             "include_width_one_case": config.include_width_one_case,
             "workers": config.workers,
         },
@@ -245,15 +239,5 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
                 for k in (1, 2, 3)
                 for le in (0, k - 1)
             ],
-        }
-    if config.include_centrally_symmetric:
-        report["centrally_symmetric_remark"] = {
-            "note": (
-                "with centrally symmetric tiles allowed, the width-1 family "
-                "T = {0..k} x {0,1} also admits lattices with three pairwise "
-                "nonparallel thin directions; the search above reports every "
-                "centrally symmetric class it finds"
-            ),
-            "width_one_symmetric_family": "T = {0..k} x {0,1}, k >= 1",
         }
     return report

@@ -126,14 +126,8 @@ def cmd_verify_tiling(args) -> int:
     try:
         t = tiling.verify_tiling(ambient, translations, tile)
     except HomometryError as exc:
-        witness = getattr(exc, "witness", None)
-        witnesses = None
-        if witness is not None:
-            if isinstance(witness, tuple) and witness and isinstance(witness[0], tuple):
-                witnesses = [vector_out(w) for w in witness]
-            else:
-                witnesses = vector_out(witness)
-        return _violation("verify-tiling", {"verified": False, "reason": str(exc)}, witnesses)
+        payload = {"verified": False, "reason": str(exc)}
+        return _violation("verify-tiling", payload, jsonio.exact_out(exc.witness))
     return _ok("verify-tiling", {"verified": t.verified})
 
 
@@ -180,7 +174,6 @@ def cmd_classify2d(args) -> int:
         config = classify2d.SearchConfig(
             det_lo=int(lo),
             det_hi=int(hi),
-            include_centrally_symmetric=args.include_centrally_symmetric,
             include_width_one_case=args.include_width_one_case,
             workers=args.workers,
         )
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-range", default="7:18", help="inclusive range, e.g. 7:18")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", choices=("json", "text"), default="json")
-    p.add_argument("--include-centrally-symmetric", action="store_true")
     p.add_argument("--include-width-one-case", action="store_true")
     p.set_defaults(func=cmd_classify2d)
 
@@ -359,10 +351,10 @@ def main(argv=None) -> int:
             2,
         )
     except HomometryError as exc:
-        return _emit(
-            {"status": "error", "verb": args.verb, "error": str(exc)},
-            2,
-        )
+        report = {"status": "error", "verb": args.verb, "error": str(exc)}
+        if exc.witness is not None:
+            report["witness"] = jsonio.exact_out(exc.witness)
+        return _emit(report, 2)
     except FileNotFoundError as exc:
         return _emit(
             {"status": "error", "verb": args.verb, "error": f"cannot read input: {exc}"},

@@ -12,12 +12,16 @@ from .errors import (
     InvalidBaseError,
     InvalidParametersError,
     InvalidSError,
+    InvariantError,
+    NotATilingError,
+    NotLatticeConvexError,
 )
 from .lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from .linalg import frac, mat, mat_mul, mat_vec, transpose, vdot, vec, vsub
 from .pointset import (
     PointSet,
     centrally_symmetric,
+    covariogram,
     direct_sum,
     homometric,
     is_lattice_convex,
@@ -133,7 +137,7 @@ def generalized_family_tiling(d: int, k: int) -> Tiling:
     t = verify_tiling(Lattice.standard(d), translations, tile)
     values = sorted(int(vdot(vec(a), p)) for p in tile.points)
     if values != list(range(r)):
-        raise RuntimeError("tile does not map bijectively onto 0..r-1")
+        raise InvariantError("tile does not map bijectively onto 0..r-1", witness=values)
     return t
 
 
@@ -179,8 +183,11 @@ def cartesian_product(p1: HomometricPair, p2: HomometricPair) -> HomometricPair:
     t = verify_tiling(ambient, translations, tile)
     s = PointSet([tuple(a) + tuple(b) for a in p1.s.points for b in p2.s.points])
     pair = _build_pair(s, t)
-    if not homometric(pair.sum_plus, pair.sum_minus):
-        raise RuntimeError("product pair failed the covariogram check")
+    plus, minus = covariogram(pair.sum_plus), covariogram(pair.sum_minus)
+    if plus != minus:
+        support = plus.entries.keys() | minus.entries.keys()
+        u = min(u for u in support if plus[u] != minus[u])
+        raise InvariantError("product pair failed the covariogram check", witness=u)
     return pair
 
 
@@ -222,9 +229,12 @@ def parabola_construction(n: int, base: Tiling | None = None) -> HomometricPair:
     parabola = [(Fraction(i * i), Fraction(i)) for i in range(-n, n + 1)]
     prism = hull([(e,) + p for e in (0, 1) for p in parabola])
     s = PointSet(prism.lattice_points(translations))
-    facet_count = len(prism.facets())
-    if facet_count != 2 * n + 3:
-        raise RuntimeError(f"expected {2 * n + 3} facets, found {facet_count}")
+    facets = prism.facets()
+    if len(facets) != 2 * n + 3:
+        raise InvariantError(
+            f"expected {2 * n + 3} facets, found {len(facets)}",
+            witness=[a for a, _ in facets],
+        )
     return _build_pair(s, t)
 
 
@@ -386,7 +396,7 @@ def find_lattice_with_three_thin_directions(k: int, limit: int | None = None):
         base = lattice_from_lhs(l, h, s)
         try:
             t = verify_tiling(ambient, base, tile)
-        except Exception:
+        except (NotATilingError, NotLatticeConvexError):
             continue
         wset = w_set(tile, base)
         directions = {

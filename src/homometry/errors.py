@@ -2,7 +2,15 @@
 
 
 class HomometryError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `witness` names the offending data."""
+
+    def __init__(self, message="", witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class InvariantError(HomometryError):
+    """An exact re-check of a computed result failed: a bug, not bad input."""
 
 
 class SingularMatrixError(HomometryError):
@@ -46,15 +54,11 @@ class OriginNotInteriorError(HomometryError):
 
 
 class NotLatticeConvexError(HomometryError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class NotATilingError(HomometryError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class UnsupportedDimensionError(HomometryError):
@@ -62,9 +66,7 @@ class UnsupportedDimensionError(HomometryError):
 
 
 class InvalidSError(HomometryError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class InvalidParametersError(HomometryError):

@@ -48,6 +48,19 @@ def vector_out(v):
     return [rational_out(c) for c in v]
 
 
+def exact_out(obj):
+    """JSON form of a witness: rationals, vectors, nested lists and dicts."""
+    if obj is None:
+        return None
+    if isinstance(obj, (int, Fraction)):
+        return rational_out(obj)
+    if isinstance(obj, dict):
+        return {str(k): exact_out(v) for k, v in obj.items()}
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    return [exact_out(x) for x in obj]
+
+
 def pointset_in(doc, path: str) -> PointSet:
     if not isinstance(doc, dict) or "points" not in doc:
         raise SchemaError(path, "expected an object with a 'points' field")

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrixError
+from .errors import InvariantError, SingularMatrixError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -309,19 +309,55 @@ def primitive_integer_direction(v: Vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def independent_subset(vectors: Sequence[Sequence]) -> list[int]:
+    """Indices of a greedily chosen linearly independent subset, in order.
+
+    Vector i is kept when it is independent of the vectors kept before it,
+    so the kept vectors span what all of them span.  Exact for int and
+    Fraction entries.
+    """
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[Fraction]]] = []  # (lead, row with row[lead] == 1)
+    for i, v in enumerate(vectors):
+        row = list(v)
+        for lead, b in echelon:
+            c = row[lead]
+            if c:
+                row = [x - c * y for x, y in zip(row, b)]
+        lead = next((k for k, e in enumerate(row) if e), None)
+        if lead is None:
+            continue
+        chosen.append(i)
+        if len(chosen) == len(row):
+            break
+        inv = 1 / Fraction(row[lead])
+        echelon.append((lead, [e * inv for e in row]))
+    return chosen
+
+
 def rank_of(vectors: Sequence[Vec]) -> int:
     """Rank of a list of rational vectors (exact Gaussian elimination)."""
-    basis: list[list[Fraction]] = []
-    for v in vectors:
-        row = list(v)
-        for b in basis:
-            lead = next(i for i, e in enumerate(b) if e != 0)
-            if row[lead]:
-                f = row[lead] / b[lead]
-                row = [a - f * c for a, c in zip(row, b)]
-        if any(e != 0 for e in row):
-            basis.append(row)
-    return len(basis)
+    return len(independent_subset(vectors))
+
+
+def span_coordinates(cols: Sequence[Vec], points: Sequence[Vec]):
+    """Exact coordinates of points in the span of independent columns.
+
+    Returns (rows, inv, coords): `rows` picks an invertible square block of
+    the column matrix and `inv` is its inverse, so that
+    lam = inv @ (x[i] for i in rows) solves cols @ lam = x for x in the span;
+    coords holds that lam for each point.  Raises InvariantError (witness:
+    the point) when a point is off the span.
+    """
+    rows = tuple(independent_subset(transpose(cols)))
+    inv = inverse(tuple(tuple(col[i] for i in rows) for col in cols))
+    coords = []
+    for p in points:
+        lam = mat_vec(inv, tuple(p[i] for i in rows))
+        if mat_vec(cols, lam) != tuple(p):
+            raise InvariantError("point is off the span", witness=p)
+        coords.append(lam)
+    return rows, inv, coords
 
 
 def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:

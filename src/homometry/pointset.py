@@ -215,13 +215,5 @@ def intrinsically_lattice_convex(k: PointSet) -> bool:
     if rank == k.dim:
         return is_lattice_convex(shifted, Lattice(basis))
     # reduce onto the difference span: coordinates w.r.t. the span basis
-    row_idx = polytope._independent_rows(basis, rank)
-    sq = tuple(tuple(col[i] for i in row_idx) for col in basis)
-    coord = linalg.inverse(sq)
-    reduced = []
-    for p in shifted.points:
-        lam = linalg.mat_vec(coord, tuple(p[i] for i in row_idx))
-        if linalg.mat_vec(basis, lam) != p:
-            raise DegenerateDifferencesError("point outside the difference span")
-        reduced.append(lam)
+    _, _, reduced = linalg.span_coordinates(basis, shifted.points)
     return is_lattice_convex(PointSet(reduced), Lattice.standard(rank))

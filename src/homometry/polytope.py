@@ -19,6 +19,7 @@ from functools import cached_property
 from . import linalg
 from ._kernels import box_scan
 from .errors import (
+    InvariantError,
     LowerDimensionalError,
     OriginNotInteriorError,
 )
@@ -53,10 +54,6 @@ def _normalize_hyperplane(a: Vec, beta: Fraction) -> tuple[IntVec, Fraction]:
     return tuple(x // g for x in ints), beta * t
 
 
-class _HullError(RuntimeError):
-    """Internal invariant violation during hull construction."""
-
-
 def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     """Beneath-beyond hull of full-dimensional points.
 
@@ -72,13 +69,13 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
         pts = [points[i] for i in idx_set]
         a = _normal_through(pts)
         if a is None:
-            raise _HullError("degenerate facet simplex")
+            raise InvariantError("degenerate facet simplex", witness=pts)
         beta = vdot(a, pts[0])
         side = vdot(a, inner)
         if side > beta:
             a, beta = vneg(a), -beta
         elif side == beta:
-            raise _HullError("interior point on facet hyperplane")
+            raise InvariantError("interior point on facet hyperplane", witness=pts)
         return (a, beta, frozenset(idx_set))
 
     for leave_out in init:
@@ -91,7 +88,10 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
                 counts[verts - {v}] += 1
         bad = [r for r, c in counts.items() if c != 2]
         if bad:
-            raise _HullError(f"boundary is not a pseudomanifold at ridge {sorted(bad[0])}")
+            ridge = [points[i] for i in sorted(bad[0])]
+            raise InvariantError(
+                "boundary is not a pseudomanifold at a ridge", witness=ridge
+            )
 
     init_set = set(init)
     # farthest-first insertion: interior points then cost one visibility scan
@@ -117,9 +117,9 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
             facets.append(make_facet(list(ridge) + [idx]))
         check_pseudomanifold()
 
-    for idx, p in enumerate(points):
+    for p in points:
         if any(vdot(a, p) > b for a, b, _ in facets):
-            raise _HullError("hull misses an input point")
+            raise InvariantError("hull misses an input point", witness=p)
 
     seen = {}
     for a, beta, _ in facets:
@@ -128,24 +128,6 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     hyperplanes = tuple(sorted(seen.keys()))
     simplices = tuple(tuple(sorted(verts)) for _, _, verts in facets)
     return hyperplanes, simplices, inner
-
-
-def _affine_frame(points: list[Vec]):
-    """Greedy affinely independent frame: (p0, direction vectors)."""
-    p0 = points[0]
-    dirs: list[Vec] = []
-    echelon: list[list[Fraction]] = []
-    for p in points[1:]:
-        row = list(vsub(p, p0))
-        for b in echelon:
-            lead = next(i for i, e in enumerate(b) if e != 0)
-            if row[lead]:
-                f = row[lead] / b[lead]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(e != 0 for e in row):
-            dirs.append(vsub(p, p0))
-            echelon.append(row)
-    return p0, dirs
 
 
 class Polytope:
@@ -172,7 +154,10 @@ class Polytope:
             return Polytope(
                 _vertices=(pts[0],), _ambient=ambient, _dim=0, _internal=None
             )
-        p0, dirs = _affine_frame(pts)
+        p0 = pts[0]
+        diffs = [vsub(p, p0) for p in pts]  # diffs[0] is zero and never picked
+        frame = linalg.independent_subset(diffs)
+        dirs = tuple(diffs[i] for i in frame)
         r = len(dirs)
         if ambient == 1:
             lo, hi = pts[0], pts[-1]
@@ -182,7 +167,7 @@ class Polytope:
                 _vertices=(lo, hi), _ambient=1, _dim=1, _internal=data
             )
         if r == ambient:
-            init = _initial_simplex_indices(pts, p0, dirs)
+            init = [0] + frame
             hyps, simplex_idx, inner = _hull_full_dim(pts, ambient, init)
             verts = _vertices_from_hyperplanes(pts, hyps, ambient)
             data = {
@@ -194,26 +179,15 @@ class Polytope:
                 _vertices=verts, _ambient=ambient, _dim=ambient, _internal=data
             )
         # lower-dimensional: reduce to exact affine coordinates and recurse
-        dir_mat = tuple(dirs)  # columns
-        row_idx = _independent_rows(dir_mat, r)
-        sq = tuple(tuple(col[i] for i in row_idx) for col in dir_mat)
-        coord_mat = linalg.inverse(sq)  # maps (p - p0)[row_idx] to coords
-        reduced = []
-        for p in pts:
-            diff = vsub(p, p0)
-            lam = linalg.mat_vec(coord_mat, tuple(diff[i] for i in row_idx))
-            if linalg.mat_vec(dir_mat, lam) != diff:
-                raise _HullError("affine frame does not span input point")
-            reduced.append(lam)
+        row_idx, coord_mat, reduced = linalg.span_coordinates(dirs, diffs)
         inner_poly = Polytope.hull(reduced)
         eq_rows = linalg.nullspace(dirs)
         eqs = tuple((n, vdot(n, p0)) for n in eq_rows)
         verts = tuple(
-            sorted(vadd(p0, linalg.mat_vec(dir_mat, lam)) for lam in inner_poly.vertices)
+            sorted(vadd(p0, linalg.mat_vec(dirs, lam)) for lam in inner_poly.vertices)
         )
         data = {
             "p0": p0,
-            "dirs": dir_mat,
             "row_idx": row_idx,
             "coord_mat": coord_mat,
             "eqs": eqs,
@@ -380,48 +354,6 @@ class Polytope:
 def _clear_denominators(row: Vec, rhs: Fraction) -> tuple[IntVec, int]:
     scale = math.lcm(rhs.denominator, *[e.denominator for e in row])
     return tuple(int(e * scale) for e in row), int(rhs * scale)
-
-
-def _independent_rows(cols, r: int) -> tuple[int, ...]:
-    """Indices of r rows of the column matrix forming an invertible block."""
-    d = len(cols[0])
-    rows = [tuple(col[i] for col in cols) for i in range(d)]
-    chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        cand = list(row)
-        for b in echelon:
-            lead = next(k for k, e in enumerate(b) if e != 0)
-            if cand[lead]:
-                f = cand[lead] / b[lead]
-                cand = [x - f * y for x, y in zip(cand, b)]
-        if any(e != 0 for e in cand):
-            chosen.append(i)
-            echelon.append(cand)
-            if len(chosen) == r:
-                break
-    return tuple(chosen)
-
-
-def _initial_simplex_indices(pts: list[Vec], p0: Vec, dirs) -> list[int]:
-    """Indices of d+1 affinely independent points (for the starting simplex)."""
-    init = [pts.index(p0)]
-    echelon: list[list[Fraction]] = []
-    for i, p in enumerate(pts):
-        if p == p0:
-            continue
-        row = list(vsub(p, p0))
-        for b in echelon:
-            lead = next(k for k, e in enumerate(b) if e != 0)
-            if row[lead]:
-                f = row[lead] / b[lead]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(e != 0 for e in row):
-            echelon.append(row)
-            init.append(i)
-            if len(init) == len(p0) + 1:
-                break
-    return init
 
 
 def _vertices_from_hyperplanes(pts, hyps, d) -> tuple[Vec, ...]:

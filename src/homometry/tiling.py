@@ -107,21 +107,9 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 
 
 def _independent_differences(points: tuple[Vec, ...]) -> list[Vec]:
-    """Greedy linearly independent difference vectors from the lexmin anchor."""
-    anchor = points[0]
-    dirs: list[Vec] = []
-    echelon: list[list[Fraction]] = []
-    for p in points[1:]:
-        row = list(vsub(p, anchor))
-        for b in echelon:
-            lead = next(i for i, e in enumerate(b) if e != 0)
-            if row[lead]:
-                f = row[lead] / b[lead]
-                row = [x - f * y for x, y in zip(row, b)]
-        if any(e != 0 for e in row):
-            dirs.append(vsub(p, anchor))
-            echelon.append(row)
-    return dirs
+    """Greedy linearly independent difference vectors from the first point."""
+    diffs = [vsub(p, points[0]) for p in points[1:]]
+    return [diffs[i] for i in linalg.independent_subset(diffs)]
 
 
 def _thin_candidates(lat: Lattice, points: tuple[Vec, ...], bound: Fraction, strict: bool):
@@ -416,19 +404,10 @@ def _covering_test_3d(facet: polytope.Polytope, lat: Lattice) -> bool:
     c1 = mat_vec(lat.basis, kernel[0])
     c2 = mat_vec(lat.basis, kernel[1])
     # 2D coordinates on the facet plane
-    row_idx = polytope._independent_rows(tuple(dirs), 2)
-    sq = tuple(tuple(col[i] for i in row_idx) for col in dirs)
-    coord = linalg.inverse(sq)
-
-    def plane_coords(x):
-        diff = vsub(x, f0)
-        lam = mat_vec(coord, tuple(diff[i] for i in row_idx))
-        if mat_vec(tuple(dirs), lam) != diff:
-            raise ValueError("point is off the facet plane")
-        return lam
-
-    poly = [plane_coords(v) for v in facet.vertices]
-    c1_2, c2_2 = plane_coords(vadd(f0, c1)), plane_coords(vadd(f0, c2))
+    _, _, coords = linalg.span_coordinates(
+        dirs, [vsub(v, f0) for v in facet.vertices] + [c1, c2]
+    )
+    poly, (c1_2, c2_2) = coords[:-2], coords[-2:]
     return _translates_cover_cell(poly, c1_2, c2_2)
 
 

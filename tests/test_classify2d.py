@@ -1,10 +1,19 @@
 """The planar classification search and unimodular tile equivalence."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from homometry import classify2d as cl
 from homometry import linalg, tiling as ti
-from homometry._kernels import _search_base_py, search_base_raw
+from homometry._kernels import search_base_raw
+from homometry.cli import main
+from homometry.errors import InvariantError
 from homometry.lattice import Lattice, lattice_from_lhs
 from homometry.pointset import PointSet
 
@@ -38,13 +47,21 @@ def test_search_bases_respect_flatness_cap():
 
 
 def test_kernel_paths_agree():
-    import math
-
+    # the integer kernel and the exact rational re-check keep the same tiles
     for l, h, s in [(1, 7, 3), (1, 7, 5), (2, 4, 1), (1, 9, 4), (3, 4, 2)]:
-        stats_py, surv_py = _search_base_py(l, h, s, math.gcd(h, s), l)
-        stats_raw, surv_raw = search_base_raw(l, h, s)
-        assert list(stats_raw.values()) == stats_py
-        assert surv_raw == surv_py
+        stats, survivors = search_base_raw(l, h, s)
+        offsets = [
+            (q1, q2)
+            for q1 in range(0, l * h, math.gcd(h, s))
+            for q2 in range(0, l * h, l)
+        ]
+        exact = [
+            q for q in offsets if cl._exact_filters(cl.tile_points(l, h, s, *q), l, h, s)[0]
+        ]
+        assert survivors == exact
+        assert stats["q_candidates"] == len(offsets)
+        rejects = sum(v for k, v in stats.items() if k.endswith("_rejects"))
+        assert rejects == len(offsets) - len(exact)
 
 
 def test_survivors_verify_as_tilings():
@@ -126,16 +143,58 @@ def test_classify_workers_deterministic():
 
 
 def test_classify_report_flags():
-    report = cl.classify(
-        cl.SearchConfig(
-            det_lo=7,
-            det_hi=7,
-            include_centrally_symmetric=True,
-            include_width_one_case=True,
-        )
-    )
+    report = cl.classify(cl.SearchConfig(det_lo=7, det_hi=7, include_width_one_case=True))
     assert "width_one_family" in report
-    assert "centrally_symmetric_remark" in report
+
+
+def test_failed_recheck_raises_with_witness(monkeypatch, capsys):
+    real = cl.search_base_raw
+    bogus = {}
+
+    def with_bogus_survivor(l, h, s):
+        stats, survivors = real(l, h, s)
+        if not bogus:
+            rejected = next(
+                (q1, q2)
+                for q1 in range(0, l * h, math.gcd(h, s))
+                for q2 in range(0, l * h, l)
+                if (q1, q2) not in survivors
+            )
+            bogus.update(base=(l, h, s), q=rejected)
+            survivors = survivors + [rejected]
+        return stats, survivors
+
+    monkeypatch.setattr(cl, "search_base_raw", with_bogus_survivor)
+    with pytest.raises(InvariantError) as info:
+        cl.classify(cl.SearchConfig(det_lo=7, det_hi=7))
+    assert info.value.witness == bogus
+
+    bogus.clear()
+    code = main(["classify2d", "--det-range", "7:7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error"
+    assert doc["witness"] == {"base": list(bogus["base"]), "q": list(bogus["q"])}
+
+
+def test_runs_without_numpy_or_numba():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.modules['numba'] = None\n"
+        "from homometry import SearchConfig, classify\n"
+        "report = classify(SearchConfig(det_lo=7, det_hi=7))\n"
+        "print(len(report['cases']), report['survivor_count'])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "14"]
 
 
 def test_tile_points_matches_kernel_region():

@@ -1,0 +1,96 @@
+"""The integer kernels: the row-sliced box scan against a brute-force oracle."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homometry._kernels import box_scan, tile_grid
+
+BIG = 2**64
+
+
+def brute_force_box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
+    """Every cell of the box, tested against every row."""
+    out = []
+    for z in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        if any(sum(r * c for r, c in zip(row, z)) != rhs for row, rhs in zip(eq_rows, eq_rhs)):
+            continue
+        values = [sum(r * c for r, c in zip(row, z)) for row in le_rows]
+        if strict and any(v >= rhs for v, rhs in zip(values, le_rhs)):
+            continue
+        if not strict and any(v > rhs for v, rhs in zip(values, le_rhs)):
+            continue
+        out.append(z)
+    return out
+
+
+@st.composite
+def scans(draw):
+    d = draw(st.integers(1, 4))
+    # coordinates and coefficients beyond 2**63 exercise the exact arithmetic
+    shift = draw(st.sampled_from([0, BIG, -3 * BIG]))
+    coeff_scale = draw(st.sampled_from([1, BIG]))
+    lo = [shift + draw(st.integers(-3, 3)) for _ in range(d)]
+    # a width of -1 makes an empty box
+    hi = [a + draw(st.integers(-1, 4)) for a in lo]
+    anchor = [draw(st.integers(a, max(a, b))) for a, b in zip(lo, hi)]
+
+    def row():
+        return tuple(coeff_scale * draw(st.integers(-3, 3)) for _ in range(d))
+
+    def value(r):
+        return sum(c * z for c, z in zip(r, anchor))
+
+    eq_rows = [row() for _ in range(draw(st.integers(0, 2)))]
+    # equality right-hand sides through the anchor, or just off it
+    eq_rhs = [value(r) + draw(st.sampled_from([0, 0, 1])) for r in eq_rows]
+    le_rows = [row() for _ in range(draw(st.integers(0, 3)))]
+    le_rhs = [value(r) + coeff_scale * draw(st.integers(-2, 3)) for r in le_rows]
+    strict = draw(st.booleans())
+    return lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict
+
+
+@given(scans())
+@settings(max_examples=300, deadline=None)
+def test_box_scan_matches_brute_force(args):
+    assert box_scan(*args) == brute_force_box_scan(*args)
+
+
+def test_box_scan_edge_cases():
+    # empty box in one coordinate
+    assert box_scan((0, 5), (3, 4), [], [], [], []) == []
+    # no rows: the whole box in lexicographic order
+    assert box_scan((0, 0), (1, 1), [], [], [], []) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # x + y <= 1 against x + y < 1 on the unit square
+    assert box_scan((0, 0), (1, 1), [], [], [(1, 1)], [1]) == [(0, 0), (0, 1), (1, 0)]
+    assert box_scan((0, 0), (1, 1), [], [], [(1, 1)], [1], strict=True) == [(0, 0)]
+    # an equality with no integer solution on the last coordinate
+    assert box_scan((0, 0), (3, 3), [(0, 2)], [3], [], []) == []
+    # a zero last coefficient leaves the prefix to decide
+    assert box_scan((0, 0), (2, 1), [(1, 0)], [1], [], []) == [(1, 0), (1, 1)]
+
+
+def test_box_scan_beyond_int64():
+    lo, hi = (BIG, -BIG), (BIG + 3, -BIG + 2)
+    eq_rows, eq_rhs = [(BIG, BIG)], [BIG * 2]
+    le_rows, le_rhs = [(-(2**70), 0)], [-(2**70) * (BIG + 1)]
+    # x + y = 2 and x >= BIG + 1
+    expected = [(BIG + 1, -BIG + 1), (BIG + 2, -BIG)]
+    args = (lo, hi, eq_rows, eq_rhs, le_rows, le_rhs)
+    assert box_scan(*args) == brute_force_box_scan(*args) == expected
+
+
+def test_tile_grid_is_the_integer_points_of_the_cell():
+    l, h, s, q1, q2 = 1, 7, 3, 0, 4
+    pts = tile_grid(l, h, s, q1, q2)
+    assert sorted(pts) == brute_force_box_scan(
+        (-20, -20),
+        (20, 20),
+        [],
+        [],
+        [(h, -s), (-h, s), (0, l), (0, -l)],
+        [q1 + l * h, -(q1 + 1), q2 + l * h, -(q2 + l)],
+    )
+    # row by row: y first, then x
+    assert sorted(pts, key=lambda p: (p[1], p[0])) == pts

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from homometry import linalg
-from homometry.errors import SingularMatrixError
+from homometry.errors import InvariantError, SingularMatrixError
 from homometry.linalg import det, adjugate, dual_basis, hnf, identity, mat, solve
 
 
@@ -199,6 +199,45 @@ def test_nullspace():
     for v in ns:
         assert v[0] + v[1] == 0 or (v[0] == 0 and v[1] == 0) or True
         assert linalg.vdot(linalg.vec((1, 1, 0)), v) == 0
+
+
+def rand_vectors(rng, count, d):
+    """Rational vectors spanning a random subspace of rank 1..d."""
+    gens = [
+        [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+        for _ in range(rng.randint(1, d))
+    ]
+    out = []
+    for _ in range(count):
+        cs = [rng.randint(-2, 2) for _ in gens]
+        out.append(tuple(sum((c * g[i] for c, g in zip(cs, gens)), F(0)) for i in range(d)))
+    return out
+
+
+def test_independent_subset_is_a_greedy_basis():
+    rng = random.Random(11)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        vs = rand_vectors(rng, rng.randint(0, 6), d)
+        picked = linalg.independent_subset(vs)
+        # hnf_basis finds the rank by integer column reduction instead
+        assert len(picked) == linalg.rank_of(vs) == len(linalg.hnf_basis(vs))
+        for i, v in enumerate(vs):
+            before = [vs[j] for j in picked if j < i]
+            assert (i in picked) == (len(linalg.hnf_basis(before + [v])) > len(before))
+    # plain integer entries stay exact
+    assert linalg.independent_subset([(1, 2), (2, 4), (0, 3)]) == [0, 2]
+
+
+def test_span_coordinates():
+    cols = (linalg.vec((1, 1, 0)), linalg.vec((0, 2, 1)))
+    lams = [(1, 0), (F(1, 2), -3), (0, 0)]
+    pts = [linalg.mat_vec(cols, lam) for lam in lams]
+    _, _, coords = linalg.span_coordinates(cols, pts)
+    assert coords == [linalg.vec(lam) for lam in lams]
+    with pytest.raises(InvariantError) as info:
+        linalg.span_coordinates(cols, [linalg.vec((0, 0, 1))])
+    assert info.value.witness == (0, 0, 1)
 
 
 def test_frac_rejects_floats():
