@@ -1,4 +1,5 @@
-"""Integer hot loops: lattice-point box scans and the planar tile search.
+"""Integer hot loops: the lattice-point box scan, the thin-direction search,
+the planar tile grid and the planar tile search.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.
@@ -8,6 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
+
+from . import linalg
+from .errors import LowerDimensionalError
 
 
 def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
@@ -50,6 +55,42 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
     return out
 
 
+def thin_directions(points, bound, strict=False):
+    """Every nonzero integer m whose spread over the integer points is small.
+
+    The spread is max - min of <m, p> over the points; it must be at most
+    `bound` (below it with strict=True).  Yields (m, spread) with m in
+    lexicographic order.  Any such m has |<m, v_k>| <= spread on d
+    independent differences v_k, the columns of A, so
+    |m_j| <= spread * sum_k |(A^T)^-1_jk|: the box is finite and exact.
+    Raises LowerDimensionalError when the points do not span the space.
+    """
+    p0 = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
+    frame = [diffs[i] for i in linalg.independent_subset(diffs)]
+    if len(frame) < len(p0):
+        raise LowerDimensionalError("point set is not full-dimensional")
+    # spreads are integers: <= bound is <= floor(bound), < bound is <= ceil(bound) - 1
+    cap = math.ceil(bound) - 1 if strict else math.floor(bound)
+    # column j of A^-1 is row j of (A^T)^-1
+    tops = [math.floor(cap * sum(map(abs, col))) for col in linalg.inverse(frame)]
+    ranges = [range(-top, top + 1) for top in tops]
+    for m in itertools.product(*ranges):
+        if not any(m):
+            continue
+        lo = hi = sum(map(mul, m, p0))
+        for p in points:
+            v = sum(map(mul, m, p))
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo > cap:
+                break
+        else:
+            yield m, hi - lo
+
+
 # ---------------------------------------------------------------------------
 # Planar tile search kernel (the classify2d inner loop).
 #
@@ -89,39 +130,6 @@ def _is_two_dimensional(pts):
     return False
 
 
-def _has_width_at_most_one(pts):
-    # Any direction u with spread <= 1 satisfies |<u, v_i>| <= 1 for the two
-    # independent differences below, which bounds the search box exactly.
-    x0, y0 = pts[0]
-    v1 = (pts[1][0] - x0, pts[1][1] - y0)
-    v2 = None
-    for x, y in pts[2:]:
-        if v1[0] * (y - y0) - v1[1] * (x - x0) != 0:
-            v2 = (x - x0, y - y0)
-            break
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    u1max = (abs(v1[1]) + abs(v2[1])) // abs(det)
-    u2max = (abs(v1[0]) + abs(v2[0])) // abs(det)
-    for u1 in range(-u1max, u1max + 1):
-        for u2 in range(-u2max, u2max + 1):
-            if u1 == 0 and u2 == 0:
-                continue
-            vmin = vmax = u1 * pts[0][0] + u2 * pts[0][1]
-            thin = True
-            for x, y in pts[1:]:
-                v = u1 * x + u2 * y
-                if v < vmin:
-                    vmin = v
-                elif v > vmax:
-                    vmax = v
-                if vmax - vmin > 1:
-                    thin = False
-                    break
-            if thin:
-                return True
-    return False
-
-
 def search_base_raw(l: int, h: int, s: int):
     """Run the tile scan for one base triple; returns (stats dict, [(q1, q2)]).
 
@@ -148,7 +156,7 @@ def search_base_raw(l: int, h: int, s: int):
             if max(vals) - min(vals) >= big_l:
                 stats["diagonal_width_rejects"] += 1
                 continue
-            if _has_width_at_most_one(pts):
+            if next(thin_directions(pts, 1), None) is not None:
                 stats["width_one_rejects"] += 1
                 continue
             survivors.append((q1, q2))

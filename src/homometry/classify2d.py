@@ -14,9 +14,9 @@ import concurrent.futures
 from dataclasses import dataclass, field
 
 from . import linalg, tiling
-from ._kernels import search_base_raw, tile_grid
+from ._kernels import search_base_raw, thin_directions, tile_grid
 from .errors import InvariantError, NotATilingError, NotLatticeConvexError
-from .lattice import Lattice, lattice_from_lhs, sublattices_of_z2
+from .lattice import Lattice, lattice_from_lhs
 from .linalg import mat, mat_vec, vsub
 from .pointset import PointSet, centrally_symmetric
 
@@ -43,17 +43,29 @@ class TileClass:
     witnesses: dict = field(default_factory=dict)
 
 
+def shear_normal_bases(det_value: int) -> list[tuple[int, int, int]]:
+    """All (l, h, s) with l*h = det_value, 0 <= s < h; basis (l,0), (s,h).
+
+    These are the sublattice bases up to the ambient shear, not distinct
+    lattices.  The shear (x, y) -> (x + t*y, y) is unimodular, fixes (l, 0)
+    and moves (s, h) to (s + t*h, h), so it changes s by multiples of h.
+    The tile is free, and the search classifies tiles only up to unimodular
+    maps, so the bases with 0 <= s < h stand for all of them.
+    """
+    divisors = [l for l in range(1, det_value + 1) if det_value % l == 0]
+    return [(l, det_value // l, s) for l in divisors for s in range(det_value // l)]
+
+
 def delta_width(l: int, h: int, s: int) -> int:
     """Lattice width of the half-cell triangle conv{o, (l,0), (s,h)} in Z^2."""
-    delta = PointSet([(0, 0), (l, 0), (s, h)])
-    value, _ = tiling.lattice_width(delta.hull(), Lattice.standard(2))
-    return int(value)
+    # the direction (0, 1) has spread h, so the minimum lies within that bound
+    return min(spread for _, spread in thin_directions(((0, 0), (l, 0), (s, h)), h))
 
 
 def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
     """Base triples passing the triangle-width window for this determinant."""
     out = []
-    for l, h, s in sublattices_of_z2(det_value):
+    for l, h, s in shear_normal_bases(det_value):
         if h < 3:
             continue
         w = delta_width(l, h, s)

@@ -128,11 +128,12 @@ def index(sub: Lattice, sup: Lattice) -> int:
 
 
 def sublattices_of_z2(det_value: int) -> list[tuple[int, int, int]]:
-    """All (l, h, s) with l*h = det_value, 0 <= s < h; basis (l,0), (s,h).
+    """All (l, h, s) with l*h = det_value, 0 <= s < l; basis (l,0), (s,h).
 
-    These triples are exactly the column bases whose row matrix is in
-    Hermite normal form, so the list enumerates every sublattice of Z^2
-    with the given determinant exactly once.
+    (l, 0) generates the lattice's points on the x-axis and h is the index
+    of its projection to the y-axis, so s is determined modulo l: this
+    Hermite normal form lists every sublattice of Z^2 with the given
+    determinant exactly once, sigma(det_value) of them.
     """
     if det_value < 1:
         raise ValueError("determinant must be positive")
@@ -141,7 +142,7 @@ def sublattices_of_z2(det_value: int) -> list[tuple[int, int, int]]:
         if det_value % l:
             continue
         h = det_value // l
-        for s in range(h):
+        for s in range(l):
             out.append((l, h, s))
     return out
 

@@ -116,7 +116,7 @@ def det(m: Mat) -> Fraction:
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
-        piv = rows[k][k]
+        piv = Fraction(rows[k][k])  # exact division for int entries too
         result *= piv
         for r in range(k + 1, d):
             factor = rows[r][k] / piv
@@ -159,7 +159,7 @@ def solve(m: Mat, v: Vec) -> Vec:
         if pivot_row is None:
             raise SingularMatrixError("singular matrix in solve")
         rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        piv = rows[k][k]
+        piv = Fraction(rows[k][k])
         rows[k] = [e / piv for e in rows[k]]
         for r in range(d):
             if r != k and rows[r][k]:
@@ -373,7 +373,7 @@ def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:
         if pr is None:
             continue
         mat_rows[r], mat_rows[pr] = mat_rows[pr], mat_rows[r]
-        piv = mat_rows[r][c]
+        piv = Fraction(mat_rows[r][c])
         mat_rows[r] = [e / piv for e in mat_rows[r]]
         for i in range(len(mat_rows)):
             if i != r and mat_rows[i][c]:

@@ -151,10 +151,7 @@ def direct_sum(s: PointSet, t: PointSet) -> PointSet:
 
 def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
     """K = conv(K) ∩ lattice; raises NotInLatticeError when K is not in it."""
-    for p in k.points:
-        if not lat.contains(p):
-            raise NotInLatticeError(f"point {p} is outside the lattice")
-    return k.hull().lattice_points(lat) == list(k.points)
+    return lattice_convexity_witness(k, lat) is None
 
 
 def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, pointset, polytope
-from ._kernels import box_scan
+from ._kernels import box_scan, thin_directions
 from .errors import (
     LowerDimensionalError,
     LowerDimensionalTileError,
@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lattice import Lattice, index
-from .linalg import Vec, mat, mat_vec, transpose, vadd, vdot, vec, vsub
+from .linalg import Vec, mat, mat_vec, transpose, vadd, vdot, vec, vneg, vsub
 from .pointset import PointSet
 
 
@@ -112,69 +112,56 @@ def _independent_differences(points: tuple[Vec, ...]) -> list[Vec]:
     return [diffs[i] for i in linalg.independent_subset(diffs)]
 
 
-def _thin_candidates(lat: Lattice, points: tuple[Vec, ...], bound: Fraction, strict: bool):
-    """All u in L* that could satisfy w(K, u) < bound (or <= without strict).
+def _lattice_coordinates(points, lat: Lattice):
+    """The integer points scale * B^-1 p, with the common scale."""
+    coords = [mat_vec(lat.inverse_basis, p) for p in points]
+    scale = math.lcm(*(c.denominator for z in coords for c in z))
+    return [tuple(int(c * scale) for c in z) for z in coords], scale
 
-    Any such u has |<u, v>| bounded by `bound` on every difference vector v,
-    so its coefficients in the dual basis live in an explicit finite box.
+
+def _thin_widths(points, lat: Lattice, bound, strict=False):
+    """(u, w(points, u)) for every u in L* \\ {o} of width <= bound (< if strict).
+
+    For u = B* m, <u, p> = <m, B^-1 p>, so the kernel's spreads over the
+    integer coordinates are the widths times the scale.  Raises
+    LowerDimensionalError when the points do not span the space.
     """
-    d = lat.dim
-    dirs = _independent_differences(points)
-    if len(dirs) < d:
-        raise LowerDimensionalError("point set is not full-dimensional")
-    bstar = linalg.dual_basis(lat.basis)
-    g = tuple(tuple(vdot(v, col) for v in dirs) for col in bstar)  # columns
-    ginv = linalg.inverse(g)
-    ranges = []
-    for j in range(d):
-        r = sum(abs(ginv[k][j]) for k in range(d)) * bound
-        top = math.ceil(r) - 1 if strict else math.floor(r)
-        ranges.append(range(-top, top + 1))
-    for m in itertools.product(*ranges):
-        if any(m):
-            yield mat_vec(bstar, m)
+    ints, scale = _lattice_coordinates(points, lat)
+    bstar = transpose(lat.inverse_basis)
+    for m, spread in thin_directions(ints, bound * scale, strict):
+        yield mat_vec(bstar, m), Fraction(spread, scale)
 
 
 def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
     """The exact finite set W(T, L) with the width of every member."""
-    hull = tile.hull()
-    if hull.dim < lat.dim:
+    try:
+        found = dict(_thin_widths(tile.points, lat, 1, strict=True))
+    except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "W is infinite for tiles that do not span the space"
-        )
-    found = {}
-    for u in _thin_candidates(lat, tile.points, Fraction(1), strict=True):
-        w = width_of(hull, u)
-        if w < 1:
-            found[u] = w
+        ) from None
     return WSetResult(vectors=tuple(sorted(found)), widths=found)
 
 
 def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     """min of w(K, u) over u in L* \\ {o}, with a witnessing minimizer.
 
-    Flat sets get width 0 together with an orthogonal dual vector (always
-    present for rational data).
+    Among minimizers the smallest u wins.  Flat sets get width 0 together
+    with an orthogonal dual vector (always present for rational data).
     """
     pts = obj.vertices if isinstance(obj, polytope.Polytope) else obj.points
-    d = lat.dim
-    dirs = _independent_differences(pts)
-    bstar = linalg.dual_basis(lat.basis)
-    if len(dirs) < d:
-        rows = tuple(tuple(vdot(v, col) for col in bstar) for v in dirs)
-        if not rows:  # single point: any dual vector works
-            u = bstar[0]
-            return Fraction(0), u
-        kernel = linalg.nullspace(rows)
-        m = linalg.primitive_integer_direction(kernel[0])
-        return Fraction(0), mat_vec(bstar, m)
+    bstar = transpose(lat.inverse_basis)
     w0 = min(width_of(obj, col) for col in bstar)
-    best = None
-    for u in _thin_candidates(lat, pts, w0, strict=False):
-        w = width_of(obj, u)
-        if best is None or w < best[0] or (w == best[0] and u < best[1]):
-            best = (w, u)
-    return best
+    try:
+        return min((w, u) for u, w in _thin_widths(pts, lat, w0))
+    except LowerDimensionalError:
+        pass
+    dirs = _independent_differences(pts)
+    if not dirs:  # single point: any dual vector works
+        return Fraction(0), bstar[0]
+    rows = tuple(tuple(vdot(v, col) for col in bstar) for v in dirs)
+    m = linalg.primitive_integer_direction(linalg.nullspace(rows)[0])
+    return Fraction(0), mat_vec(bstar, m)
 
 
 # -- Dirichlet cells and tile enumeration -----------------------------------
@@ -289,13 +276,11 @@ def _facet_normals_in_dual(s_hull: polytope.Polytope, dual: Lattice):
     return [dual.primitive_parallel(a) for a, _ in s_hull.facets()]
 
 
-def check_condition_a(s: PointSet, t: Tiling) -> bool:
-    holds, _ = condition_a_witness(s, t)
-    return holds
+def _convex_summand_hull(s: PointSet, t: Tiling):
+    """conv(S) when S is L-convex, else None: the prologue of (a) and (c).
 
-
-def condition_a_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is a facet normal of width >= 1 if any."""
+    Raises unless t is verified, S lies in L and S is full-dimensional.
+    """
     _require_verified(t)
     lat = t.translations
     for p in s.points:
@@ -304,10 +289,21 @@ def condition_a_witness(s: PointSet, t: Tiling):
     s_hull = s.hull()
     if not s_hull.is_full_dimensional():
         raise LowerDimensionalError("S must be full-dimensional")
-    if not pointset.is_lattice_convex(s, lat):
+    return s_hull if pointset.is_lattice_convex(s, lat) else None
+
+
+def check_condition_a(s: PointSet, t: Tiling) -> bool:
+    holds, _ = condition_a_witness(s, t)
+    return holds
+
+
+def condition_a_witness(s: PointSet, t: Tiling):
+    """(holds, witness): witness is a facet normal of width >= 1 if any."""
+    s_hull = _convex_summand_hull(s, t)
+    if s_hull is None:
         return False, None
     tile_hull = t.tile.hull()
-    for u in _facet_normals_in_dual(s_hull, lat.dual()):
+    for u in _facet_normals_in_dual(s_hull, t.translations.dual()):
         if width_of(tile_hull, u) >= 1:
             return False, u
     return True, None
@@ -334,18 +330,12 @@ def check_condition_c(s: PointSet, t: Tiling) -> bool:
 
 def condition_c_witness(s: PointSet, t: Tiling):
     _require_verified(t)
-    d = t.ambient.dim
-    if d > 3:
+    if t.ambient.dim > 3:
         raise UnsupportedDimensionError("condition (c) is implemented for d <= 3")
-    lat = t.translations
-    for p in s.points:
-        if not lat.contains(p):
-            raise NotInLatticeError(f"S point {p} is outside L")
-    s_hull = s.hull()
-    if not s_hull.is_full_dimensional():
-        raise LowerDimensionalError("S must be full-dimensional")
-    if not pointset.is_lattice_convex(s, lat):
+    s_hull = _convex_summand_hull(s, t)
+    if s_hull is None:
         return False, None
+    lat = t.translations
     tile_hull = t.tile.hull()
     dual = lat.dual()
     for a, verts in s_hull.facet_vertex_sets():
@@ -562,15 +552,13 @@ def _translates_cover_cell(poly, c1, c2) -> bool:
 def parity_check(t: Tiling) -> bool:
     """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* with w(T, u) < 1/2."""
     _require_verified(t)
-    hull = t.tile.hull()
-    if hull.dim < t.ambient.dim:
-        raise LowerDimensionalTileError("parity check needs a full-dimensional tile")
-    for u in _thin_candidates(
-        t.translations, t.tile.points, Fraction(1, 2), strict=True
-    ):
-        if width_of(hull, u) < Fraction(1, 2):
-            return False
-    return True
+    try:
+        thin = _thin_widths(t.tile.points, t.translations, Fraction(1, 2), strict=True)
+        return next(thin, None) is None
+    except LowerDimensionalError:
+        raise LowerDimensionalTileError(
+            "parity check needs a full-dimensional tile"
+        ) from None
 
 
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
@@ -581,29 +569,16 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
     """
     d = lat.dim
     kappa = Fraction(2 * 3 ** (d - 2) * math.factorial(d) ** 2, 2 ** (d - 2))
-
-    def bound_ok(b):
-        return all(abs(vdot(w, b)) <= kappa for w in wset.vectors)
-
-    if all(bound_ok(col) for col in lat.basis):
+    if all(abs(vdot(w, b)) <= kappa for b in lat.basis for w in wset.vectors):
         return lat.basis, kappa
-    dirs = _independent_differences((vec([0] * d),) + tuple(wset.vectors))
-    if len(dirs) < d:
+    # In dual coordinates the points ±w become ±B^T w, over which b = B z
+    # has spread 2 max |<w, b>|; the kernel scans the z with spread <= 2 kappa.
+    signed = [v for w in wset.vectors for v in (w, vneg(w))]
+    pts, scale = _lattice_coordinates(signed, lat.dual())
+    try:
+        cands = sorted((spread, z) for z, spread in thin_directions(pts, 2 * kappa * scale))
+    except LowerDimensionalError:
         return None, kappa
-    rows = tuple(tuple(vdot(w, col) for col in lat.basis) for w in dirs)
-    rinv = linalg.inverse(transpose(rows))
-    cands = []
-    ranges = []
-    for j in range(d):
-        r = sum(abs(rinv[k][j]) for k in range(d)) * kappa
-        ranges.append(range(-math.floor(r), math.floor(r) + 1))
-    for z in itertools.product(*ranges):
-        if not any(z):
-            continue
-        b = mat_vec(lat.basis, z)
-        if bound_ok(b):
-            cands.append((max(abs(vdot(w, b)) for w in wset.vectors), z))
-    cands.sort()
     shortlist = [z for _, z in cands[:30]]
     for combo in itertools.combinations(shortlist, d):
         if abs(linalg.det(mat(combo))) == 1:

@@ -210,6 +210,9 @@ def test_truncated_cube_s_builder():
 
 def test_find_lattice_with_three_thin_directions():
     hits = con.find_lattice_with_three_thin_directions(1)
-    assert hits and hits[0]["w_count"] >= 6
-    # honest failure: exhaustive search finds nothing for the 3-column tile
-    assert con.find_lattice_with_three_thin_directions(2) == []
+    assert [hit["base"] for hit in hits] == [(2, 2, 1), (4, 1, 2)]
+    assert all(hit["w_count"] >= 6 for hit in hits)
+    # the two-row tile with k + 1 columns has the hit (2(k+1), 1, k+1)
+    for k in (2, 3, 4, 5):
+        hits = con.find_lattice_with_three_thin_directions(k)
+        assert [hit["base"] for hit in hits] == [(2 * (k + 1), 1, k + 1)]

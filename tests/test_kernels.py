@@ -1,11 +1,16 @@
-"""The integer kernels: the row-sliced box scan against a brute-force oracle."""
+"""The integer kernels against brute-force oracles: the row-sliced box scan,
+the thin-direction search and the tile grid."""
 
 import itertools
+from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry._kernels import box_scan, tile_grid
+from homometry import linalg
+from homometry._kernels import box_scan, thin_directions, tile_grid
+from homometry.errors import LowerDimensionalError
 
 BIG = 2**64
 
@@ -94,3 +99,84 @@ def test_tile_grid_is_the_integer_points_of_the_cell():
     )
     # row by row: y first, then x
     assert sorted(pts, key=lambda p: (p[1], p[0])) == pts
+
+
+def spread(m, points):
+    values = [sum(a * b for a, b in zip(m, p)) for p in points]
+    return max(values) - min(values)
+
+
+def brute_force_thin_directions(points, bound, strict=False):
+    """Every nonzero m in a cube that holds all of them, with direct spreads.
+
+    Any m of spread <= bound has |<m, v>| <= bound on every difference v, so
+    the frame of d differences with the largest |det| bounds each |m_j| by
+    bound * sum_k |(A^T)^-1_jk|; the cube reaches one step beyond that.
+    """
+    d = len(points[0])
+    diffs = sorted({tuple(a - b for a, b in zip(p, q)) for p in points for q in points})
+    frame = max(itertools.combinations(diffs, d), key=lambda f: abs(linalg.det(f)))
+    radius = 1 + max(
+        int(bound * sum(abs(e) for e in col)) for col in linalg.inverse(frame)
+    )
+    out = []
+    for m in itertools.product(range(-radius, radius + 1), repeat=d):
+        w = spread(m, points)
+        if any(m) and (w < bound if strict else w <= bound):
+            out.append((m, w))
+    return out
+
+
+@st.composite
+def thin_inputs(draw):
+    d = draw(st.integers(1, 3))
+    # a shift beyond 2**63 exercises the exact arithmetic; spreads ignore it
+    shift = draw(st.sampled_from([0, BIG, -3 * BIG]))
+    coords = st.tuples(*[st.integers(-2, 2)] * d)
+    base = draw(st.lists(coords, min_size=1, max_size=5, unique=True))
+    points = [tuple(c + shift for c in p) for p in base]
+    bound = draw(st.one_of(st.integers(0, 3), st.builds(F, st.integers(0, 12), st.integers(1, 4))))
+    return points, bound, draw(st.booleans())
+
+
+@given(thin_inputs())
+@settings(max_examples=300, deadline=None)
+def test_thin_directions_match_brute_force(args):
+    points, bound, strict = args
+    d = len(points[0])
+    if linalg.rank_of([tuple(a - b for a, b in zip(p, points[0])) for p in points]) < d:
+        with pytest.raises(LowerDimensionalError):
+            next(thin_directions(points, bound, strict))
+        return
+    assert list(thin_directions(points, bound, strict)) == brute_force_thin_directions(
+        points, bound, strict
+    )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(4,)],
+        [(0, 0), (1, 1), (3, 3)],
+        [(0, 0, 0), (1, 0, 1), (0, 2, 2), (1, 2, 3)],
+    ],
+)
+def test_thin_directions_flat_input_raises(points):
+    with pytest.raises(LowerDimensionalError):
+        next(thin_directions(points, 5))
+
+
+def test_thin_directions_unit_square():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert list(thin_directions(square, 1)) == [
+        ((-1, 0), 1),
+        ((0, -1), 1),
+        ((0, 1), 1),
+        ((1, 0), 1),
+    ]
+    assert list(thin_directions(square, 1, strict=True)) == []
+    # spreads are integers: < 3/2 and <= 3/2 both mean <= 1
+    assert list(thin_directions(square, F(3, 2))) == list(thin_directions(square, 1))
+    assert list(thin_directions(square, F(3, 2), strict=True)) == list(
+        thin_directions(square, 1)
+    )

@@ -1,11 +1,13 @@
 """Lattices: membership, duals, indices, residues, sublattice enumeration."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from homometry import linalg
+from homometry.classify2d import shear_normal_bases
 from homometry.errors import NotASublatticeError, NotInLatticeError, ZeroVectorError
 from homometry.lattice import Lattice, index, lattice_from_lhs, sublattices_of_z2
 
@@ -87,15 +89,44 @@ def test_sublattice_counts(det_value, count):
     assert len(triples) == count
     assert len(set(triples)) == count
     for l, h, s in triples:
-        assert l * h == det_value and 0 <= s < h
+        assert l * h == det_value and 0 <= s < l
+
+
+def sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_sublattice_sigma_identity():
-    def sigma(n):
-        return sum(d for d in range(1, n + 1) if n % d == 0)
-
     for n in range(1, 19):
         assert len(sublattices_of_z2(n)) == sigma(n)
+
+
+def hnf_key(basis):
+    h, _ = linalg.hnf(linalg.mat(basis))
+    return h
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_sublattices_match_hnf_deduplication(n):
+    # sigma(n) sublattices of Z^2 have index n; the list has them all, once each
+    keys = [hnf_key(lattice_from_lhs(l, h, s).basis) for l, h, s in sublattices_of_z2(n)]
+    assert len(set(keys)) == len(keys) == sigma(n)
+    # every lattice spanned by a small basis of determinant +-n is among them
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        if abs(a * d - b * c) == n:
+            assert hnf_key([(a, b), (c, d)]) in keys
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_shear_normal_bases_are_one_per_shear_orbit(n):
+    # a shear fixes (l, 0) and moves s by multiples of h: each basis
+    # (l, 0), (s, h) of the search has exactly one image with 0 <= s < h
+    bases = shear_normal_bases(n)
+    assert len(set(bases)) == len(bases) == sigma(n)
+    for l, h, s in bases:
+        assert l * h == n and 0 <= s < h
+    for l, h, s in sublattices_of_z2(n):
+        assert (l, h, s % h) in bases
 
 
 def test_residue_injectivity_small_indices():

@@ -80,6 +80,22 @@ def test_solve_cramer_oracle():
     assert solve(mat([(3, -1), (2, 1)]), linalg.vec((1, 0))) == (F(1, 5), F(1, 5))
 
 
+def exact(values):
+    return all(type(x) in (int, F) for x in values)
+
+
+def test_plain_int_matrices_stay_exact():
+    # plain int tuples, not mat(): no division may fall back to floats
+    x = solve(((1, 1), (-5, 1)), (1, 0))
+    assert x == (F(1, 6), F(-1, 6)) and exact(x)
+    value = det(((1, 0, 0), (0, 1, 1), (0, -2, 1)))
+    assert value == 3 and exact([value])
+    (v,) = linalg.nullspace([(2, 1, 0), (1, 3, 1)])
+    assert v == (F(1, 5), F(-2, 5), 1) and exact(v)
+    inv = linalg.inverse(((2, 1), (1, 1)))
+    assert inv == ((1, -1), (-1, 2)) and all(exact(col) for col in inv)
+
+
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve(mat([(1, 2), (2, 4)]), linalg.vec((1, 0)))

@@ -83,12 +83,24 @@ def test_wset_planar_k2_has_six_vectors():
     assert all(w < 1 for w in wset.widths.values())
 
 
+# non-standard rational lattices for the W-set and width oracles
+RATIONAL_LATTICES = [
+    Lattice([(F(1, 2), 0), (F(1, 3), F(2, 3))]),
+    Lattice([(2, 1), (-1, 3)]),
+    Lattice([(F(3, 4), F(-1, 2)), (F(1, 5), F(6, 5))]),
+]
+
+
 def test_wset_negation_closed_and_matches_box_oracle():
-    for k in (1, 2, 3):
-        t = planar_family_tiling(k)
-        wset = ti.w_set(t.tile, t.translations)
+    cases = [(t.tile, t.translations) for t in map(planar_family_tiling, (1, 2, 3))]
+    cases += [(planar_family_tiling(2).tile, lat) for lat in RATIONAL_LATTICES]
+    triangle = PointSet([(0, 0), (F(5, 2), F(1, 3)), (F(1, 2), F(7, 4))])
+    cases += [(triangle, lat) for lat in RATIONAL_LATTICES]
+    for tile, lat in cases:
+        wset = ti.w_set(tile, lat)
         assert {linalg.vneg(u) for u in wset.vectors} == set(wset.vectors)
-        assert set(wset.vectors) == brute_widths_below(t.tile, t.translations, F(1))
+        assert set(wset.vectors) == brute_widths_below(tile, lat, F(1))
+        assert all(wset.widths[u] == ti.width_of(tile, u) for u in wset.vectors)
 
 
 def test_wset_unit_cube_empty():
@@ -145,20 +157,19 @@ def test_lattice_width_triangle_and_tiles():
 
 def test_lattice_width_matches_direction_scan():
     rng = random.Random(6)
-    for _ in range(10):
-        pts = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)}
-        k = PointSet(pts)
-        if linalg.rank_of([linalg.vsub(p, k.points[0]) for p in k.points]) < 2:
-            continue
-        value, minimizer = ti.lattice_width(k, Z2)
-        scan = min(
-            ti.width_of(k, (x, y))
-            for x in range(-8, 9)
-            for y in range(-8, 9)
-            if (x, y) != (0, 0)
-        )
-        assert value == scan
-        assert ti.width_of(k, minimizer) == value
+    for lat in [Z2] + RATIONAL_LATTICES:
+        bstar = linalg.dual_basis(lat.basis)
+        box = itertools.product(range(-8, 9), repeat=2)
+        directions = [linalg.mat_vec(bstar, m) for m in box if any(m)]
+        for _ in range(10):
+            pts = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)}
+            k = PointSet(pts)
+            if linalg.rank_of([linalg.vsub(p, k.points[0]) for p in k.points]) < 2:
+                continue
+            # the smallest width, and the smallest direction among the minimizers
+            scan = min((ti.width_of(k, u), u) for u in directions)
+            assert ti.lattice_width(k, lat) == scan
+            assert ti.lattice_width(k.hull(), lat) == scan
 
 
 def test_lattice_width_flat_set_zero():
