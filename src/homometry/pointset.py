@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+
 from . import linalg, polytope
 from .errors import (
     DegenerateDifferencesError,
@@ -63,8 +65,13 @@ class PointSet:
         """Translate so the lexicographic minimum sits at the origin."""
         return self.translate(vneg(self.lexmin()))
 
-    def hull(self) -> polytope.Polytope:
+    @cached_property
+    def _hull(self) -> polytope.Polytope:
         return polytope.hull(self.points)
+
+    def hull(self) -> polytope.Polytope:
+        """conv(K), built on the first call; the set is immutable, so it is kept."""
+        return self._hull
 
     def differences(self) -> list[Vec]:
         """All pairwise differences (with repetitions collapsed)."""

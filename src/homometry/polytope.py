@@ -1,12 +1,16 @@
 """Exact V-representation polytopes with lazily derived facet structure.
 
-The hull construction is an incremental beneath-beyond over exact rationals.
-Facets are kept as oriented boundary simplices while inserting; the final
-facet inequalities are the deduplicated carrier hyperplanes, normalized to
-primitive integer normals.  A pseudomanifold check runs after every
-insertion, so degenerate inputs fail loudly instead of silently producing a
-wrong hull.  Lower-dimensional input is reduced to exact affine coordinates
-and handled recursively.
+The hull construction is an incremental beneath-beyond on an integer view
+of the input: every coordinate is scaled once by the common denominator D,
+so facet normals, visibility tests, the orientation test and the final
+"every input point is inside" sweep are all integer dot products.  Facets
+are kept as oriented boundary simplices with primitive integer normals;
+the final facet inequalities are their deduplicated carrier hyperplanes
+<a, x> <= beta / D.  A ridge -> facet-count map is updated on the ridges
+each insertion touches and checked there, so a boundary that stops being
+a pseudomanifold fails loudly instead of silently producing a wrong hull.
+Lower-dimensional input is reduced to exact affine coordinates and handled
+recursively.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from ._kernels import box_scan
@@ -23,111 +28,136 @@ from .errors import (
     LowerDimensionalError,
     OriginNotInteriorError,
 )
-from .linalg import Vec, frac, is_zero, vadd, vdot, vec, vneg, vscale, vsub
+from .linalg import Vec, frac, vadd, vdot, vec, vneg, vscale, vsub
 
 IntVec = tuple[int, ...]
 
 
-def _normal_through(pts: list[Vec]) -> Vec | None:
-    """Normal of the hyperplane through d points of R^d (generalized cross).
+def _idot(u: IntVec, v: IntVec) -> int:
+    return sum(map(mul, u, v))
 
-    Returns None when the points are affinely dependent.
+
+def _integer_view(points: list[Vec]) -> tuple[int, list[IntVec]]:
+    """(D, [D * p]): D is the common denominator of every coordinate."""
+    den = math.lcm(*[c.denominator for p in points for c in p])
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
+
+
+def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
+    """Primitive normal of the hyperplane through d integer points of Z^d.
+
+    Cofactors of the d-1 edge vectors from pts[0]; None when the points
+    are affinely dependent.
     """
-    d = len(pts)
-    rows = [vsub(q, pts[0]) for q in pts[1:]]
-    normal = []
-    for j in range(d):
-        minor = tuple(tuple(r[i] for i in range(d) if i != j) for r in rows)
-        # minor is (d-1) columns? build as columns-of-rows: transpose needed
-        cols = tuple(tuple(minor[r][c] for r in range(d - 1)) for c in range(d - 1))
-        val = linalg.det(cols)
-        normal.append(val if j % 2 == 0 else -val)
-    n = tuple(normal)
-    return None if is_zero(n) else n
-
-
-def _normalize_hyperplane(a: Vec, beta: Fraction) -> tuple[IntVec, Fraction]:
-    scale = math.lcm(*[e.denominator for e in a])
-    ints = [int(e * scale) for e in a]
-    g = math.gcd(*ints)
-    t = Fraction(scale, g)
-    return tuple(x // g for x in ints), beta * t
+    p0 = pts[0]
+    rows = [tuple(x - y for x, y in zip(q, p0)) for q in pts[1:]]
+    d = len(p0)
+    if d == 2:
+        ((x, y),) = rows
+        normal = (y, -x)
+    elif d == 3:
+        (a1, a2, a3), (b1, b2, b3) = rows
+        normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    else:
+        normal = tuple(
+            (-1) ** j * int(linalg.det(tuple(r[:j] + r[j + 1 :] for r in rows)))
+            for j in range(d)
+        )
+    g = math.gcd(*normal)
+    return tuple(c // g for c in normal) if g else None
 
 
 def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     """Beneath-beyond hull of full-dimensional points.
 
-    Returns (hyperplanes, boundary simplices, interior point).  Each
-    boundary simplex is a tuple of d point indices; simplices tile the
+    Returns (hyperplanes, boundary simplices, interior point, vertices).
+    Each boundary simplex is a tuple of d point indices; simplices tile the
     boundary exactly, which later gives exact volumes for free.
     """
-    inner = vscale(Fraction(1, d + 1), tuple(map(sum, zip(*[points[i] for i in init]))))
+    den, ipts = _integer_view(points)
+    # (d + 1) * D times the centroid of the first simplex: <a, inner> is
+    # compared with (d + 1) * beta
+    inner = tuple(map(sum, zip(*[ipts[i] for i in init])))
 
-    facets: list[tuple[Vec, Fraction, frozenset[int]]] = []
-
-    def make_facet(idx_set, apex_pt=None):
-        pts = [points[i] for i in idx_set]
-        a = _normal_through(pts)
+    def make_facet(idx):
+        a = _primitive_normal([ipts[i] for i in idx])
         if a is None:
-            raise InvariantError("degenerate facet simplex", witness=pts)
-        beta = vdot(a, pts[0])
-        side = vdot(a, inner)
-        if side > beta:
-            a, beta = vneg(a), -beta
-        elif side == beta:
-            raise InvariantError("interior point on facet hyperplane", witness=pts)
-        return (a, beta, frozenset(idx_set))
-
-    for leave_out in init:
-        facets.append(make_facet([i for i in init if i != leave_out]))
-
-    def check_pseudomanifold():
-        counts = Counter()
-        for _, _, verts in facets:
-            for v in verts:
-                counts[verts - {v}] += 1
-        bad = [r for r, c in counts.items() if c != 2]
-        if bad:
-            ridge = [points[i] for i in sorted(bad[0])]
             raise InvariantError(
-                "boundary is not a pseudomanifold at a ridge", witness=ridge
+                "degenerate facet simplex", witness=[points[i] for i in idx]
             )
+        beta = _idot(a, ipts[idx[0]])
+        if any(_idot(a, ipts[i]) != beta for i in idx[1:]):
+            raise InvariantError(
+                "facet simplex is off its hyperplane", witness=[points[i] for i in idx]
+            )
+        side = _idot(a, inner) - (d + 1) * beta
+        if side > 0:
+            a, beta = tuple(-c for c in a), -beta
+        elif side == 0:
+            raise InvariantError(
+                "interior point on facet hyperplane", witness=[points[i] for i in idx]
+            )
+        return a, beta
+
+    # facet vertex set -> (normal, beta) with <normal, D x> <= beta on the hull
+    facets: dict[frozenset[int], tuple[IntVec, int]] = {}
+    # ridge (d - 1 vertex indices) -> number of facets through it; 2 on a
+    # pseudomanifold, so it is checked wherever an insertion changes it
+    ridges: dict[frozenset[int], int] = {}
+
+    def add_facets(vertex_lists, touched):
+        for idx in vertex_lists:
+            verts = frozenset(idx)
+            facets[verts] = make_facet(idx)
+            for v in verts:
+                r = verts - {v}
+                ridges[r] = ridges.get(r, 0) + 1
+                touched.append(r)
+        for r in dict.fromkeys(touched):  # each ridge once, in order
+            c = ridges[r]
+            if c == 0:
+                del ridges[r]
+            elif c != 2:
+                raise InvariantError(
+                    "boundary is not a pseudomanifold at a ridge",
+                    witness=[points[i] for i in sorted(r)],
+                )
+
+    add_facets([[i for i in init if i != leave_out] for leave_out in init], [])
 
     init_set = set(init)
     # farthest-first insertion: interior points then cost one visibility scan
     order = sorted(
         (i for i in range(len(points)) if i not in init_set),
-        key=lambda i: sum((c - z) ** 2 for c, z in zip(points[i], inner)),
+        key=lambda i: sum(((d + 1) * c - z) ** 2 for c, z in zip(ipts[i], inner)),
         reverse=True,
     )
     for idx in order:
-        p = points[idx]
-        visible = [k for k, (a, b, _) in enumerate(facets) if vdot(a, p) > b]
+        p = ipts[idx]
+        visible = [verts for verts, (a, b) in facets.items() if _idot(a, p) > b]
         if not visible:
             continue
-        ridge_count: Counter = Counter()
-        for k in visible:
-            verts = facets[k][2]
-            for v in verts:
-                ridge_count[verts - {v}] += 1
-        horizon = [r for r, c in ridge_count.items() if c == 1]
-        visible_set = set(visible)
-        facets = [f for k, f in enumerate(facets) if k not in visible_set]
-        for ridge in horizon:
-            facets.append(make_facet(list(ridge) + [idx]))
-        check_pseudomanifold()
+        crossed = Counter(verts - {v} for verts in visible for v in verts)
+        for verts in visible:
+            del facets[verts]
+        for r, c in crossed.items():
+            ridges[r] -= c
+        # the horizon: ridges of exactly one visible facet, counted apart
+        # from `ridges` so that the check below tests the bookkeeping
+        horizon = [r for r, c in crossed.items() if c == 1]
+        add_facets([[*r, idx] for r in horizon], list(crossed))
 
-    for p in points:
-        if any(vdot(a, p) > b for a, b, _ in facets):
+    for p, q in zip(points, ipts):
+        if any(_idot(a, q) > b for a, b in facets.values()):
             raise InvariantError("hull misses an input point", witness=p)
 
-    seen = {}
-    for a, beta, _ in facets:
-        key = _normalize_hyperplane(a, beta)
-        seen[key] = True
-    hyperplanes = tuple(sorted(seen.keys()))
-    simplices = tuple(tuple(sorted(verts)) for _, _, verts in facets)
-    return hyperplanes, simplices, inner
+    planes = sorted(set(facets.values()))
+    hyperplanes = tuple((a, Fraction(b, den)) for a, b in planes)
+    simplices = tuple(tuple(sorted(verts)) for verts in facets)
+    centroid = tuple(Fraction(c, (d + 1) * den) for c in inner)
+    return hyperplanes, simplices, centroid, _vertices_from_hyperplanes(
+        points, ipts, planes, d
+    )
 
 
 class Polytope:
@@ -168,8 +198,7 @@ class Polytope:
             )
         if r == ambient:
             init = [0] + frame
-            hyps, simplex_idx, inner = _hull_full_dim(pts, ambient, init)
-            verts = _vertices_from_hyperplanes(pts, hyps, ambient)
+            hyps, simplex_idx, inner, verts = _hull_full_dim(pts, ambient, init)
             data = {
                 "hyps": hyps,
                 "simplices": tuple(tuple(pts[i] for i in s) for s in simplex_idx),
@@ -356,11 +385,14 @@ def _clear_denominators(row: Vec, rhs: Fraction) -> tuple[IntVec, int]:
     return tuple(int(e * scale) for e in row), int(rhs * scale)
 
 
-def _vertices_from_hyperplanes(pts, hyps, d) -> tuple[Vec, ...]:
-    """Extreme points: input points whose tight facet normals span R^d."""
+def _vertices_from_hyperplanes(points, ipts, planes, d) -> tuple[Vec, ...]:
+    """Extreme points: input points whose tight facet normals span R^d.
+
+    `ipts` and `planes` are the integer view of `points` and of the facets.
+    """
     verts = []
-    for p in pts:
-        tight = [vec(a) for a, b in hyps if vdot(vec(a), p) == b]
+    for p, q in zip(points, ipts):
+        tight = [a for a, b in planes if _idot(a, q) == b]
         if len(tight) >= d and linalg.rank_of(tight) == d:
             verts.append(p)
     return tuple(sorted(verts))

@@ -245,58 +245,66 @@ def test_criterion_7_irregular_catalog():
 # -- criterion 8 --------------------------------------------------------------
 
 
-def _naive_covariogram_value(k: PointSet, u) -> int:
-    shifted = {tuple(a + b for a, b in zip(p, u)) for p in k.points}
-    return len(set(k.points) & shifted)
+def _naive_covariogram_value(points: set, u) -> int:
+    """|K ∩ (K + u)| by literal intersection, on integer tuples."""
+    shifted = {tuple(a + b for a, b in zip(p, u)) for p in points}
+    return len(points & shifted)
+
+
+def _int_dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _int_det(rows) -> int:
+    """Determinant of a small integer matrix, by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _int_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
 
 
 def _brute_force_facets(vertices, d):
     """Supporting hyperplanes via exhaustive d-subsets (independent of the
-    incremental hull): returns [(normal, offset)] covering conv(vertices)."""
+    incremental hull): primitive normals of the facets of conv(vertices)."""
     facets = set()
     for combo in itertools.combinations(vertices, d):
-        rows = [linalg.vsub(q, combo[0]) for q in combo[1:]]
-        normal = []
-        for j in range(d):
-            minor = tuple(
-                tuple(r[i] for i in range(d) if i != j) for r in rows
-            )
-            cols = tuple(
-                tuple(minor[r][c] for r in range(d - 1)) for c in range(d - 1)
-            )
-            val = linalg.det(cols)
-            normal.append(val if j % 2 == 0 else -val)
-        normal = tuple(normal)
-        if linalg.is_zero(normal):
+        rows = [tuple(a - b for a, b in zip(q, combo[0])) for q in combo[1:]]
+        normal = [
+            (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)
+        ]
+        g = math.gcd(*normal)
+        if not g:
             continue
-        offset = linalg.vdot(normal, combo[0])
-        values = [linalg.vdot(normal, v) for v in vertices]
+        normal = tuple(c // g for c in normal)
+        offset = _int_dot(normal, combo[0])
+        values = [_int_dot(normal, v) for v in vertices]
         if all(v <= offset for v in values):
-            facets.add(linalg.primitive_integer_direction(normal))
+            facets.add(normal)
         if all(v >= offset for v in values):
-            facets.add(linalg.primitive_integer_direction(linalg.vneg(normal)))
+            facets.add(tuple(-c for c in normal))
     return sorted(facets)
 
 
-def _oracle_lattice_points(k: PointSet, lat: Lattice):
+def _oracle_lattice_points(k: PointSet):
+    """Z^d ∩ conv(K) for an integer set K, by a box scan against the
+    brute-force facets of its vertices; None when K is flat."""
     poly = k.hull()
     if not poly.is_full_dimensional():
         return None  # flat sets are exercised elsewhere
-    verts = poly.vertices
+    verts = [tuple(int(c) for c in v) for v in poly.vertices]
     d = k.dim
-    normals = _brute_force_facets(verts, d)
     checked = [
-        (normal, max(linalg.vdot(normal, v) for v in verts)) for normal in normals
+        (normal, max(_int_dot(normal, v) for v in verts))
+        for normal in _brute_force_facets(verts, d)
     ]
-    zs = [linalg.mat_vec(lat.inverse_basis, v) for v in verts]
-    lo = [min(math.floor(z[i]) for z in zs) for i in range(d)]
-    hi = [max(math.ceil(z[i]) for z in zs) for i in range(d)]
-    out = []
-    for z in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        x = linalg.mat_vec(lat.basis, z)
-        if all(linalg.vdot(nrm, x) <= off for nrm, off in checked):
-            out.append(x)
-    return sorted(out)
+    box = [range(min(c), max(c) + 1) for c in zip(*verts)]
+    return sorted(
+        x
+        for x in itertools.product(*box)
+        if all(_int_dot(nrm, x) <= off for nrm, off in checked)
+    )
 
 
 def _oracle_is_direct(s: PointSet, t: PointSet) -> bool:
@@ -311,15 +319,17 @@ def test_criterion_8_oracle_equivalence():
     rng = random.Random(777)
     ok = True
     sets = []
+    int_sets = []  # the same sets as integer tuples, for the oracles
     for _ in range(500):
         d = rng.randint(1, 3)
         n = rng.randint(1, 40)
         pts = {tuple(rng.randint(-10, 10) for _ in range(d)) for _ in range(n)}
         sets.append(PointSet(pts))
-    for k in sets:
+        int_sets.append(pts)
+    for k, pts in zip(sets, int_sets):
         cov = ps.covariogram(k)
         for u in cov.support():
-            if cov[u] != _naive_covariogram_value(k, u):
+            if cov[u] != _naive_covariogram_value(pts, tuple(int(c) for c in u)):
                 ok = False
                 break
         if not ok:
@@ -337,7 +347,7 @@ def test_criterion_8_oracle_equivalence():
     for k in sets:
         if checked >= 30:
             break
-        oracle = _oracle_lattice_points(k, Lattice.standard(k.dim))
+        oracle = _oracle_lattice_points(k)
         if oracle is None:
             continue
         checked += 1

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.errors import LowerDimensionalError, OriginNotInteriorError
@@ -34,19 +36,20 @@ def brute_lattice_points(poly, lat):
     return sorted(out)
 
 
-def in_hull_oracle(vertices, x):
-    """Membership via exhaustive simplex decomposition (Caratheodory)."""
-    d = len(x)
-    verts = list(vertices)
-    if len(verts) == 1:
-        return verts[0] == x
-    for combo in itertools.combinations(verts, min(d + 1, len(verts))):
-        # solve sum lambda_i v_i = x, sum lambda_i = 1, lambda >= 0
-        cols = [tuple(v) + (F(1),) for v in combo]
-        rhs = tuple(x) + (F(1),)
-        sol = solve_rectangular(cols, rhs)
-        if sol is not None and all(c >= 0 for c in sol):
-            return True
+def in_hull_oracle(points, x):
+    """x in conv(points): an exact convex combination of at most d + 1 points.
+
+    Tries every subset of size 1..d+1 (Caratheodory): one of them is
+    affinely independent and carries x when x is in the hull, and any
+    nonnegative solution found on a dependent subset is a valid certificate.
+    """
+    for size in range(1, len(x) + 2):
+        for combo in itertools.combinations(points, size):
+            sol = solve_rectangular(
+                [tuple(v) + (F(1),) for v in combo], tuple(x) + (F(1),)
+            )
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
     return False
 
 
@@ -289,3 +292,116 @@ def test_contains():
     seg = hull([(0, 0), (2, 2)])
     assert seg.contains((1, 1))
     assert not seg.contains((1, 0))
+
+
+# -- hull against a brute-force oracle ----------------------------------------
+
+
+def oracle_normal(combo):
+    """A normal of the hyperplane through d points of R^d, by cofactors."""
+    d = len(combo)
+    rows = [linalg.vsub(q, combo[0]) for q in combo[1:]]
+    return tuple(
+        (-1) ** j * linalg.det(tuple(r[:j] + r[j + 1 :] for r in rows))
+        for j in range(d)
+    )
+
+
+def oracle_vertices(points):
+    """The points of a set that are not in the hull of the others, sorted."""
+    pts = sorted(set(points))
+    return tuple(p for p in pts if not in_hull_oracle([q for q in pts if q != p], p))
+
+
+def oracle_hull(points):
+    """(vertices, facets, volume) of a full-dimensional conv(points).
+
+    Facets: the hyperplanes through d affinely independent points with
+    every point on one side, as (primitive integer normal, offset).
+    Vertices: the points outside the hull of the others.  Volume: cones
+    from the vertex centroid c over the facets; the facet's (d-1)-volume
+    times its height is (b - <a, c>) / |a_k| times the volume of its
+    projection dropping a coordinate k with a_k != 0, found recursively.
+    """
+    pts = sorted(set(points))
+    d = len(pts[0])
+    if d == 1:
+        lo, hi = pts[0], pts[-1]
+        return (lo, hi), [((-1,), -lo[0]), ((1,), hi[0])], hi[0] - lo[0]
+    facets = set()
+    for combo in itertools.combinations(pts, d):
+        normal = oracle_normal(combo)
+        if linalg.is_zero(normal):
+            continue
+        for signed in (normal, linalg.vneg(normal)):
+            a = linalg.primitive_integer_direction(signed)
+            b = max(linalg.vdot(a, p) for p in pts)
+            if linalg.vdot(a, combo[0]) == b:
+                facets.add((a, b))
+    verts = oracle_vertices(pts)
+    centre = linalg.vscale(F(1, len(verts)), tuple(map(sum, zip(*verts))))
+    volume = F(0)
+    for a, b in facets:
+        k = next(i for i, e in enumerate(a) if e)
+        face = [p[:k] + p[k + 1 :] for p in verts if linalg.vdot(a, p) == b]
+        volume += (b - linalg.vdot(a, centre)) / abs(a[k]) * oracle_hull(face)[2]
+    return verts, sorted(facets), volume / d
+
+
+SIZES = {2: 9, 3: 7, 4: 6}  # points per dimension, to keep the oracle quick
+
+
+@st.composite
+def rational_point_sets(draw):
+    """Rational points in d = 2..4 with mixed denominators.
+
+    Coordinates may be shifted past 2**64; one set in five is flat, on the
+    hyperplane x_d = <c, x'> + c0 with rational c.
+    """
+    d = draw(st.integers(2, 4))
+    dens = draw(st.sampled_from([(1,), (2, 3), (1, 5, 7), (4, 6)]))
+    coord = st.builds(F, st.integers(-5, 5), st.sampled_from(dens))
+    n = draw(st.integers(d + 1, SIZES[d]))
+    flat = draw(st.integers(0, 4)) == 0
+    width = d - 1 if flat else d
+    pts = draw(st.lists(st.tuples(*[coord] * width), min_size=n, max_size=n))
+    if flat:
+        c = draw(st.tuples(*[coord] * width))
+        c0 = draw(coord)
+        pts = [p + (linalg.vdot(c, p) + c0,) for p in pts]
+    shift = draw(st.sampled_from([0, 2**64 + 1, -(2**70)]))
+    return [tuple(x + shift for x in p) for p in pts]
+
+
+def boundary_points(verts, facets):
+    """Points on edges and facets: midpoints of two facet vertices, and the
+    centroid of a facet's vertices, for the first three facets."""
+    extra = []
+    for a, b in facets[:3]:
+        tight = [v for v in verts if linalg.vdot(a, v) == b]
+        extra.append(linalg.vscale(F(1, 2), linalg.vadd(tight[0], tight[1])))
+        extra.append(linalg.vscale(F(1, len(tight)), tuple(map(sum, zip(*tight)))))
+    return extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_point_sets())
+def test_hull_matches_brute_force_oracle(points):
+    pts = [linalg.vec(p) for p in points]
+    d = len(pts[0])
+    rank = linalg.rank_of([linalg.vsub(p, pts[0]) for p in pts])
+    if rank < d:  # the flat sets, and random points that happen to be flat
+        p = hull(pts)
+        assert p.dim == rank
+        assert p.vertices == oracle_vertices(pts)
+        assert p.volume() == 0
+        with pytest.raises(LowerDimensionalError):
+            p.facets()
+        return
+    verts, facets, volume = oracle_hull(pts)
+    for inputs in (pts, pts + boundary_points(verts, facets)):
+        p = hull(inputs)
+        assert p.dim == d
+        assert p.vertices == verts
+        assert list(p.facets()) == facets
+        assert p.volume() == volume

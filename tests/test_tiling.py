@@ -1,12 +1,13 @@
 """Tiling verification, thin directions, widths, tile enumeration, conditions."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from homometry import linalg, pointset as ps, tiling as ti
+from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.constructions import (
     counterexample_ab,
     counterexample_bc,
@@ -251,6 +252,28 @@ def test_conditions_on_planar_family():
     assert ti.check_condition_a(s, t)
     assert ti.check_condition_b(s, t)
     assert ti.check_condition_c(s, t)
+
+
+def test_each_summand_is_hulled_once(monkeypatch):
+    base = planar_family_tiling(2)
+    # fresh sets: nothing has hulled them yet
+    t = dataclasses.replace(base, tile=PointSet(base.tile.points))
+    s = PointSet([(0, 0), *base.translations.basis])
+    inputs = []
+    build = polytope.Polytope.hull
+
+    def counting(points):
+        points = list(points)
+        inputs.append(frozenset(map(linalg.vec, points)))
+        return build(points)
+
+    monkeypatch.setattr(polytope.Polytope, "hull", staticmethod(counting))
+    assert ti.check_condition_a(s, t)
+    assert ti.check_condition_b(s, t)
+    assert ti.check_condition_c(s, t)
+    assert inputs.count(frozenset(s.points)) == 1
+    assert inputs.count(frozenset(t.tile.points)) == 1
+    assert s.hull() is s.hull()
 
 
 def test_condition_a_counterexample():
