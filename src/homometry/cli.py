@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import classify2d, constructions, jsonio, pointset, tiling
-from .errors import HomometryError, SchemaError
+from .errors import HomometryError, NotDirectError, SchemaError
 from .jsonio import rational_out, vector_out
 from .pointset import PointSet
 
@@ -82,10 +82,10 @@ def cmd_direct_sum(args) -> int:
     doc = _read_document(args.input)
     s = jsonio.pointset_in(_field(doc, "S"), "$.S")
     t = jsonio.pointset_in(_field(doc, "T"), "$.T")
-    direct = pointset.is_direct_sum(s, t)
-    payload = {"direct": direct}
-    if direct:
-        payload["sum"] = pointset.minkowski_sum(s, t).to_json()
+    try:
+        payload = {"direct": True, "sum": pointset.direct_sum(s, t).to_json()}
+    except NotDirectError:
+        payload = {"direct": False}
     return _ok("direct-sum", payload)
 
 
@@ -360,6 +360,10 @@ def main(argv=None) -> int:
             {"status": "error", "verb": args.verb, "error": f"cannot read input: {exc}"},
             2,
         )
+    except ValueError as exc:
+        # input that parses but the library refuses (mixed dimensions, a
+        # basis of the wrong kind): bad input, not a violation
+        return _emit({"status": "error", "verb": args.verb, "error": str(exc)}, 2)
 
 
 if __name__ == "__main__":  # pragma: no cover

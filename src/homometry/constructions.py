@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -336,7 +335,7 @@ def build_truncated_cube_s(
     coords = [dual.coordinates(u) for u in u_basis]
     if abs(linalg.det(mat(coords))) != 1:
         raise InvalidParametersError("u_basis is not a basis of the dual lattice")
-    b = _solve_in_basis(u_basis, vec(u_extra))
+    b = linalg.solve(mat(u_basis), vec(u_extra))
     if any(c.denominator != 1 for c in b):
         raise InvalidParametersError("u_extra is not an integer combination of u_basis")
     b = tuple(int(c) for c in b)
@@ -347,20 +346,16 @@ def build_truncated_cube_s(
     if not (0 < eps < height):
         raise InvalidParametersError("eps must lie strictly between 0 and h(C, b)")
     verts = _cut_cube_vertices(d, b, height - eps)
-    scale = math.lcm(*[c.denominator for v in verts for c in v])
+    _, cut_pts = linalg.clear_denominators(verts)
     if k is not None:
         if k < 1:
             raise InvalidParametersError("k must be positive")
-        scale *= k
-    cut = hull([tuple(scale * c for c in v) for v in verts])
+        cut_pts = [tuple(k * c for c in p) for p in cut_pts]
+    cut = hull(cut_pts)
     # y-coordinates correspond to the basis dual to u_1..u_d, a basis of L
     basis_cols = transpose(linalg.inverse(mat(u_basis)))
     pts = [mat_vec(basis_cols, y) for y in cut.lattice_points(Lattice.standard(d))]
     return PointSet(pts)
-
-
-def _solve_in_basis(basis_vectors, target):
-    return linalg.solve(mat(basis_vectors), target)
 
 
 def _cut_cube_vertices(d: int, b, rhs):

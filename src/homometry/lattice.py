@@ -97,19 +97,14 @@ class Lattice:
     def primitive_parallel(self, direction) -> Vec:
         """The primitive lattice vector positively parallel to a rational direction.
 
-        Raises NotInLatticeError when the line through the direction meets the
-        lattice only at the origin (impossible for rational data, but guarded).
+        Every rational line through the origin meets a full-rank lattice, so
+        only the zero direction is refused (ZeroVectorError).
         """
         direction = vec(direction)
         if linalg.is_zero(direction):
             raise ZeroVectorError("no direction")
-        coords = self.coordinates(direction)
-        scale = math.lcm(*[c.denominator for c in coords])
-        ints = [int(c * scale) for c in coords]
-        g = math.gcd(*ints)
-        if g == 0:
-            raise NotInLatticeError("direction not parallel to any lattice vector")
-        return mat_vec(self.basis, tuple(Fraction(i, g) for i in ints))
+        coords = linalg.primitive_integer_direction(self.coordinates(direction))
+        return mat_vec(self.basis, coords)
 
     def to_json(self):
         from .jsonio import rational_out

@@ -2,10 +2,16 @@
 
 Conventions used throughout the package:
 
-* scalars are ``fractions.Fraction`` (floats are rejected at the boundary),
+* scalars are ``fractions.Fraction``; plain ints are accepted wherever an
+  entry is read, and floats are rejected at the boundary (``frac``),
 * a vector is a tuple of Fractions,
 * a matrix is a tuple of *column* vectors, so ``mat_vec(M, x)`` is the linear
   combination of the columns of M with coefficients x.
+
+Every rational solver (``det`` beyond 2x2, ``solve``, ``inverse``,
+``adjugate``, ``nullspace``, ``independent_subset``, ``rank_of``) is a thin
+wrapper around one row-incremental Gauss-Jordan pass, ``_gauss_jordan``.
+``clear_denominators`` is the one way rational data becomes integer data.
 """
 
 from __future__ import annotations
@@ -95,8 +101,64 @@ def is_integral(m: Mat) -> bool:
     return all(e.denominator == 1 for col in m for e in col)
 
 
+def clear_denominators(vectors: Iterable[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, [D * v for v in vectors]): D is the least common denominator of
+    every entry, so each D * v is a tuple of ints.  Entries are int or Fraction."""
+    vectors = list(vectors)
+    den = math.lcm(*[e.denominator for v in vectors for e in v])
+    return den, [tuple(e.numerator * (den // e.denominator) for e in v) for v in vectors]
+
+
+_ZERO = Fraction(0)
+
+
+def _gauss_jordan(rows: Iterable[Sequence], width: int):
+    """One row-incremental Gauss-Jordan pass, the elimination behind every
+    exact solver here.
+
+    Each row is reduced against the pivot rows kept so far.  When a nonzero
+    entry is left among its first `width` entries, the first such entry is
+    its lead: the row is scaled to lead 1, its lead column is cleared from
+    the other pivot rows, and it is kept.  The pass stops after `width`
+    pivots.  Returns (kept, pivots, lead_product): the indices of the kept
+    rows, their reduced rows as (lead column, row) in the order kept, and
+    the product of the leads before scaling.  The kept rows are exactly the
+    rows independent of the rows kept before them, and the pivot rows are
+    the reduced row echelon form of what they span.
+    """
+    # zero entries are skipped, not multiplied: a Fraction operation on 0
+    # costs as much as on any other value, and pivot rows are mostly zeros
+    kept: list[int] = []
+    pivots: list[tuple[int, list[Fraction]]] = []
+    lead_product = Fraction(1)
+    for i, row in enumerate(rows):
+        for lead, p in pivots:
+            c = row[lead]
+            if c:
+                row = [x - c * y if y else x for x, y in zip(row, p)]
+        lead = next((k for k in range(width) if row[k]), None)
+        if lead is None:
+            continue
+        lead_product *= row[lead]
+        inv = 1 / Fraction(row[lead])
+        row = [e * inv if e else _ZERO for e in row]
+        for j, (other, p) in enumerate(pivots):
+            c = p[lead]
+            if c:
+                pivots[j] = (other, [x - c * y if y else x for x, y in zip(p, row)])
+        kept.append(i)
+        pivots.append((lead, row))
+        if len(pivots) == width:
+            break
+    return kept, pivots, lead_product
+
+
 def det(m: Mat) -> Fraction:
-    """Exact determinant via fraction-free row elimination."""
+    """Exact determinant: closed forms up to 2x2, else one Gauss-Jordan pass.
+
+    The pass reduces the columns as rows; the determinant is the product of
+    the leads times the sign of the permutation their columns form.
+    """
     d = len(m)
     if any(len(c) != d for c in m):
         raise ValueError("determinant of a non-square matrix")
@@ -106,75 +168,44 @@ def det(m: Mat) -> Fraction:
         return m[0][0]
     if d == 2:
         return m[0][0] * m[1][1] - m[1][0] * m[0][1]
-    rows = [list(col[i] for col in m) for i in range(d)]
-    sign = 1
-    result = Fraction(1)
-    for k in range(d):
-        pivot_row = next((r for r in range(k, d) if rows[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        piv = Fraction(rows[k][k])  # exact division for int entries too
-        result *= piv
-        for r in range(k + 1, d):
-            factor = rows[r][k] / piv
-            if factor:
-                for c in range(k, d):
-                    rows[r][c] -= factor * rows[k][c]
-    return sign * result
-
-
-def _minor(m: Mat, drop_row: int, drop_col: int) -> Mat:
-    return tuple(
-        tuple(col[i] for i in range(len(col)) if i != drop_row)
-        for j, col in enumerate(m)
-        if j != drop_col
-    )
+    _, pivots, lead_product = _gauss_jordan(m, d)
+    if len(pivots) < d:
+        return Fraction(0)
+    leads = [lead for lead, _ in pivots]
+    inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :])
+    return -lead_product if inversions % 2 else lead_product
 
 
 def adjugate(m: Mat) -> Mat:
-    """Matrix Adj with m @ Adj = det(m) * identity, via cofactors."""
+    """Matrix Adj with m @ Adj = det(m) * identity, for nonsingular m only.
+
+    Raises SingularMatrixError when det(m) = 0.
+    """
+    dm = det(m)
+    return tuple(tuple(dm * e for e in col) for col in inverse(m))
+
+
+def _solve_columns(m: Mat, rhs: Sequence[Sequence]) -> Mat:
+    """The columns x_k with m @ x_k = rhs[k], from one elimination of [m | rhs]."""
     d = len(m)
-    if d == 1:
-        return ((Fraction(1),),)
-    cols = []
-    for j in range(d):
-        col = []
-        for i in range(d):
-            # adj[i][j] = cofactor C[j][i] = (-1)^(i+j) * minor(row j, col i)
-            c = det(_minor(m, j, i))
-            col.append(c if (i + j) % 2 == 0 else -c)
-        cols.append(tuple(col))
-    return tuple(cols)
+    rows = [[col[i] for col in m] + [b[i] for b in rhs] for i in range(d)]
+    _, pivots, _ = _gauss_jordan(rows, d)
+    if len(pivots) < d:
+        raise SingularMatrixError("singular matrix")
+    x = [()] * d
+    for lead, row in pivots:
+        x[lead] = row[d:]
+    return tuple(zip(*x))
 
 
 def solve(m: Mat, v: Vec) -> Vec:
     """Exact solution x of m @ x = v; raises SingularMatrixError."""
-    d = len(m)
-    rows = [[m[j][i] for j in range(d)] + [frac(v[i])] for i in range(d)]
-    for k in range(d):
-        pivot_row = next((r for r in range(k, d) if rows[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix in solve")
-        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        piv = Fraction(rows[k][k])
-        rows[k] = [e / piv for e in rows[k]]
-        for r in range(d):
-            if r != k and rows[r][k]:
-                factor = rows[r][k]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
-    return tuple(rows[i][d] for i in range(d))
+    return _solve_columns(m, [vec(v)])[0]
 
 
 def inverse(m: Mat) -> Mat:
-    d = len(m)
-    cols = []
-    for j in range(d):
-        e = tuple(Fraction(int(i == j)) for i in range(d))
-        cols.append(solve(m, e))
-    return tuple(cols)
+    """Exact inverse; raises SingularMatrixError."""
+    return _solve_columns(m, identity(len(m)))
 
 
 def dual_basis(b: Mat) -> Mat:
@@ -274,8 +305,8 @@ def hnf_basis(vectors: Sequence[Vec]) -> Mat:
     if not vectors:
         return ()
     d = len(vectors[0])
-    scale = math.lcm(*[e.denominator for v in vectors for e in v])
-    grid = [[int(v[i] * scale) for v in vectors] for i in range(d)]
+    scale, ints = clear_denominators(vectors)
+    grid = [[v[i] for v in ints] for i in range(d)]
     grid, _, rank = _column_hnf(grid, track_u=False)
     cols = []
     for j in range(rank):
@@ -303,8 +334,7 @@ def primitive_integer_direction(v: Vec) -> tuple[int, ...]:
     v = vec(v)
     if is_zero(v):
         raise ValueError("zero vector has no direction")
-    scale = math.lcm(*[e.denominator for e in v])
-    ints = [int(e * scale) for e in v]
+    _, (ints,) = clear_denominators([v])
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -316,23 +346,10 @@ def independent_subset(vectors: Sequence[Sequence]) -> list[int]:
     so the kept vectors span what all of them span.  Exact for int and
     Fraction entries.
     """
-    chosen: list[int] = []
-    echelon: list[tuple[int, list[Fraction]]] = []  # (lead, row with row[lead] == 1)
-    for i, v in enumerate(vectors):
-        row = list(v)
-        for lead, b in echelon:
-            c = row[lead]
-            if c:
-                row = [x - c * y for x, y in zip(row, b)]
-        lead = next((k for k, e in enumerate(row) if e), None)
-        if lead is None:
-            continue
-        chosen.append(i)
-        if len(chosen) == len(row):
-            break
-        inv = 1 / Fraction(row[lead])
-        echelon.append((lead, [e * inv for e in row]))
-    return chosen
+    if not vectors:
+        return []
+    kept, _, _ = _gauss_jordan(vectors, len(vectors[0]))
+    return kept
 
 
 def rank_of(vectors: Sequence[Vec]) -> int:
@@ -361,32 +378,23 @@ def span_coordinates(cols: Sequence[Vec], points: Sequence[Vec]):
 
 
 def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Basis of {x : <r, x> = 0 for all rows r}, exact."""
+    """Basis of {x : <r, x> = 0 for all rows r}, exact.
+
+    One vector per free column of the reduced row echelon form: 1 there,
+    minus that column's pivot-row entries at the pivot columns, 0 elsewhere.
+    """
     if not rows:
         raise ValueError("nullspace needs at least the ambient dimension")
     d = len(rows[0])
-    mat_rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, len(mat_rows)) if mat_rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat_rows[r], mat_rows[pr] = mat_rows[pr], mat_rows[r]
-        piv = Fraction(mat_rows[r][c])
-        mat_rows[r] = [e / piv for e in mat_rows[r]]
-        for i in range(len(mat_rows)):
-            if i != r and mat_rows[i][c]:
-                f = mat_rows[i][c]
-                mat_rows[i] = [a - f * b for a, b in zip(mat_rows[i], mat_rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(d) if c not in pivots]
+    _, pivots, _ = _gauss_jordan(rows, d)
+    leads = {lead for lead, _ in pivots}
     out = []
-    for fc in free:
+    for fc in range(d):
+        if fc in leads:
+            continue
         x = [Fraction(0)] * d
         x[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -mat_rows[i][fc]
+        for pc, row in pivots:
+            x[pc] = -row[fc]
         out.append(tuple(x))
     return tuple(out)

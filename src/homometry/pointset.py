@@ -151,9 +151,10 @@ def is_direct_sum(s: PointSet, t: PointSet) -> bool:
 
 
 def direct_sum(s: PointSet, t: PointSet) -> PointSet:
-    if not is_direct_sum(s, t):
+    total = minkowski_sum(s, t)
+    if len(total) != len(s) * len(t):
         raise NotDirectError("sum is not direct")
-    return minkowski_sum(s, t)
+    return total
 
 
 def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
@@ -172,16 +173,21 @@ def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
     return None
 
 
-def sum_convexity_witness(s: PointSet, t: PointSet, lat: Lattice) -> Vec | None:
-    """Convexity gap of S + T, built on conv(S + T) = conv(S) + conv(T).
+def sum_convexity_witness(
+    s: PointSet, t: PointSet, total: PointSet, lat: Lattice
+) -> Vec | None:
+    """Convexity gap of total = S + T, built on conv(S + T) = conv(S) + conv(T).
 
     Summing hull vertices instead of whole sets keeps the hull input small,
-    which matters for the larger product-style sums.
+    which matters for the larger product-style sums.  S + T lies in the
+    lattice iff every s + t0 and s0 + t does, since
+    s + t = (s + t0) + (s0 + t) - (s0 + t0); raises NotInLatticeError with
+    the first of those |S| + |T| - 1 points outside it.
     """
-    total = minkowski_sum(s, t)
-    for p in total.points:
+    s0, t0 = s.points[0], t.points[0]
+    for p in [vadd(a, t0) for a in s.points] + [vadd(s0, b) for b in t.points[1:]]:
         if not lat.contains(p):
-            raise NotInLatticeError(f"point {p} is outside the lattice")
+            raise NotInLatticeError(f"point {p} is outside the lattice", witness=p)
     big = polytope.minkowski_hull(s.hull(), t.hull())
     for q in big.lattice_points(lat):
         if q not in total:

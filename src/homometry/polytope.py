@@ -37,12 +37,6 @@ def _idot(u: IntVec, v: IntVec) -> int:
     return sum(map(mul, u, v))
 
 
-def _integer_view(points: list[Vec]) -> tuple[int, list[IntVec]]:
-    """(D, [D * p]): D is the common denominator of every coordinate."""
-    den = math.lcm(*[c.denominator for p in points for c in p])
-    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
-
-
 def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
     """Primitive normal of the hyperplane through d integer points of Z^d.
 
@@ -74,7 +68,7 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     Each boundary simplex is a tuple of d point indices; simplices tile the
     boundary exactly, which later gives exact volumes for free.
     """
-    den, ipts = _integer_view(points)
+    den, ipts = linalg.clear_denominators(points)
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
     # compared with (d + 1) * beta
     inner = tuple(map(sum, zip(*[ipts[i] for i in init])))
@@ -364,25 +358,22 @@ class Polytope:
         lo = [min(math.floor(v[i]) for v in zverts) for i in range(self.ambient)]
         hi = [max(math.ceil(v[i]) for v in zverts) for i in range(self.ambient)]
         eqs, ineqs = self.constraint_system()
-        eq_rows, eq_rhs = [], []
-        for r, rhs in eqs:
-            row = tuple(vdot(r, col) for col in basis)
-            irow, irhs = _clear_denominators(row, rhs)
-            eq_rows.append(irow)
-            eq_rhs.append(irhs)
-        le_rows, le_rhs = [], []
-        for r, rhs in ineqs:
-            row = tuple(vdot(r, col) for col in basis)
-            irow, irhs = _clear_denominators(row, rhs)
-            le_rows.append(irow)
-            le_rhs.append(irhs)
+
+        def integer_rows(system):
+            # <r, B z> ~ rhs as integer (row, rhs) pairs, one scale per row
+            rows, rhss = [], []
+            for r, rhs in system:
+                _, (irow,) = linalg.clear_denominators(
+                    [[vdot(r, col) for col in basis] + [rhs]]
+                )
+                rows.append(irow[:-1])
+                rhss.append(irow[-1])
+            return rows, rhss
+
+        eq_rows, eq_rhs = integer_rows(eqs)
+        le_rows, le_rhs = integer_rows(ineqs)
         pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
         return sorted(linalg.mat_vec(basis, z) for z in pts)
-
-
-def _clear_denominators(row: Vec, rhs: Fraction) -> tuple[IntVec, int]:
-    scale = math.lcm(rhs.denominator, *[e.denominator for e in row])
-    return tuple(int(e * scale) for e in row), int(rhs * scale)
 
 
 def _vertices_from_hyperplanes(points, ipts, planes, d) -> tuple[Vec, ...]:

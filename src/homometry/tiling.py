@@ -22,6 +22,7 @@ from .errors import (
     LowerDimensionalTileError,
     NotASublatticeError,
     NotATilingError,
+    NotDirectError,
     NotInLatticeError,
     NotLatticeConvexError,
     SingularMatrixError,
@@ -113,10 +114,8 @@ def _independent_differences(points: tuple[Vec, ...]) -> list[Vec]:
 
 
 def _lattice_coordinates(points, lat: Lattice):
-    """The integer points scale * B^-1 p, with the common scale."""
-    coords = [mat_vec(lat.inverse_basis, p) for p in points]
-    scale = math.lcm(*(c.denominator for z in coords for c in z))
-    return [tuple(int(c * scale) for c in z) for z in coords], scale
+    """(scale, the integer points scale * B^-1 p) with the least common scale."""
+    return linalg.clear_denominators(mat_vec(lat.inverse_basis, p) for p in points)
 
 
 def _thin_widths(points, lat: Lattice, bound, strict=False):
@@ -126,7 +125,7 @@ def _thin_widths(points, lat: Lattice, bound, strict=False):
     integer coordinates are the widths times the scale.  Raises
     LowerDimensionalError when the points do not span the space.
     """
-    ints, scale = _lattice_coordinates(points, lat)
+    scale, ints = _lattice_coordinates(points, lat)
     bstar = transpose(lat.inverse_basis)
     for m, spread in thin_directions(ints, bound * scale, strict):
         yield mat_vec(bstar, m), Fraction(spread, scale)
@@ -167,11 +166,6 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
 # -- Dirichlet cells and tile enumeration -----------------------------------
 
 
-def _strict_floor_rhs(rhs: Fraction) -> int:
-    """Integer b so that for integral values v: v > rhs  <=>  -v <= b."""
-    return -(math.floor(rhs) + 1)
-
-
 def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
     """Points of M inside the half-open cell v + (0,1] b_1 + ... + (0,1] b_d."""
     cell_basis = mat(cell_basis)
@@ -190,25 +184,23 @@ def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
         corners.append(mat_vec(ambient.inverse_basis, corner))
     lo = [min(math.floor(c[i]) for c in corners) for i in range(d)]
     hi = [max(math.ceil(c[i]) for c in corners) for i in range(d)]
-    # coordinates of x = B_M z in the cell basis: rows of inv_cell applied to x
-    rows = []
+    # coordinates of x = B_M z in the cell basis: rows of inv_cell applied to
+    # x, so x - v has cell coordinates c_i = row_i·z - t_i
     t = mat_vec(inv_cell, v)
+    le_rows, le_rhs = [], []
     for i in range(d):
-        row = tuple(
+        row = [
             vdot(tuple(inv_cell[k][i] for k in range(d)), col)
             for col in ambient.basis
-        )
-        rows.append((row, t[i]))
-    le_rows, le_rhs = [], []
-    for row, ti in rows:
-        scale = math.lcm(ti.denominator, *[e.denominator for e in row])
-        irow = tuple(int(e * scale) for e in row)
-        # c_i <= 1  ->  row·z <= t_i + 1
-        le_rows.append(irow)
-        le_rhs.append(int((ti + 1) * scale))
-        # c_i > 0   ->  -row·z <= -(floor(t_i * scale) + 1) after scaling
+        ]
+        # irow = scale * row_i and ti = scale * t_i are integral
+        scale, ((*irow, ti),) = linalg.clear_denominators([row + [t[i]]])
+        # c_i <= 1  ->  irow·z <= ti + scale
+        le_rows.append(tuple(irow))
+        le_rhs.append(ti + scale)
+        # c_i > 0   ->  irow·z >= ti + 1, as the integers are spaced by 1
         le_rows.append(tuple(-e for e in irow))
-        le_rhs.append(_strict_floor_rhs(ti * scale))
+        le_rhs.append(-(ti + 1))
     pts = box_scan(lo, hi, [], [], le_rows, le_rhs, strict=False)
     return PointSet([mat_vec(ambient.basis, z) for z in pts])
 
@@ -317,9 +309,11 @@ def check_condition_b(s: PointSet, t: Tiling) -> bool:
 def condition_b_witness(s: PointSet, t: Tiling):
     """(holds, witness): witness is an M-point of the convexity gap if any."""
     _require_verified(t)
-    if not pointset.is_direct_sum(s, t.tile):
+    try:
+        total = pointset.direct_sum(s, t.tile)
+    except NotDirectError:
         return False, None
-    gap = pointset.sum_convexity_witness(s, t.tile, t.ambient)
+    gap = pointset.sum_convexity_witness(s, t.tile, total, t.ambient)
     return (gap is None), gap
 
 
@@ -372,10 +366,7 @@ def affine_covering_test(facet: polytope.Polytope, lat: Lattice) -> bool:
     if d == 2:
         p, q = facet.vertices[0], facet.vertices[-1]
         v = vsub(q, p)
-        try:
-            prim = lat.primitive_parallel(v)
-        except NotInLatticeError:
-            return False
+        prim = lat.primitive_parallel(v)
         k = next(i for i, e in enumerate(prim) if e != 0)
         ratio = v[k] / prim[k]
         return abs(ratio) >= 1
@@ -574,7 +565,7 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
     # In dual coordinates the points ±w become ±B^T w, over which b = B z
     # has spread 2 max |<w, b>|; the kernel scans the z with spread <= 2 kappa.
     signed = [v for w in wset.vectors for v in (w, vneg(w))]
-    pts, scale = _lattice_coordinates(signed, lat.dual())
+    scale, pts = _lattice_coordinates(signed, lat.dual())
     try:
         cands = sorted((spread, z) for z, spread in thin_directions(pts, 2 * kappa * scale))
     except LowerDimensionalError:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from homometry.cli import main
 
 
@@ -208,6 +210,35 @@ def test_lower_dimensional_tile_error(tmp_path, capsys):
     )
     code, doc = run_json(capsys, ["wset", path])
     assert code == 2 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "verb, doc_in, message",
+    [
+        (
+            "verify-tiling",
+            {
+                "M": {"basis": [[1, 0], [0, 1]]},
+                "L": {"basis": [[2, 0], [0, 1]]},
+                "T": {"points": [[0, 0, 0], [1, 0, 0]]},
+            },
+            "dimension mismatch",
+        ),
+        ("covariogram", {"points": [[0, 0], [1, 0, 0]]}, "mixed dimensions in point set"),
+        ("enum-tiles", {"basis": [["1/2", 0], [0, 1]]}, "needs an integral basis"),
+        ("enum-tiles", {"basis": [[0, 1], [1, 0]]}, "positively oriented"),
+    ],
+)
+def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in, message):
+    # exit code 1 means "violation found"; input the library refuses is 2
+    path = write_doc(tmp_path, "in.json", doc_in)
+    code = main([verb, path])
+    out, err = capfd.readouterr()
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["status"] == "error" and doc["verb"] == verb
+    assert message in doc["error"]
+    assert "Traceback" not in out + err
 
 
 def test_rationals_never_serialized_as_floats(capsys):

@@ -1,9 +1,13 @@
 """Exact linear algebra: determinants, adjugates, HNF, dual bases."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.errors import InvariantError, SingularMatrixError
@@ -210,11 +214,12 @@ def test_integer_kernel():
 
 
 def test_nullspace():
-    ns = linalg.nullspace([linalg.vec((1, 1, 0))])
-    assert len(ns) == 2
-    for v in ns:
-        assert v[0] + v[1] == 0 or (v[0] == 0 and v[1] == 0) or True
-        assert linalg.vdot(linalg.vec((1, 1, 0)), v) == 0
+    row = linalg.vec((1, 1, 0))
+    ns = linalg.nullspace([row])
+    # free columns 1 and 2 of the echelon row (1, 1, 0)
+    assert ns == ((-1, 1, 0), (0, 0, 1))
+    assert all(linalg.vdot(row, v) == 0 for v in ns)
+    assert len(ns) == 3 - 1
 
 
 def rand_vectors(rng, count, d):
@@ -259,3 +264,118 @@ def test_span_coordinates():
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         linalg.frac(0.5)
+
+
+# -- oracles for the one elimination routine ----------------------------------
+
+ENTRIES = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(2**64, 2**66),
+    st.integers(-(2**66), -(2**64)),
+)
+
+
+@st.composite
+def int_fraction_rows(draw, d=None, count=None):
+    """Rows of int/Fraction entries; some are zero or combinations of earlier rows."""
+    d = draw(st.integers(1, 5)) if d is None else d
+    count = draw(st.integers(0, 6)) if count is None else count
+    rows = []
+    for i in range(count):
+        kind = draw(st.sampled_from(["free", "free", "free", "zero", "combination"]))
+        if kind == "zero":
+            row = [0] * d
+        elif kind == "combination" and i:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            ca, cb = draw(ENTRIES), draw(st.integers(-2, 2))
+            row = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+        else:
+            row = [draw(ENTRIES) for _ in range(d)]
+        rows.append(tuple(row))
+    return rows
+
+
+@st.composite
+def square_matrices(draw):
+    d = draw(st.integers(1, 5))
+    return tuple(draw(int_fraction_rows(d, d)))
+
+
+def leibniz_det(m):
+    """Sum over permutations of sign * product: no elimination at all."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def minor_rank(vectors):
+    """The largest r with a nonzero r x r Leibniz minor."""
+    if not vectors:
+        return 0
+    d = len(vectors[0])
+    for r in range(min(len(vectors), d), 0, -1):
+        for rows in itertools.combinations(vectors, r):
+            for cols in itertools.combinations(range(d), r):
+                if leibniz_det([[v[c] for c in cols] for v in rows]):
+                    return r
+    return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(), st.data())
+def test_square_solvers_match_leibniz(m, data):
+    d = len(m)
+    value = linalg.det(m)
+    assert value == leibniz_det(m)
+    if value == 0:
+        for call in (
+            lambda: linalg.inverse(m),
+            lambda: linalg.adjugate(m),
+            lambda: solve(m, (1,) * d),
+        ):
+            with pytest.raises(SingularMatrixError):
+                call()
+        return
+    inv = linalg.inverse(m)
+    assert linalg.mat_mul(inv, m) == identity(d) == linalg.mat_mul(m, inv)
+    x = tuple(data.draw(ENTRIES) for _ in range(d))
+    assert solve(m, linalg.mat_vec(m, x)) == x
+    target = tuple(tuple(value * int(i == j) for i in range(d)) for j in range(d))
+    assert linalg.mat_mul(m, adjugate(m)) == target
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_fraction_rows())
+def test_rank_solvers_match_minor_oracle(rows):
+    picked = linalg.independent_subset(rows)
+    kept = []
+    for i, v in enumerate(rows):
+        if minor_rank(kept + [v]) > len(kept):
+            kept.append(v)
+            assert i in picked
+        else:
+            assert i not in picked
+    assert linalg.rank_of(rows) == len(kept) == minor_rank(rows)
+    if rows:
+        ns = linalg.nullspace(rows)
+        assert len(ns) == len(rows[0]) - len(kept)
+        assert all(linalg.vdot(r, v) == 0 for r in rows for v in ns)
+        assert minor_rank(list(ns)) == len(ns)
+
+
+@given(int_fraction_rows())
+def test_clear_denominators_matches_naive_lcm(rows):
+    den = 1
+    for e in itertools.chain.from_iterable(rows):
+        q = F(e).denominator
+        den = den * q // math.gcd(den, q)
+    got_den, ints = linalg.clear_denominators(rows)
+    assert got_den == den
+    assert ints == [tuple(int(F(e) * den) for e in row) for row in rows]
+    assert all(type(x) is int for row in ints for x in row)

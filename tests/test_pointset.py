@@ -115,6 +115,21 @@ def test_direct_sum_sixteen():
     assert ps.is_direct_sum(s, t.negate())
 
 
+def test_sum_membership_is_tested_on_one_row_and_one_column():
+    # S and T off Z with S + T in Z: no error, as with every sum point tested
+    half = PointSet([(F(1, 2),)])
+    assert ps.sum_convexity_witness(half, half, ps.direct_sum(half, half), Z1) is None
+    s = PointSet([(0, 0), (1, 0), (F(1, 2), 1)])
+    t = PointSet([(0, 0), (0, 2)])
+    total = ps.direct_sum(s, t)
+    with pytest.raises(NotInLatticeError) as info:
+        ps.sum_convexity_witness(s, t, total, Z2)
+    assert info.value.witness in total and info.value.witness not in Z2
+    with pytest.raises(NotInLatticeError) as info:
+        ps.sum_convexity_witness(t, s, total, Z2)
+    assert info.value.witness in total and info.value.witness not in Z2
+
+
 def test_minkowski_identity():
     k = PointSet([(1, 2), (3, 4)])
     assert ps.minkowski_sum(k, PointSet([(0, 0)])) == k

@@ -276,6 +276,23 @@ def test_each_summand_is_hulled_once(monkeypatch):
     assert s.hull() is s.hull()
 
 
+def test_condition_b_builds_the_sum_once(monkeypatch):
+    s, t = counterexample_bc(3)
+    calls = []
+    build = ps.minkowski_sum
+
+    def counting(a, b):
+        calls.append((a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(ps, "minkowski_sum", counting)
+    assert not ti.check_condition_b(s, t)
+    assert len(calls) == 1
+    calls.clear()
+    ps.direct_sum(s, t.tile)
+    assert len(calls) == 1
+
+
 def test_condition_a_counterexample():
     s, t = counterexample_ab(3)
     holds, witness = ti.condition_a_witness(s, t)
