@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import linalg, pointset, polytope
 from ._kernels import box_scan, thin_directions
 from .errors import (
+    InvariantError,
     LowerDimensionalError,
     LowerDimensionalTileError,
     NotASublatticeError,
@@ -263,11 +264,6 @@ def _require_verified(t: Tiling):
         raise ValueError("tiling must come from verify_tiling")
 
 
-def _facet_normals_in_dual(s_hull: polytope.Polytope, dual: Lattice):
-    """Primitive outer facet normals of conv(S), as elements of L*."""
-    return [dual.primitive_parallel(a) for a, _ in s_hull.facets()]
-
-
 def _convex_summand_hull(s: PointSet, t: Tiling):
     """conv(S) when S is L-convex, else None: the prologue of (a) and (c).
 
@@ -295,7 +291,9 @@ def condition_a_witness(s: PointSet, t: Tiling):
     if s_hull is None:
         return False, None
     tile_hull = t.tile.hull()
-    for u in _facet_normals_in_dual(s_hull, t.translations.dual()):
+    dual = t.translations.dual()
+    for a, _ in s_hull.facets():
+        u = dual.primitive_parallel(a)
         if width_of(tile_hull, u) >= 1:
             return False, u
     return True, None
@@ -357,66 +355,71 @@ def check_abc(s: PointSet, t: Tiling):
 
 
 def affine_covering_test(facet: polytope.Polytope, lat: Lattice) -> bool:
-    """Whether the affine hull of a facet is covered by its L-translates."""
+    """Whether the affine hull of a facet is covered by its L-translates.
+
+    Every dimension works in one frame: the L-coordinates of the facet's
+    vertices relative to its first vertex, scaled by their least common
+    denominator D.  There the facet is an integer polytope Q through the
+    origin and L is D Z^d, so the question is whether the translates of Q
+    by D Z^d inside its linear span cover that span.
+
+    - d = 1: a facet is a point, which is its own affine hull.
+    - d = 2: Q is a segment [0, z]; the translations along its line are the
+      multiples of D z / gcd(z), so it covers iff gcd(z) >= D.
+    - d = 3: the span meets Z^3 in the lattice spanned by the integer kernel
+      of the primitive normal w, and on that basis Q has integer vertices
+      and D Z^3 becomes D Z^2.  The uncovered set is open and periodic, so
+      Q covers iff its translates clipped to the closed cell [0, D]^2 fill
+      the cell's area.  The clipped pieces are kept disjoint, so the covered
+      area only grows and the test returns as soon as it reaches the cell's.
+    """
     d = lat.dim
     if d > 3:
         raise UnsupportedDimensionError("covering test is implemented for d <= 3")
     if facet.dim != d - 1:
         raise ValueError("expected a facet of dimension d-1")
-    if d == 2:
-        p, q = facet.vertices[0], facet.vertices[-1]
-        v = vsub(q, p)
-        prim = lat.primitive_parallel(v)
-        k = next(i for i, e in enumerate(prim) if e != 0)
-        ratio = v[k] / prim[k]
-        return abs(ratio) >= 1
-    return _covering_test_3d(facet, lat)
-
-
-def _covering_test_3d(facet: polytope.Polytope, lat: Lattice) -> bool:
+    if d == 1:
+        return True
     f0 = facet.vertices[0]
-    dirs = _independent_differences(facet.vertices)
-    normal = linalg.nullspace(dirs)[0]
-    w_row = tuple(vdot(normal, col) for col in lat.basis)
-    w = linalg.primitive_integer_direction(w_row)
-    kernel = linalg.integer_kernel(w)
-    if len(kernel) != 2:
-        return False
-    c1 = mat_vec(lat.basis, kernel[0])
-    c2 = mat_vec(lat.basis, kernel[1])
-    # 2D coordinates on the facet plane
-    _, _, coords = linalg.span_coordinates(
-        dirs, [vsub(v, f0) for v in facet.vertices] + [c1, c2]
-    )
-    poly, (c1_2, c2_2) = coords[:-2], coords[-2:]
-    return _translates_cover_cell(poly, c1_2, c2_2)
+    scale, ints = _lattice_coordinates([vsub(v, f0) for v in facet.vertices], lat)
+    if d == 2:
+        return math.gcd(*ints[-1]) >= scale
+    # any three vertices of a convex polygon are affinely independent
+    w = linalg.primitive_integer_direction(linalg.nullspace(ints[1:3])[0])
+    _, _, coords = linalg.span_coordinates(linalg.integer_kernel(w), ints)
+    poly = []
+    for v, xy in zip(facet.vertices, coords):
+        if any(c.denominator != 1 for c in xy):
+            raise InvariantError("facet vertex is off the integer grid", witness=v)
+        poly.append(tuple(int(c) for c in xy))
+    # counterclockwise: the lower chain from the lex-first to the lex-last
+    # vertex, then the upper chain back
+    poly.sort()
+    (x0, y0), (x1, y1) = poly[0], poly[-1]
+    side = [(x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) for x, y in poly]
+    poly = [p for p, s in zip(poly, side) if s <= 0] + [
+        p for p, s in zip(reversed(poly), reversed(side)) if s > 0
+    ]
+    cell = [(0, 0), (scale, 0), (scale, scale), (0, scale)]
+    xs, ys = [x for x, _ in poly], [y for _, y in poly]
+    covered2, pieces = 0, []
+    # the translates (a D, b D) that meet the cell
+    for a in range(-(max(xs) // scale), (scale - min(xs)) // scale + 1):
+        for b in range(-(max(ys) // scale), (scale - min(ys)) // scale + 1):
+            moved = [(x + a * scale, y + b * scale) for x, y in poly]
+            parts = [p for p in [_clip_to_convex(moved, cell)] if _polygon_area2(p)]
+            for prev in pieces:
+                if not parts:
+                    break
+                parts = [q for part in parts for q in _convex_difference(part, prev)]
+            covered2 += sum(_polygon_area2(part) for part in parts)
+            pieces.extend(parts)
+            if covered2 == 2 * scale * scale:
+                return True
+    return False
 
 
 # exact 2D polygon helpers ---------------------------------------------------
-
-
-def _ccw_order(points):
-    """Sort points counterclockwise around their centroid, exactly."""
-    n = len(points)
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
-
-    def angle_less(p, q):
-        px, py = p[0] - cx, p[1] - cy
-        qx, qy = q[0] - cx, q[1] - cy
-        hp = 0 if (py > 0 or (py == 0 and px > 0)) else 1
-        hq = 0 if (qy > 0 or (qy == 0 and qx > 0)) else 1
-        if hp != hq:
-            return hp < hq
-        return px * qy - py * qx > 0
-
-    arr = list(points)
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and angle_less(arr[j], arr[j - 1]):
-            arr[j], arr[j - 1] = arr[j - 1], arr[j]
-            j -= 1
-    return arr
 
 
 def _polygon_area2(poly) -> Fraction:
@@ -431,7 +434,10 @@ def _polygon_area2(poly) -> Fraction:
 
 
 def _clip(poly, a, b, rhs):
-    """Clip a convex ccw polygon to the halfplane a*x + b*y <= rhs."""
+    """Clip a convex ccw polygon to the halfplane a*x + b*y <= rhs.
+
+    New vertices are exact Fractions, also on int input.
+    """
     if not poly:
         return []
     out = []
@@ -443,7 +449,7 @@ def _clip(poly, a, b, rhs):
         if vp <= 0:
             out.append(p)
         if (vp < 0 < vq) or (vq < 0 < vp):
-            t = vp / (vp - vq)
+            t = Fraction(vp) / (vp - vq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     dedup = []
     for p in out:
@@ -486,55 +492,6 @@ def _convex_difference(poly, cutter):
         if not current:
             break
     return pieces
-
-
-def _translates_cover_cell(poly, c1, c2) -> bool:
-    """Exact area criterion: translates of poly by Z c1 + Z c2 cover the cell.
-
-    The uncovered set is open and lattice-periodic, so covering holds iff
-    the union of the translates clipped to one closed fundamental cell has
-    exactly the cell area.
-    """
-    det = c1[0] * c2[1] - c1[1] * c2[0]
-    if det == 0:
-        return False
-    if det < 0:
-        c1, c2 = c2, c1
-        det = -det
-    cell = [(Fraction(0), Fraction(0)), c1, vadd(c1, c2), c2]
-    cell_area2 = _polygon_area2(cell)
-    poly = _ccw_order(poly)
-    if _polygon_area2(poly) == 0:
-        return False
-    # coordinates of poly in the (c1, c2) frame bound the needed translates
-    alphas, betas = [], []
-    for x, y in poly:
-        alphas.append((x * c2[1] - y * c2[0]) / det)
-        betas.append((-x * c1[1] + y * c1[0]) / det)
-    a_range = range(math.ceil(-max(alphas)), math.floor(1 - min(alphas)) + 1)
-    b_range = range(math.ceil(-max(betas)), math.floor(1 - min(betas)) + 1)
-    covered2 = Fraction(0)
-    pieces = []
-    for a in a_range:
-        for b in b_range:
-            sx = a * c1[0] + b * c2[0]
-            sy = a * c1[1] + b * c2[1]
-            moved = [(x + sx, y + sy) for x, y in poly]
-            parts = [_clip_to_convex(moved, cell)]
-            parts = [p for p in parts if len(p) >= 3 and _polygon_area2(p) != 0]
-            for prev in pieces:
-                nxt = []
-                for part in parts:
-                    nxt.extend(_convex_difference(part, prev))
-                parts = nxt
-                if not parts:
-                    break
-            for part in parts:
-                area2 = _polygon_area2(part)
-                if area2:
-                    covered2 += abs(area2)
-                    pieces.append(part)
-    return covered2 == cell_area2
 
 
 # -- parity and finiteness helpers -------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from homometry import classify2d as cl
 from homometry import constructions as con
 from homometry import linalg, pointset as ps, polytope, tiling as ti
+from homometry.errors import HomometryError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 
@@ -55,7 +56,7 @@ def _random_tilings(rng):
             ]
             try:
                 base = Lattice(cols)
-            except Exception:
+            except HomometryError:
                 continue
             if int(base.determinant) not in dets:
                 continue
@@ -63,7 +64,7 @@ def _random_tilings(rng):
             tile = ti.dirichlet_tile(ambient, cols, v)
             try:
                 tilings.append(ti.verify_tiling(ambient, base, tile))
-            except Exception:
+            except HomometryError:
                 continue
             made += 1
     return tilings
@@ -96,7 +97,7 @@ def _abc_pool():
             t = rng.choice(tilings)
             try:
                 s = _random_s_for(rng, t)
-            except Exception:
+            except HomometryError:
                 continue
             instances.append((s, t))
         _ABC_POOL = (tilings, instances)

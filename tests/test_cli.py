@@ -118,6 +118,22 @@ def test_check_abc_verb(tmp_path, capsys):
     assert doc["payload"]["c"]["holds"] is True
 
 
+def test_check_abc_verb_in_dimension_one(tmp_path, capsys):
+    doc_in = {
+        "tiling": {
+            "M": {"basis": [[1]]},
+            "L": {"basis": [[3]]},
+            "T": {"points": [[0], [1], [2]]},
+        },
+        "S": {"points": [[0], [3], [6]]},
+    }
+    path = write_doc(tmp_path, "abc1.json", doc_in)
+    code, doc = run_json(capsys, ["check-abc", path])
+    assert code == 0
+    holds = {"holds": True}
+    assert doc["payload"] == {"a": holds, "b": holds, "c": holds}
+
+
 def test_enum_tiles_verb(tmp_path, capsys):
     path = write_doc(tmp_path, "b.json", {"basis": [[1, 0], [2, 5]]})
     code, doc = run_json(capsys, ["enum-tiles", path])

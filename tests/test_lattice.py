@@ -8,7 +8,12 @@ import pytest
 
 from homometry import linalg
 from homometry.classify2d import shear_normal_bases
-from homometry.errors import NotASublatticeError, NotInLatticeError, ZeroVectorError
+from homometry.errors import (
+    NotASublatticeError,
+    NotInLatticeError,
+    SingularMatrixError,
+    ZeroVectorError,
+)
 from homometry.lattice import Lattice, index, lattice_from_lhs, sublattices_of_z2
 
 Z2 = Lattice.standard(2)
@@ -176,7 +181,7 @@ def test_dual_involution_and_equality():
             try:
                 lat = Lattice(cols)
                 break
-            except Exception:
+            except SingularMatrixError:
                 continue
         assert lat.dual().dual() == lat
         assert lat.dual().determinant * lat.determinant == 1

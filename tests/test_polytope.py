@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homometry import linalg
-from homometry.errors import LowerDimensionalError, OriginNotInteriorError
+from homometry.errors import (
+    LowerDimensionalError,
+    OriginNotInteriorError,
+    SingularMatrixError,
+)
 from homometry.lattice import Lattice
 from homometry.polytope import hull
 
@@ -168,7 +172,7 @@ def test_lattice_points_general_lattice_oracle():
             try:
                 lat = Lattice(cols)
                 break
-            except Exception:
+            except SingularMatrixError:
                 continue
         assert poly.lattice_points(lat) == brute_lattice_points(poly, lat)
 

@@ -2,10 +2,13 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.constructions import (
@@ -18,6 +21,7 @@ from homometry.errors import (
     LowerDimensionalError,
     LowerDimensionalTileError,
     NotATilingError,
+    NotLatticeConvexError,
     UnsupportedDimensionError,
 )
 from homometry.lattice import Lattice
@@ -226,7 +230,7 @@ def test_enumerate_tiles_tiling_candidates():
     for tile in tiles:
         try:
             ti.verify_tiling(Z2, lat, tile)
-        except Exception:
+        except (NotATilingError, NotLatticeConvexError):
             continue
         verified += 1
         assert len(tile) == 5
@@ -234,8 +238,6 @@ def test_enumerate_tiles_tiling_candidates():
 
 
 def test_enumerate_tiles_q_candidate_count():
-    import math
-
     from homometry._kernels import search_base_raw
 
     for l, h, s in [(1, 5, 2), (2, 3, 1), (3, 2, 0)]:
@@ -355,6 +357,178 @@ def test_affine_covering_3d():
             hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
             Lattice.standard(4),
         )
+
+
+def test_conditions_in_dimension_one():
+    # a facet is a point, its own affine hull
+    assert ti.affine_covering_test(hull([(5,)]), Lattice.standard(1))
+    # M = Z, L = 3Z, T = {0, 1, 2}
+    t = ti.verify_tiling(
+        Lattice.standard(1), Lattice([(3,)]), PointSet([(0,), (1,), (2,)])
+    )
+    s = PointSet([(0,), (3,), (6,)])
+    holds = (True, None)
+    assert ti.check_abc(s, t) == {"a": holds, "b": holds, "c": holds}
+
+
+def test_clip_keeps_int_input_exact():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    cut = ti._clip(square, 1, 1, 1)  # x + y <= 1
+    assert cut == [(0, 0), (1, 0), (0, 1)]
+    assert not any(isinstance(c, float) for p in cut for c in p)
+    assert [type(c) for p in cut[1:] for c in p] == [F] * 4
+    # a cut through no vertex: x <= 1/2 on the scaled square
+    cut = ti._clip([(0, 0), (3, 0), (3, 3), (0, 3)], 2, 0, 1)
+    assert cut == [(0, 0), (F(1, 2), 0), (F(1, 2), 3), (0, 3)]
+    assert not any(isinstance(c, float) for p in cut for c in p)
+
+
+# -- the covering test against the former rational-frame routine ------------
+
+
+def _oracle_ccw_order(points):
+    """Sort points counterclockwise around their centroid, exactly."""
+    n = len(points)
+    cx = sum(p[0] for p in points) / n
+    cy = sum(p[1] for p in points) / n
+
+    def angle_less(p, q):
+        px, py = p[0] - cx, p[1] - cy
+        qx, qy = q[0] - cx, q[1] - cy
+        hp = 0 if (py > 0 or (py == 0 and px > 0)) else 1
+        hq = 0 if (qy > 0 or (qy == 0 and qx > 0)) else 1
+        if hp != hq:
+            return hp < hq
+        return px * qy - py * qx > 0
+
+    arr = list(points)
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and angle_less(arr[j], arr[j - 1]):
+            arr[j], arr[j - 1] = arr[j - 1], arr[j]
+            j -= 1
+    return arr
+
+
+def _oracle_translates_cover_cell(poly, c1, c2):
+    """Union area of every translate of poly by Z c1 + Z c2 in one cell."""
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    if det == 0:
+        return False
+    if det < 0:
+        c1, c2 = c2, c1
+        det = -det
+    cell = [(F(0), F(0)), c1, linalg.vadd(c1, c2), c2]
+    cell_area2 = ti._polygon_area2(cell)
+    poly = _oracle_ccw_order(poly)
+    if ti._polygon_area2(poly) == 0:
+        return False
+    alphas, betas = [], []
+    for x, y in poly:
+        alphas.append((x * c2[1] - y * c2[0]) / det)
+        betas.append((-x * c1[1] + y * c1[0]) / det)
+    a_range = range(math.ceil(-max(alphas)), math.floor(1 - min(alphas)) + 1)
+    b_range = range(math.ceil(-max(betas)), math.floor(1 - min(betas)) + 1)
+    covered2 = F(0)
+    pieces = []
+    for a in a_range:
+        for b in b_range:
+            sx = a * c1[0] + b * c2[0]
+            sy = a * c1[1] + b * c2[1]
+            moved = [(x + sx, y + sy) for x, y in poly]
+            parts = [ti._clip_to_convex(moved, cell)]
+            parts = [p for p in parts if len(p) >= 3 and ti._polygon_area2(p) != 0]
+            for prev in pieces:
+                nxt = []
+                for part in parts:
+                    nxt.extend(ti._convex_difference(part, prev))
+                parts = nxt
+                if not parts:
+                    break
+            for part in parts:
+                area2 = ti._polygon_area2(part)
+                if area2:
+                    covered2 += abs(area2)
+                    pieces.append(part)
+    return covered2 == cell_area2
+
+
+def oracle_affine_covering(facet, lat):
+    """The covering test in a rational frame on the facet's own plane."""
+    if lat.dim == 2:
+        v = linalg.vsub(facet.vertices[-1], facet.vertices[0])
+        prim = lat.primitive_parallel(v)
+        k = next(i for i, e in enumerate(prim) if e != 0)
+        return abs(v[k] / prim[k]) >= 1
+    f0 = facet.vertices[0]
+    dirs = ti._independent_differences(facet.vertices)
+    normal = linalg.nullspace(dirs)[0]
+    w_row = tuple(linalg.vdot(normal, col) for col in lat.basis)
+    kernel = linalg.integer_kernel(linalg.primitive_integer_direction(w_row))
+    c1 = linalg.mat_vec(lat.basis, kernel[0])
+    c2 = linalg.mat_vec(lat.basis, kernel[1])
+    _, _, coords = linalg.span_coordinates(
+        dirs, [linalg.vsub(v, f0) for v in facet.vertices] + [c1, c2]
+    )
+    return _oracle_translates_cover_cell(coords[:-2], *coords[-2:])
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+NON_INTEGRAL = st.sampled_from([F(1, 2), F(1, 3), F(2, 3)])
+
+
+@st.composite
+def covering_inputs(draw):
+    """(facet, lattice) on a random skewed rational lattice in d = 2 or 3.
+
+    The facet is spanned by lattice vectors e_i and placed at a rational
+    point, mostly off the lattice.  Its vertices have coefficients with denominators 1, 2 and 3 on
+    the e_i, in one of three shapes: a tile (a unit segment, or the
+    parallelogram spanned by (1, r) and (0, 1), a fundamental domain of Z^2
+    for every r, here never an integer), a nudged tile that just covers or
+    just fails, or random points.
+    """
+    d = draw(st.sampled_from([3, 2]))
+    cols = [list(draw(st.tuples(*[SMALL_RATIONALS] * d))) for _ in range(d)]
+    shear = draw(st.integers(-4, 4))
+    cols[-1] = [x + shear * y for x, y in zip(cols[-1], cols[0])]
+    assume(linalg.det(linalg.mat(cols)) != 0)
+    lat = Lattice(cols)
+    small_ints = st.tuples(*[st.integers(-2, 2)] * d)
+    spans = [linalg.mat_vec(lat.basis, draw(small_ints)) for _ in range(d - 1)]
+    assume(linalg.rank_of(spans) == d - 1)
+    shape = draw(st.sampled_from(["tile", "nudged", "random"]))
+    if shape == "random":
+        coeffs = draw(
+            st.lists(st.tuples(*[SMALL_RATIONALS] * (d - 1)), min_size=d, max_size=5)
+        )
+    elif d == 2:
+        length = 1 if shape == "tile" else draw(st.sampled_from([F(2, 3), F(4, 3), 2]))
+        coeffs = [(0,), (length,)]
+    else:
+        r = draw(st.integers(-2, 2)) + draw(NON_INTEGRAL)
+        coeffs = [(0, 0), (1, r), (1, r + 1), (0, 1)]
+        if draw(st.booleans()):
+            coeffs = [(y, x) for x, y in coeffs]
+        if shape == "nudged":
+            i = draw(st.integers(0, 3))
+            nudge = draw(st.tuples(*[st.sampled_from([F(-1, 3), 0, F(1, 2)])] * 2))
+            coeffs[i] = linalg.vadd(coeffs[i], nudge)
+    p0 = draw(st.tuples(*[SMALL_RATIONALS] * d))
+    points = [
+        tuple(p0[j] + sum(c * e[j] for c, e in zip(cs, spans)) for j in range(d))
+        for cs in coeffs
+    ]
+    facet = hull(points)
+    assume(facet.dim == d - 1)
+    return facet, lat
+
+
+@given(covering_inputs())
+@settings(max_examples=300, deadline=None)
+def test_affine_covering_matches_rational_frame_oracle(case):
+    facet, lat = case
+    assert ti.affine_covering_test(facet, lat) == oracle_affine_covering(facet, lat)
 
 
 def test_parity_check_families():
