@@ -5,7 +5,8 @@ b1 = (l, 0), b2 = (s, h); a base is searched only when the triangle
 conv{o, b1, b2} passes the width window (width 3 with determinant 7..18,
 width 4 with determinant 12..16).  The per-base tile scan runs in an
 integer kernel; every survivor is rebuilt and re-checked in exact rational
-arithmetic and verified to tile before being classified.
+arithmetic and verified to tile, and tiles with equal unimodular normal forms
+(`normal_form`) form one class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import linalg, tiling
 from ._kernels import search_base_raw, thin_directions, tile_grid
 from .errors import InvariantError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs
-from .linalg import mat, mat_vec, vsub
+from .linalg import mat, mat_vec, vadd, vneg, vsub
 from .pointset import PointSet, centrally_symmetric
 
 
@@ -119,44 +120,69 @@ def search_tiles_with_base(l: int, h: int, s: int) -> dict:
     return {"base": (l, h, s), "stats": stats, "survivors": survivors}
 
 
-def unimodular_equivalent(a: PointSet, b: PointSet):
-    """Search for U (|det U| = 1, integral) and t with U(A) + t = B.
+def normal_form(k: PointSet):
+    """(key, U, t): the least image U(K) + t of a two-dimensional planar set K.
 
-    Complete for full-dimensional planar sets: two independent anchored
-    differences of A must map to difference vectors of B, which leaves
-    finitely many candidate matrices.
+    U is integral with |det U| = 1.  The key is (D, the sorted points of
+    D (U(K) + t)), D the least integer that makes the differences of K
+    integral, so two sets are unimodularly equivalent iff their keys agree
+    (the PALP normal form idea: Kreuzer-Skarke 2004, arXiv:1301.6641).  Each
+    hull edge and endpoint v give one image: v goes to o and the edge's
+    primitive direction to e1 by a Bezout matrix, y is negated so that the
+    image lies in y >= 0, and a shear x -> x + m y puts the leftmost point of
+    the lowest positive row at 0 <= x < that row's height.
+    """
+    if k.dim != 2 or k.hull().dim != 2:
+        raise ValueError("the unimodular normal form needs a two-dimensional planar set")
+    # integer view: D times the offsets from the first point
+    den, ipts = linalg.clear_denominators([vsub(p, k.points[0]) for p in k.points])
+    index = dict(zip(k.points, ipts))
+    best = None
+    for _, edge in k.hull().facet_vertex_sets():
+        for v, w in (edge, edge[::-1]):
+            (vx, vy), (wx, wy) = index[v], index[w]
+            dx, dy = linalg.primitive_integer_direction((wx - vx, wy - vy))
+            inv = pow(dx, -1, abs(dy)) if dy else dx
+            # the Bezout matrix with rows (u11, u12), (u21, u22) maps (dx, dy) to e1
+            u11, u12, u21, u22 = inv, (1 - inv * dx) // dy if dy else 0, -dy, dx
+            rel = [(x - vx, y - vy) for x, y in ipts]
+            image = [(u11 * x + u12 * y, u21 * x + u22 * y) for x, y in rel]
+            if min(y for _, y in image) < 0:
+                u21, u22, image = dy, -dx, [(x, -y) for x, y in image]
+            height, x0 = min((y, x) for x, y in image if y > 0)
+            m = -(x0 // height)
+            image = sorted((x + m * y, y) for x, y in image)
+            if best is None or image < best[0]:
+                best = image, mat([(u11 + m * u21, u21), (u12 + m * u22, u22)]), v
+    image, u, v = best
+    return (den, tuple(image)), u, vneg(mat_vec(u, v))
+
+
+def unimodular_equivalent(a: PointSet, b: PointSet):
+    """(True, (U, t)) with U(A) + t = B, U integral, |det U| = 1; else (False, None).
+
+    The witness comes from the normal forms, U = U_b^-1 U_a and
+    t = U_b^-1 (t_a - t_b), and is re-checked by mapping A onto B.  Both sets
+    must be planar and A two-dimensional; a flat B is not equivalent to A.
     """
     if a.dim != 2 or b.dim != 2:
-        raise ValueError("unimodular equivalence search is implemented for d = 2")
+        raise ValueError("unimodular equivalence is implemented for d = 2")
     if len(a) != len(b):
         return False, None
-    a0 = a.normalized()
-    b0 = b.normalized()
-    anchor = a0.points[0]
-    diffs_a = [vsub(p, anchor) for p in a0.points[1:]]
-    v1 = diffs_a[0]
-    v2 = next(
-        (v for v in diffs_a[1:] if v1[0] * v[1] - v1[1] * v[0] != 0), None
-    )
-    if v2 is None:
-        raise ValueError("sets must be two-dimensional")
-    vmat = mat([v1, v2])
-    vinv = linalg.inverse(vmat)
-    diffs_b = [d for d in b0.differences() if any(d)]
-    for w1 in diffs_b:
-        for w2 in diffs_b:
-            if w1[0] * w2[1] - w1[1] * w2[0] == 0:
-                continue
-            u = linalg.mat_mul(mat([w1, w2]), vinv)
-            if not linalg.is_integral(u):
-                continue
-            if abs(linalg.det(u)) != 1:
-                continue
-            image = PointSet([mat_vec(u, p) for p in a.points])
-            t = vsub(b.points[0], image.points[0])
-            if image.translate(t) == b:
-                return True, (u, t)
-    return False, None
+    key_a, u_a, t_a = normal_form(a)
+    if b.hull().dim != 2:
+        return False, None
+    key_b, u_b, t_b = normal_form(b)
+    if key_a != key_b:
+        return False, None
+    u_b_inv = linalg.inverse(u_b)
+    u, t = linalg.mat_mul(u_b_inv, u_a), mat_vec(u_b_inv, vsub(t_a, t_b))
+    if PointSet(vadd(mat_vec(u, p), t) for p in a.points) != b:
+        raise InvariantError(
+            "equal normal forms give a map that does not take A onto B",
+            witness={"a": a.points, "b": b.points},
+        )
+    return True, (u, t)
 
 
 def _search_case(args):
@@ -179,32 +205,17 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
     else:
         results = [_search_case(c) for c in cases]
 
-    survivors = []
-    for res in results:
-        survivors.extend(res["survivors"])
+    survivors = [surv for res in results for surv in res["survivors"]]
 
-    classes: list[TileClass] = []
+    by_key: dict[tuple, TileClass] = {}
     for surv in survivors:
-        rep = surv["points"].normalized()
-        placed = False
-        for cls in classes:
-            eq, _ = unimodular_equivalent(rep, cls.representative)
-            if eq:
-                cls.members.append(surv)
-                placed = True
-                break
-        if not placed:
-            classes.append(
-                TileClass(
-                    representative=rep,
-                    centrally_symmetric=centrally_symmetric(rep),
-                    members=[surv],
-                    witnesses={
-                        "diag_width": surv["diag_width"],
-                        "lattice_width": surv["lattice_width"],
-                    },
-                )
-            )
+        key = normal_form(surv["points"])[0]
+        if key not in by_key:
+            rep = surv["points"].normalized()
+            witnesses = {"diag_width": surv["diag_width"], "lattice_width": surv["lattice_width"]}
+            by_key[key] = TileClass(rep, centrally_symmetric(rep), witnesses=witnesses)
+        by_key[key].members.append(surv)
+    classes = list(by_key.values())
 
     for surv in survivors:
         base = lattice_from_lhs(surv["l"], surv["h"], surv["s"])

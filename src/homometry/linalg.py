@@ -320,13 +320,10 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     Column-reducing the constraint matrix with a tracked unimodular U makes
     the kernel exactly the U-columns beyond the rank.
     """
-    rows = [list(map(int, r)) for r in rows] if not isinstance(rows[0], int) else [list(map(int, rows))]
-    ncols = len(rows[0])
-    grid = [list(r) for r in rows]
+    grid = [list(map(int, r)) for r in rows]
+    ncols = len(grid[0])
     _, u, rank = _column_hnf(grid, track_u=True)
-    return tuple(
-        tuple(u[i][j] for i in range(ncols)) for j in range(rank, ncols)
-    )
+    return tuple(tuple(row[j] for row in u) for j in range(rank, ncols))
 
 
 def primitive_integer_direction(v: Vec) -> tuple[int, ...]:

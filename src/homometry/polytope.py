@@ -183,13 +183,6 @@ class Polytope:
         frame = linalg.independent_subset(diffs)
         dirs = tuple(diffs[i] for i in frame)
         r = len(dirs)
-        if ambient == 1:
-            lo, hi = pts[0], pts[-1]
-            hyps = (((-1,), -lo[0]), ((1,), hi[0]))
-            data = {"hyps": hyps, "simplices": ((lo,), (hi,)), "inner": None}
-            return Polytope(
-                _vertices=(lo, hi), _ambient=1, _dim=1, _internal=data
-            )
         if r == ambient:
             init = [0] + frame
             hyps, simplex_idx, inner, verts = _hull_full_dim(pts, ambient, init)
@@ -315,8 +308,6 @@ class Polytope:
         if self.dim < self.ambient:
             return Fraction(0)
         d = self.ambient
-        if d == 1:
-            return self.vertices[-1][0] - self.vertices[0][0]
         inner = self._data["inner"]
         total = Fraction(0)
         fact = math.factorial(d)

@@ -386,7 +386,7 @@ def affine_covering_test(facet: polytope.Polytope, lat: Lattice) -> bool:
         return math.gcd(*ints[-1]) >= scale
     # any three vertices of a convex polygon are affinely independent
     w = linalg.primitive_integer_direction(linalg.nullspace(ints[1:3])[0])
-    _, _, coords = linalg.span_coordinates(linalg.integer_kernel(w), ints)
+    _, _, coords = linalg.span_coordinates(linalg.integer_kernel([w]), ints)
     poly = []
     for v, xy in zip(facet.vertices, coords):
         if any(c.denominator != 1 for c in xy):

@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homometry import classify2d as cl
 from homometry import linalg, tiling as ti
@@ -15,6 +17,7 @@ from homometry._kernels import search_base_raw
 from homometry.cli import main
 from homometry.errors import InvariantError
 from homometry.lattice import Lattice, lattice_from_lhs
+from homometry.linalg import mat, mat_vec, vadd, vsub
 from homometry.pointset import PointSet
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
@@ -120,6 +123,114 @@ def test_unimodular_inequivalent_different_shape():
     other = PointSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0)])
     eq, _ = cl.unimodular_equivalent(CROSS, other)
     assert not eq
+
+
+# -- the normal form against the pairwise search it replaced ------------------
+
+
+def oracle_unimodular_equivalent(a, b):
+    """Search for U (|det U| = 1, integral) and t with U(A) + t = B.
+
+    Complete for full-dimensional planar sets: two independent anchored
+    differences of A must map to difference vectors of B, which leaves
+    finitely many candidate matrices.
+    """
+    if len(a) != len(b):
+        return False, None
+    a0 = a.normalized()
+    anchor = a0.points[0]
+    diffs_a = [vsub(p, anchor) for p in a0.points[1:]]
+    v1 = diffs_a[0]
+    v2 = next(v for v in diffs_a[1:] if v1[0] * v[1] - v1[1] * v[0] != 0)
+    vinv = linalg.inverse(mat([v1, v2]))
+    diffs_b = [d for d in b.normalized().differences() if any(d)]
+    for w1 in diffs_b:
+        for w2 in diffs_b:
+            if w1[0] * w2[1] - w1[1] * w2[0] == 0:
+                continue
+            u = linalg.mat_mul(mat([w1, w2]), vinv)
+            if not linalg.is_integral(u) or abs(linalg.det(u)) != 1:
+                continue
+            image = PointSet([mat_vec(u, p) for p in a.points])
+            t = vsub(b.points[0], image.points[0])
+            if image.translate(t) == b:
+                return True, (u, t)
+    return False, None
+
+
+# generators of GL2(Z) as column matrices: S rotates by 90 degrees, T shears
+# x -> x + y, R reflects y -> -y
+GL2_GENERATORS = {
+    "S": mat([(0, 1), (-1, 0)]),
+    "T": mat([(1, 0), (1, 1)]),
+    "R": mat([(1, 0), (0, -1)]),
+}
+gl2_words = st.lists(st.sampled_from(sorted(GL2_GENERATORS)), max_size=10)
+translations = st.tuples(*[st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2]))] * 2)
+
+
+def apply(u, t, k):
+    return PointSet(vadd(mat_vec(u, p), t) for p in k.points)
+
+
+def word_image(word, t, k):
+    u = linalg.identity(2)
+    for g in word:
+        u = linalg.mat_mul(GL2_GENERATORS[g], u)
+    return apply(u, t, k)
+
+
+@st.composite
+def planar_sets(draw, size=None):
+    """Two-dimensional sets of 3..7 points in a small box, some with
+    denominators 2 or 3."""
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    coord = st.builds(F, st.integers(-3, 3), st.just(den))
+    n = size or draw(st.integers(3, 7))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n, unique=True))
+    k = PointSet(pts)
+    assume(k.hull().dim == 2)
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(planar_sets(), gl2_words, translations)
+def test_normal_form_is_invariant_under_gl2_words(k, word, t):
+    key, u, t0 = cl.normal_form(k)
+    assert linalg.is_integral(u) and abs(linalg.det(u)) == 1
+    den, image = key
+    assert apply(u, t0, k).points == tuple(linalg.vscale(F(1, den), p) for p in image)
+    assert cl.normal_form(word_image(word, t, k))[0] == key
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_sets(), st.booleans(), st.data())
+def test_normal_form_agrees_with_pairwise_search(a, image, data):
+    if image:
+        b = word_image(data.draw(gl2_words), data.draw(translations), a)
+    else:
+        b = data.draw(planar_sets(size=len(a)))
+    expected, _ = oracle_unimodular_equivalent(a, b)
+    assert (cl.normal_form(a)[0] == cl.normal_form(b)[0]) == expected
+    assert cl.unimodular_equivalent(a, b)[0] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_sets(), gl2_words, translations)
+def test_unimodular_witness_maps_a_onto_b(a, word, t):
+    b = word_image(word, t, a)
+    eq, witness = cl.unimodular_equivalent(a, b)
+    assert eq
+    u, shift = witness
+    assert linalg.is_integral(u) and abs(linalg.det(u)) == 1
+    assert apply(u, shift, a) == b
+
+
+def test_unimodular_equivalent_flat_second_set():
+    flat = PointSet([(x, 0) for x in range(len(CROSS))])
+    assert cl.unimodular_equivalent(CROSS, flat) == (False, None)
+    with pytest.raises(ValueError):
+        cl.unimodular_equivalent(PointSet([(0, 0, 0)]), CROSS)
 
 
 def test_classify_det7_slice():

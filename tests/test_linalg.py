@@ -206,7 +206,7 @@ def test_hnf_basis_spans():
 
 
 def test_integer_kernel():
-    kernel = linalg.integer_kernel((2, 3, 5))
+    kernel = linalg.integer_kernel([(2, 3, 5)])
     assert len(kernel) == 2
     for z in kernel:
         assert 2 * z[0] + 3 * z[1] + 5 * z[2] == 0

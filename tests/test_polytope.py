@@ -352,17 +352,17 @@ def oracle_hull(points):
     return verts, sorted(facets), volume / d
 
 
-SIZES = {2: 9, 3: 7, 4: 6}  # points per dimension, to keep the oracle quick
+SIZES = {1: 6, 2: 9, 3: 7, 4: 6}  # points per dimension, to keep the oracle quick
 
 
 @st.composite
 def rational_point_sets(draw):
-    """Rational points in d = 2..4 with mixed denominators.
+    """Rational points in d = 1..4 with mixed denominators.
 
     Coordinates may be shifted past 2**64; one set in five is flat, on the
     hyperplane x_d = <c, x'> + c0 with rational c.
     """
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
     dens = draw(st.sampled_from([(1,), (2, 3), (1, 5, 7), (4, 6)]))
     coord = st.builds(F, st.integers(-5, 5), st.sampled_from(dens))
     n = draw(st.integers(d + 1, SIZES[d]))
@@ -383,7 +383,7 @@ def boundary_points(verts, facets):
     extra = []
     for a, b in facets[:3]:
         tight = [v for v in verts if linalg.vdot(a, v) == b]
-        extra.append(linalg.vscale(F(1, 2), linalg.vadd(tight[0], tight[1])))
+        extra.append(linalg.vscale(F(1, 2), linalg.vadd(tight[0], tight[-1])))
         extra.append(linalg.vscale(F(1, len(tight)), tuple(map(sum, zip(*tight)))))
     return extra
 

@@ -464,7 +464,7 @@ def oracle_affine_covering(facet, lat):
     dirs = ti._independent_differences(facet.vertices)
     normal = linalg.nullspace(dirs)[0]
     w_row = tuple(linalg.vdot(normal, col) for col in lat.basis)
-    kernel = linalg.integer_kernel(linalg.primitive_integer_direction(w_row))
+    kernel = linalg.integer_kernel([linalg.primitive_integer_direction(w_row)])
     c1 = linalg.mat_vec(lat.basis, kernel[0])
     c2 = linalg.mat_vec(lat.basis, kernel[1])
     _, _, coords = linalg.span_coordinates(
