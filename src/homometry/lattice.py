@@ -13,7 +13,7 @@ from .errors import (
     SingularMatrixError,
     ZeroVectorError,
 )
-from .linalg import Mat, Vec, mat, mat_vec, vec
+from .linalg import Mat, Vec, mat, mat_vec, vec, vec_str
 
 
 class Lattice:
@@ -86,13 +86,9 @@ class Lattice:
     def primitive_part(self, v) -> Vec:
         """v divided by the gcd of its basis coordinates (primitive vector)."""
         v = vec(v)
-        if linalg.is_zero(v):
-            raise ZeroVectorError("primitive part of the zero vector")
-        coords = self.coordinates(v)
-        if any(c.denominator != 1 for c in coords):
-            raise NotInLatticeError(f"{v} is not a lattice point")
-        g = math.gcd(*[int(c) for c in coords])
-        return mat_vec(self.basis, tuple(c / g for c in coords))
+        if not self.contains(v):
+            raise NotInLatticeError(f"{vec_str(v)} is not a lattice point", witness=v)
+        return self.primitive_parallel(v)
 
     def primitive_parallel(self, direction) -> Vec:
         """The primitive lattice vector positively parallel to a rational direction.

@@ -41,6 +41,11 @@ def vec(coords: Iterable) -> Vec:
     return tuple(frac(c) for c in coords)
 
 
+def vec_str(v) -> str:
+    """A vector for error messages, as "(1, -1/2)" instead of Fraction reprs."""
+    return "(" + ", ".join(str(c) for c in v) + ")"
+
+
 def mat(columns: Iterable[Iterable]) -> Mat:
     cols = tuple(vec(c) for c in columns)
     d = len(cols[0]) if cols else 0

@@ -13,7 +13,7 @@ from .errors import (
     NotInLatticeError,
 )
 from .lattice import Lattice
-from .linalg import Vec, vadd, vneg, vsub, vec
+from .linalg import Vec, vadd, vec, vec_str, vneg, vsub
 
 
 class PointSet:
@@ -143,6 +143,8 @@ def centrally_symmetric(k: PointSet) -> bool:
 
 
 def minkowski_sum(s: PointSet, t: PointSet) -> PointSet:
+    if s.dim != t.dim:
+        raise ValueError(f"cannot add sets of dimensions {s.dim} and {t.dim}")
     return PointSet([vadd(a, b) for a in s.points for b in t.points])
 
 
@@ -166,7 +168,7 @@ def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
     """A lattice point of conv(K) missing from K, or None when K is convex."""
     for p in k.points:
         if not lat.contains(p):
-            raise NotInLatticeError(f"point {p} is outside the lattice")
+            raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
     for q in k.hull().lattice_points(lat):
         if q not in k:
             return q
@@ -187,7 +189,7 @@ def sum_convexity_witness(
     s0, t0 = s.points[0], t.points[0]
     for p in [vadd(a, t0) for a in s.points] + [vadd(s0, b) for b in t.points[1:]]:
         if not lat.contains(p):
-            raise NotInLatticeError(f"point {p} is outside the lattice", witness=p)
+            raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
     big = polytope.minkowski_hull(s.hull(), t.hull())
     for q in big.lattice_points(lat):
         if q not in total:

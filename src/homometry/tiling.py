@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lattice import Lattice, index
-from .linalg import Vec, mat, mat_vec, transpose, vadd, vdot, vec, vneg, vsub
+from .linalg import Vec, mat, mat_vec, transpose, vadd, vdot, vec, vec_str, vneg, vsub
 from .pointset import PointSet
 
 
@@ -172,7 +172,8 @@ def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
     cell_basis = mat(cell_basis)
     for col in cell_basis:
         if not ambient.contains(col):
-            raise NotInLatticeError(f"cell basis vector {col} is outside M")
+            msg = f"cell basis vector {vec_str(col)} is outside M"
+            raise NotInLatticeError(msg, witness=col)
     v = vec(v)
     d = ambient.dim
     inv_cell = linalg.inverse(cell_basis)
@@ -270,38 +271,52 @@ def _convex_summand_hull(s: PointSet, t: Tiling):
     Raises unless t is verified, S lies in L and S is full-dimensional.
     """
     _require_verified(t)
-    lat = t.translations
-    for p in s.points:
-        if not lat.contains(p):
-            raise NotInLatticeError(f"S point {p} is outside L")
+    convex = pointset.is_lattice_convex(s, t.translations)
     s_hull = s.hull()
     if not s_hull.is_full_dimensional():
         raise LowerDimensionalError("S must be full-dimensional")
-    return s_hull if pointset.is_lattice_convex(s, lat) else None
+    return s_hull if convex else None
+
+
+def _wide_facets(s_hull: polytope.Polytope, t: Tiling):
+    """(u, vertices) of each facet of conv(S) whose primitive normal u in L*
+    has w(T, u) >= 1, in `facet_vertex_sets` order."""
+    dual = t.translations.dual()
+    for a, verts in s_hull.facet_vertex_sets():
+        u = dual.primitive_parallel(a)
+        if width_of(t.tile.hull(), u) >= 1:
+            yield u, verts
+
+
+def _facet_conditions(s: PointSet, t: Tiling, with_c: bool):
+    """(a) and (c) as (holds, witness) pairs from one prologue and one scan.
+
+    (a) fails on the first wide facet, (c) on the first wide facet F with
+    aff(F) ⊆ F + L.  Without with_c, (c) is (None, None).
+    """
+    s_hull = _convex_summand_hull(s, t)
+    if s_hull is None:
+        return (False, None), ((False, None) if with_c else (None, None))
+    wa = wc = None
+    for u, verts in _wide_facets(s_hull, t):
+        wa = wa or u
+        if not with_c or affine_covering_test(verts, t.translations):
+            wc = u
+            break
+    return (wa is None, wa), ((wc is None, wc) if with_c else (None, None))
 
 
 def check_condition_a(s: PointSet, t: Tiling) -> bool:
-    holds, _ = condition_a_witness(s, t)
-    return holds
+    return condition_a_witness(s, t)[0]
 
 
 def condition_a_witness(s: PointSet, t: Tiling):
     """(holds, witness): witness is a facet normal of width >= 1 if any."""
-    s_hull = _convex_summand_hull(s, t)
-    if s_hull is None:
-        return False, None
-    tile_hull = t.tile.hull()
-    dual = t.translations.dual()
-    for a, _ in s_hull.facets():
-        u = dual.primitive_parallel(a)
-        if width_of(tile_hull, u) >= 1:
-            return False, u
-    return True, None
+    return _facet_conditions(s, t, with_c=False)[0]
 
 
 def check_condition_b(s: PointSet, t: Tiling) -> bool:
-    holds, _ = condition_b_witness(s, t)
-    return holds
+    return condition_b_witness(s, t)[0]
 
 
 def condition_b_witness(s: PointSet, t: Tiling):
@@ -316,52 +331,34 @@ def condition_b_witness(s: PointSet, t: Tiling):
 
 
 def check_condition_c(s: PointSet, t: Tiling) -> bool:
-    holds, _ = condition_c_witness(s, t)
-    return holds
+    return condition_c_witness(s, t)[0]
 
 
 def condition_c_witness(s: PointSet, t: Tiling):
+    """(holds, witness): witness is the normal of a wide covering facet if any."""
     _require_verified(t)
     if t.ambient.dim > 3:
         raise UnsupportedDimensionError("condition (c) is implemented for d <= 3")
-    s_hull = _convex_summand_hull(s, t)
-    if s_hull is None:
-        return False, None
-    lat = t.translations
-    tile_hull = t.tile.hull()
-    dual = lat.dual()
-    for a, verts in s_hull.facet_vertex_sets():
-        facet = polytope.hull(verts)
-        if not affine_covering_test(facet, lat):
-            continue
-        u = dual.primitive_parallel(vec(a))
-        if width_of(tile_hull, u) >= 1:
-            return False, u
-    return True, None
+    return _facet_conditions(s, t, with_c=True)[1]
 
 
 def check_abc(s: PointSet, t: Tiling):
-    """All three condition checks with witnesses, for reporting."""
-    a, wa = condition_a_witness(s, t)
-    b, wb = condition_b_witness(s, t)
-    if t.ambient.dim <= 3:
-        c, wc = condition_c_witness(s, t)
-    else:
-        c, wc = None, None
-    return {"a": (a, wa), "b": (b, wb), "c": (c, wc)}
+    """All three condition checks with witnesses; (c) is (None, None) for d > 3."""
+    a, c = _facet_conditions(s, t, with_c=t.ambient.dim <= 3)
+    return {"a": a, "b": condition_b_witness(s, t), "c": c}
 
 
 # -- the facet covering test aff(F) ⊆ F + L ----------------------------------
 
 
-def affine_covering_test(facet: polytope.Polytope, lat: Lattice) -> bool:
+def affine_covering_test(vertices, lat: Lattice) -> bool:
     """Whether the affine hull of a facet is covered by its L-translates.
 
-    Every dimension works in one frame: the L-coordinates of the facet's
-    vertices relative to its first vertex, scaled by their least common
-    denominator D.  There the facet is an integer polytope Q through the
-    origin and L is D Z^d, so the question is whether the translates of Q
-    by D Z^d inside its linear span cover that span.
+    The facet is given by its extreme points, and every dimension works in
+    one frame: their L-coordinates relative to the first, scaled by their
+    least common denominator D (a ValueError unless of rank d - 1).  There
+    the facet is an integer polytope Q through the origin and L is D Z^d, so
+    the question is whether Q + D Z^d covers the linear span of Q.
 
     - d = 1: a facet is a point, which is its own affine hull.
     - d = 2: Q is a segment [0, z]; the translations along its line are the
@@ -376,19 +373,18 @@ def affine_covering_test(facet: polytope.Polytope, lat: Lattice) -> bool:
     d = lat.dim
     if d > 3:
         raise UnsupportedDimensionError("covering test is implemented for d <= 3")
-    if facet.dim != d - 1:
-        raise ValueError("expected a facet of dimension d-1")
+    scale, ints = _lattice_coordinates([vsub(v, vertices[0]) for v in vertices], lat)
+    normals = linalg.nullspace(ints)
+    if len(normals) != 1:
+        raise ValueError("expected the vertices of a facet, spanning a (d-1)-flat")
     if d == 1:
         return True
-    f0 = facet.vertices[0]
-    scale, ints = _lattice_coordinates([vsub(v, f0) for v in facet.vertices], lat)
     if d == 2:
         return math.gcd(*ints[-1]) >= scale
-    # any three vertices of a convex polygon are affinely independent
-    w = linalg.primitive_integer_direction(linalg.nullspace(ints[1:3])[0])
+    w = linalg.primitive_integer_direction(normals[0])
     _, _, coords = linalg.span_coordinates(linalg.integer_kernel([w]), ints)
     poly = []
-    for v, xy in zip(facet.vertices, coords):
+    for v, xy in zip(vertices, coords):
         if any(c.denominator != 1 for c in xy):
             raise InvariantError("facet vertex is off the integer grid", witness=v)
         poly.append(tuple(int(c) for c in xy))

@@ -134,6 +134,33 @@ def test_check_abc_verb_in_dimension_one(tmp_path, capsys):
     assert doc["payload"] == {"a": holds, "b": holds, "c": holds}
 
 
+@pytest.mark.parametrize(
+    "verb, doc_in, witness",
+    [
+        (
+            "lattice-convex",
+            {"points": [[0, 0], [1, 0], [0, 1]], "lattice": {"basis": [[2, 0], [0, 2]]}},
+            [0, 1],
+        ),
+        (
+            "check-abc",
+            {
+                "tiling": {"M": {"basis": [[1, 0], [0, 1]]}, "L": LAT_K2, "T": TILE_K2},
+                "S": {"points": [[0, 0], [3, -1], ["5/2", "1/2"]]},
+            },
+            ["5/2", "1/2"],
+        ),
+    ],
+)
+def test_point_outside_the_lattice_is_named_as_witness(tmp_path, capsys, verb, doc_in, witness):
+    path = write_doc(tmp_path, "in.json", doc_in)
+    code, out = run_cli(capsys, [verb, path])
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["witness"] == witness
+    assert "Fraction(" not in out
+
+
 def test_enum_tiles_verb(tmp_path, capsys):
     path = write_doc(tmp_path, "b.json", {"basis": [[1, 0], [2, 5]]})
     code, doc = run_json(capsys, ["enum-tiles", path])
@@ -243,6 +270,11 @@ def test_lower_dimensional_tile_error(tmp_path, capsys):
         ("covariogram", {"points": [[0, 0], [1, 0, 0]]}, "mixed dimensions in point set"),
         ("enum-tiles", {"basis": [["1/2", 0], [0, 1]]}, "needs an integral basis"),
         ("enum-tiles", {"basis": [[0, 1], [1, 0]]}, "positively oriented"),
+        (
+            "direct-sum",
+            {"S": {"points": [[0, 0], [1, 0]]}, "T": {"points": [[0, 0, 0], [0, 0, 1]]}},
+            "cannot add sets of dimensions 2 and 3",
+        ),
     ],
 )
 def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in, message):

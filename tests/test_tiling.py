@@ -14,6 +14,7 @@ from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.constructions import (
     counterexample_ab,
     counterexample_bc,
+    generalized_family,
     generalized_family_tiling,
     planar_family_tiling,
 )
@@ -27,6 +28,7 @@ from homometry.errors import (
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import hull
+from test_acceptance import _abc_pool
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -338,30 +340,180 @@ def test_conditions_a_and_c_agree_in_dimension_two():
         assert a == c
 
 
+# -- conditions (a) and (c) against their former separate facet loops ------
+
+
+def _oracle_convex_summand_hull(s, t):
+    lat = t.translations
+    assert all(lat.contains(p) for p in s.points)
+    s_hull = polytope.hull(s.points)
+    assert s_hull.is_full_dimensional()
+    return s_hull if ps.is_lattice_convex(s, lat) else None
+
+
+def oracle_condition_a(s, t):
+    """(a): the first facet of conv(S) whose normal u in L* has w(T, u) >= 1."""
+    s_hull = _oracle_convex_summand_hull(s, t)
+    if s_hull is None:
+        return False, None
+    dual = t.translations.dual()
+    for a, _ in s_hull.facets():
+        u = dual.primitive_parallel(a)
+        if ti.width_of(t.tile, u) >= 1:
+            return False, u
+    return True, None
+
+
+def oracle_condition_c(s, t):
+    """(c): as (a), over the facets F with aff(F) ⊆ F + L, tested first on a
+    hull of each facet."""
+    s_hull = _oracle_convex_summand_hull(s, t)
+    if s_hull is None:
+        return False, None
+    dual = t.translations.dual()
+    for a, verts in s_hull.facet_vertex_sets():
+        facet = polytope.hull(verts)
+        if not ti.affine_covering_test(facet.vertices, t.translations):
+            continue
+        u = dual.primitive_parallel(a)
+        if ti.width_of(t.tile, u) >= 1:
+            return False, u
+    return True, None
+
+
+def _condition_cases():
+    """(S, tiling) pairs for the (a)/(c) scan.
+
+    A slice of the acceptance pool in d = 2 and 3 and the two
+    counterexamples, each with at most one wide facet; random S = conv(P) ∩ L
+    in d = 3 with up to seven wide facets, some covering before others that
+    do not, and the other way round; an S that is not L-convex; and a tiling
+    of Z by 3Z.
+    """
+    _, pool = _abc_pool()
+    cases = [c for c in pool if c[0].dim == 2][:15] + [c for c in pool if c[0].dim == 3][:15]
+    ab, bc = counterexample_ab(3), counterexample_bc(3)
+    cases += [ab, bc]
+    rng = random.Random(5)
+    tilings = [bc[1], ab[1], generalized_family_tiling(3, 1), generalized_family_tiling(3, 2)]
+    for _ in range(16):
+        t = rng.choice(tilings)
+        coeffs = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        coeffs += [tuple(rng.randint(-1, 2) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        p = PointSet(linalg.mat_vec(t.translations.basis, c) for c in coeffs)
+        cases.append((PointSet(p.hull().lattice_points(t.translations)), t))
+    planar = planar_family_tiling(2)
+    b1, b2 = planar.translations.basis
+    cases.append((PointSet([(0, 0), linalg.vscale(2, b1), b2]), planar))
+    line = ti.verify_tiling(Lattice.standard(1), Lattice([(3,)]), PointSet([(0,), (1,), (2,)]))
+    return cases + [(PointSet([(0,), (3,), (6,)]), line)]
+
+
+def test_conditions_a_and_c_match_their_separate_loops():
+    outcomes = set()
+    for s, t in _condition_cases():
+        a, c = ti.condition_a_witness(s, t), ti.condition_c_witness(s, t)
+        assert a == oracle_condition_a(s, t)
+        assert c == oracle_condition_c(s, t)
+        outcomes.add((a[0], c[0], a[1] == c[1]))
+    # both conditions hold and fail, (a) fails where (c) holds, and (c)
+    # fails on the first wide facet and on a later one
+    assert {(True, True, True), (False, True, False)} <= outcomes
+    assert {(False, False, True), (False, False, False)} <= outcomes
+
+
+def test_check_abc_is_the_three_witness_calls():
+    pair = generalized_family(4, 1)
+    for s, t in _condition_cases() + [(pair.s, pair.tiling)]:
+        c = ti.condition_c_witness(s, t) if t.ambient.dim <= 3 else (None, None)
+        expected = {
+            "a": ti.condition_a_witness(s, t),
+            "b": ti.condition_b_witness(s, t),
+            "c": c,
+        }
+        assert ti.check_abc(s, t) == expected
+
+
+def test_condition_c_hulls_nothing_and_covers_only_wide_facets(monkeypatch):
+    cases = _condition_cases()
+    for s, t in cases:
+        s.hull(), t.tile.hull()
+    hulls, covered = [], []
+    build, cover = polytope.Polytope.hull, ti.affine_covering_test
+
+    def counting_hull(points):
+        hulls.append(points)
+        return build(points)
+
+    def counting_cover(vertices, lat):
+        covered.append(vertices)
+        return cover(vertices, lat)
+
+    monkeypatch.setattr(polytope.Polytope, "hull", staticmethod(counting_hull))
+    monkeypatch.setattr(ti, "affine_covering_test", counting_cover)
+    narrow = 0
+    for s, t in cases:
+        covered.clear()
+        holds, _ = ti.condition_c_witness(s, t)
+        if not ps.is_lattice_convex(s, t.translations):
+            assert (holds, covered) == (False, [])
+            continue
+        dual = t.translations.dual()
+        wide = []
+        for a, verts in s.hull().facet_vertex_sets():
+            if ti.width_of(t.tile, dual.primitive_parallel(a)) >= 1:
+                wide.append(verts)
+            else:
+                narrow += 1
+        # the wide facets in order, up to the first one that covers
+        first = next((i for i, v in enumerate(wide) if cover(v, t.translations)), None)
+        assert holds == (first is None)
+        assert covered == (wide if holds else wide[: first + 1])
+    assert hulls == []
+    assert narrow > 0
+
+
 def test_affine_covering_segments():
-    assert ti.affine_covering_test(hull([(0, 0), (1, 0)]), Z2)
-    assert not ti.affine_covering_test(hull([(0, 0), (F(1, 2), 0)]), Z2)
-    assert ti.affine_covering_test(hull([(0, 0), (3, 0)]), Z2)
+    assert ti.affine_covering_test(((0, 0), (1, 0)), Z2)
+    assert not ti.affine_covering_test(((0, 0), (F(1, 2), 0)), Z2)
+    assert ti.affine_covering_test(((3, 0), (0, 0)), Z2)
 
 
 def test_affine_covering_3d():
-    square = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    square = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
     assert ti.affine_covering_test(square, Z3)
-    triangle = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    triangle = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
     assert not ti.affine_covering_test(triangle, Z3)
     # a triangle with twice the cell area covers after translation
-    big = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0)])
+    big = ((0, 0, 0), (2, 0, 0), (0, 2, 0))
     assert ti.affine_covering_test(big, Z3)
     with pytest.raises(UnsupportedDimensionError):
         ti.affine_covering_test(
-            hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
+            ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
             Lattice.standard(4),
         )
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((2,), (5,)),  # d = 1: a segment, not a point
+        ((1, 1),),  # d = 2: a point, not a segment
+        ((0, 0), (1, 0), (0, 1)),  # d = 2: a triangle
+        ((0, 0, 0), (1, 0, 0), (3, 0, 0)),  # d = 3: collinear
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),  # d = 3: a simplex
+        (),
+    ],
+)
+def test_affine_covering_refuses_vertices_off_a_hyperplane(vertices):
+    lat = Lattice.standard(len(vertices[0]) if vertices else 3)
+    with pytest.raises(ValueError):
+        ti.affine_covering_test(vertices, lat)
+
+
 def test_conditions_in_dimension_one():
     # a facet is a point, its own affine hull
-    assert ti.affine_covering_test(hull([(5,)]), Lattice.standard(1))
+    assert ti.affine_covering_test(((5,),), Lattice.standard(1))
     # M = Z, L = 3Z, T = {0, 1, 2}
     t = ti.verify_tiling(
         Lattice.standard(1), Lattice([(3,)]), PointSet([(0,), (1,), (2,)])
@@ -453,22 +605,22 @@ def _oracle_translates_cover_cell(poly, c1, c2):
     return covered2 == cell_area2
 
 
-def oracle_affine_covering(facet, lat):
+def oracle_affine_covering(vertices, lat):
     """The covering test in a rational frame on the facet's own plane."""
     if lat.dim == 2:
-        v = linalg.vsub(facet.vertices[-1], facet.vertices[0])
+        v = linalg.vsub(vertices[-1], vertices[0])
         prim = lat.primitive_parallel(v)
         k = next(i for i, e in enumerate(prim) if e != 0)
         return abs(v[k] / prim[k]) >= 1
-    f0 = facet.vertices[0]
-    dirs = ti._independent_differences(facet.vertices)
+    f0 = vertices[0]
+    dirs = ti._independent_differences(vertices)
     normal = linalg.nullspace(dirs)[0]
     w_row = tuple(linalg.vdot(normal, col) for col in lat.basis)
     kernel = linalg.integer_kernel([linalg.primitive_integer_direction(w_row)])
     c1 = linalg.mat_vec(lat.basis, kernel[0])
     c2 = linalg.mat_vec(lat.basis, kernel[1])
     _, _, coords = linalg.span_coordinates(
-        dirs, [linalg.vsub(v, f0) for v in facet.vertices] + [c1, c2]
+        dirs, [linalg.vsub(v, f0) for v in vertices] + [c1, c2]
     )
     return _oracle_translates_cover_cell(coords[:-2], *coords[-2:])
 
@@ -479,7 +631,7 @@ NON_INTEGRAL = st.sampled_from([F(1, 2), F(1, 3), F(2, 3)])
 
 @st.composite
 def covering_inputs(draw):
-    """(facet, lattice) on a random skewed rational lattice in d = 2 or 3.
+    """(facet vertices, lattice) on a random skewed rational lattice, d = 2 or 3.
 
     The facet is spanned by lattice vectors e_i and placed at a rational
     point, mostly off the lattice.  Its vertices have coefficients with denominators 1, 2 and 3 on
@@ -521,14 +673,14 @@ def covering_inputs(draw):
     ]
     facet = hull(points)
     assume(facet.dim == d - 1)
-    return facet, lat
+    return facet.vertices, lat
 
 
 @given(covering_inputs())
 @settings(max_examples=300, deadline=None)
 def test_affine_covering_matches_rational_frame_oracle(case):
-    facet, lat = case
-    assert ti.affine_covering_test(facet, lat) == oracle_affine_covering(facet, lat)
+    vertices, lat = case
+    assert ti.affine_covering_test(vertices, lat) == oracle_affine_covering(vertices, lat)
 
 
 def test_parity_check_families():
