@@ -11,7 +11,6 @@ arithmetic and verified to tile, and tiles with equal unimodular normal forms
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 from . import linalg, tiling
@@ -134,8 +133,7 @@ def normal_form(k: PointSet):
     """
     if k.dim != 2 or k.hull().dim != 2:
         raise ValueError("the unimodular normal form needs a two-dimensional planar set")
-    # integer view: D times the offsets from the first point
-    den, ipts = linalg.clear_denominators([vsub(p, k.points[0]) for p in k.points])
+    den, ipts = k.offsets
     index = dict(zip(k.points, ipts))
     best = None
     for _, edge in k.hull().facet_vertex_sets():
@@ -200,6 +198,9 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
             cases.append((det_value, l, h, s))
 
     if config.workers > 1:
+        # imported here: it pulls in logging, a cost every import would pay
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
             results = list(pool.map(_search_case, cases))
     else:

@@ -16,7 +16,7 @@ from .errors import (
     NotLatticeConvexError,
 )
 from .lattice import Lattice, lattice_from_lhs, sublattices_of_z2
-from .linalg import frac, mat, mat_mul, mat_vec, transpose, vdot, vec, vsub
+from .linalg import frac, mat, mat_mul, mat_vec, transpose, vdot, vec, vec_str, vsub
 from .pointset import (
     PointSet,
     centrally_symmetric,
@@ -89,7 +89,7 @@ def _validate_planar_s(s: PointSet, t: Tiling, allowed_edges):
     lat = t.translations
     for p in s.points:
         if not lat.contains(p):
-            raise InvalidSError(f"S point {p} is outside L", witness=p)
+            raise InvalidSError(f"S point {vec_str(p)} is outside L", witness=p)
     if not is_lattice_convex(s, lat):
         raise InvalidSError("S is not L-convex")
     s_hull = s.hull()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -13,15 +15,24 @@ from .errors import (
     SingularMatrixError,
     ZeroVectorError,
 )
-from .linalg import Mat, Vec, mat, mat_vec, vec, vec_str
+from .linalg import Mat, Vec, mat, mat_vec, transpose, vec, vec_str
+
+IntVec = tuple[int, ...]
 
 
 class Lattice:
     """Lattice of full rank given by a column basis matrix.
 
-    Values are immutable; all derived data (inverse, dual) is cached.
-    Lattice equality means equality as point sets (mutual containment),
-    since basis matrices are only unique up to unimodular column changes.
+    Values are immutable; all derived data (inverse, dual, integer views) is
+    cached.  Lattice equality means equality as point sets (mutual
+    containment), since basis matrices are only unique up to unimodular
+    column changes.
+
+    Membership, coordinates and residues run on two integer views: the rows
+    of E B^-1 and of F B, each scaled by the least integer that makes it
+    integral.  A rational point enters as p / D with p integral, so its
+    coordinates are (E B^-1) p / (E D) and a lattice point B z is
+    (F B) z / F.
     """
 
     def __init__(self, basis):
@@ -45,12 +56,57 @@ class Lattice:
         """The positive lattice determinant |det(basis)|."""
         return abs(linalg.det(self.basis))
 
+    @cached_property
+    def integer_inverse(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(E, the rows of E B^-1), E the least integer that makes them integral."""
+        scale, rows = linalg.clear_denominators(transpose(self.inverse_basis))
+        return scale, tuple(rows)
+
+    @cached_property
+    def integer_basis(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(F, the rows of F B), F the least integer that makes them integral."""
+        scale, rows = linalg.clear_denominators(transpose(self.basis))
+        return scale, tuple(rows)
+
+    def _checked(self, v) -> Vec:
+        v = vec(v)
+        if len(v) != self.dim:
+            raise ValueError(f"expected a vector of dimension {self.dim}, got {len(v)}")
+        return v
+
+    def integer_coordinates(self, points) -> tuple[int, list[IntVec]]:
+        """(m, [m B^-1 p for p in points]), m the least integer that makes them integral.
+
+        With D p integral, B^-1 p is (E B^-1)(D p) / (E D); m is E D over
+        the gcd of E D and every numerator.
+        """
+        den, ints = linalg.clear_denominators([self._checked(p) for p in points])
+        e, rows = self.integer_inverse
+        coords = [[sum(map(mul, r, p)) for r in rows] for p in ints]
+        g = math.gcd(e * den, *itertools.chain.from_iterable(coords))
+        return e * den // g, [tuple([c // g for c in z]) for z in coords]
+
     def coordinates(self, v) -> Vec:
         """Exact coordinates of v in this basis."""
-        return mat_vec(self.inverse_basis, vec(v))
+        m, (n,) = self.integer_coordinates([v])
+        return tuple([Fraction(c, m) for c in n])
 
     def contains(self, v) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(v))
+        den, (p,) = linalg.clear_denominators([self._checked(v)])
+        return self.contains_scaled(p, den)
+
+    def contains_scaled(self, p: IntVec, den: int) -> bool:
+        """Whether p / den is a lattice point, for an integer vector p and den >= 1."""
+        e, rows = self.integer_inverse
+        m = e * den
+        return all(sum(map(mul, r, p)) % m == 0 for r in rows)
+
+    def points(self, zs) -> list[Vec]:
+        """The lattice points B z of integer coordinate vectors z, sorted."""
+        f, rows = self.integer_basis
+        # (F B) z sorts like B z, and ints sort faster than Fractions
+        scaled = sorted([tuple([sum(map(mul, r, z)) for r in rows]) for z in zs])
+        return [tuple([Fraction(c, f) for c in y]) for y in scaled]
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
@@ -79,9 +135,11 @@ class Lattice:
 
     def canonical_residue(self, v) -> Vec:
         """The representative of v + L inside the half-open cell sum [0,1) b_i."""
-        coords = self.coordinates(v)
-        fracs = tuple(c - math.floor(c) for c in coords)
-        return mat_vec(self.basis, fracs)
+        m, (n,) = self.integer_coordinates([v])
+        f, rows = self.integer_basis
+        # the coordinates' fractional parts are (n mod m) / m
+        rest = [c % m for c in n]
+        return tuple([Fraction(sum(map(mul, r, rest)), f * m) for r in rows])
 
     def primitive_part(self, v) -> Vec:
         """v divided by the gcd of its basis coordinates (primitive vector)."""
@@ -99,8 +157,9 @@ class Lattice:
         direction = vec(direction)
         if linalg.is_zero(direction):
             raise ZeroVectorError("no direction")
-        coords = linalg.primitive_integer_direction(self.coordinates(direction))
-        return mat_vec(self.basis, coords)
+        _, (n,) = self.integer_coordinates([direction])
+        g = math.gcd(*n)
+        return mat_vec(self.basis, [c // g for c in n])
 
     def to_json(self):
         from .jsonio import rational_out

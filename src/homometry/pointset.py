@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from . import linalg, polytope
 from .errors import (
@@ -12,7 +16,7 @@ from .errors import (
     NotDirectError,
     NotInLatticeError,
 )
-from .lattice import Lattice
+from .lattice import IntVec, Lattice
 from .linalg import Vec, vadd, vec, vec_str, vneg, vsub
 
 
@@ -73,6 +77,20 @@ class PointSet:
         """conv(K), built on the first call; the set is immutable, so it is kept."""
         return self._hull
 
+    @cached_property
+    def offsets(self) -> tuple[int, tuple[IntVec, ...]]:
+        """(D, the integer points D (p - lexmin) in point order).
+
+        D is the least integer that makes them integral.  Every difference
+        p - q is (p - lexmin) - (q - lexmin), so D is also the least integer
+        that makes the differences of K integral, and depends only on them.
+        """
+        scale, ints = linalg.clear_denominators(self.points)
+        p0 = ints[0]
+        rel = [tuple(map(sub, p, p0)) for p in ints]
+        g = math.gcd(scale, *itertools.chain.from_iterable(rel))
+        return scale // g, tuple([tuple([c // g for c in p]) for p in rel])
+
     def differences(self) -> list[Vec]:
         """All pairwise differences (with repetitions collapsed)."""
         return sorted({vsub(a, b) for a in self.points for b in self.points})
@@ -84,10 +102,23 @@ class PointSet:
 
 
 class Covariogram:
-    """The multiplicity map u -> |K ∩ (K + u)| of a finite set K."""
+    """The multiplicity map u -> |K ∩ (K + u)| of a finite set K.
 
-    def __init__(self, entries: dict[Vec, int]):
-        self.entries = dict(entries)
+    It is kept as (D, counts): counts maps the integer vector D u to the
+    multiplicity of u, with D the least integer that makes the differences
+    of K integral (`PointSet.offsets`).  D depends only on the support, so
+    two maps are equal iff their pairs are.
+    """
+
+    def __init__(self, den: int, counts: Counter):
+        self.den = den
+        self.counts = counts
+
+    @cached_property
+    def entries(self) -> dict[Vec, int]:
+        """The map itself, u -> |K ∩ (K + u)|, with rational keys."""
+        den = self.den
+        return {tuple([Fraction(c, den) for c in u]): m for u, m in self.counts.items()}
 
     def __getitem__(self, u) -> int:
         return self.entries.get(vec(u), 0)
@@ -95,7 +126,7 @@ class Covariogram:
     def __eq__(self, other):
         if not isinstance(other, Covariogram):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.counts == other.counts
 
     def support(self) -> list[Vec]:
         return sorted(self.entries)
@@ -112,13 +143,12 @@ class Covariogram:
 
 
 def covariogram(k: PointSet) -> Covariogram:
-    """Counts ordered pairs with a fixed difference, which equals |K ∩ (K+u)|."""
-    counts: Counter = Counter()
-    pts = k.points
-    for a in pts:
-        for b in pts:
-            counts[vsub(a, b)] += 1
-    return Covariogram(counts)
+    """Counts ordered pairs with a fixed difference, which equals |K ∩ (K+u)|.
+
+    The pairs are counted on the integer offsets, where a - b is D (a - b).
+    """
+    den, ints = k.offsets
+    return Covariogram(den, Counter(tuple(map(sub, a, b)) for a in ints for b in ints))
 
 
 def homometric(k: PointSet, m: PointSet) -> bool:
@@ -127,19 +157,36 @@ def homometric(k: PointSet, m: PointSet) -> bool:
     return covariogram(k) == covariogram(m)
 
 
+def _reflected(ints: tuple[IntVec, ...]) -> list[IntVec]:
+    """The offsets of -K from those of K, in point order.
+
+    Negation reverses the lexicographic order, and the lexmin of -K is
+    -lexmax(K), so the offsets of -K are lexmax - p in reverse order.
+    """
+    top = ints[-1]
+    return [tuple(map(sub, top, p)) for p in reversed(ints)]
+
+
 def trivially_homometric(k: PointSet, m: PointSet) -> bool:
-    """True iff the sets coincide up to a translation or a point reflection."""
+    """True iff the sets coincide up to a translation or a point reflection.
+
+    Translates have equal offsets, and reflected sets have the offsets of
+    one equal to the reflected offsets of the other.
+    """
     if k.dim != m.dim or len(k) != len(m):
         return False
-    kn = k.normalized()
-    return kn == m.normalized() or kn == m.negate().normalized()
+    (dk, ik), (dm, im) = k.offsets, m.offsets
+    return dk == dm and (ik == im or list(ik) == _reflected(im))
 
 
 def centrally_symmetric(k: PointSet) -> bool:
-    """Point-reflection invariance; the only possible center is
-    (lexmin + lexmax)/2 because reflections reverse the lexicographic order."""
-    c = vadd(k.lexmin(), k.lexmax())
-    return all(vsub(c, p) in k for p in k.points)
+    """Point-reflection invariance: K is a translate of -K.
+
+    The only possible center is (lexmin + lexmax)/2, because reflections
+    reverse the lexicographic order.
+    """
+    _, ints = k.offsets
+    return list(ints) == _reflected(ints)
 
 
 def minkowski_sum(s: PointSet, t: PointSet) -> PointSet:
@@ -164,15 +211,38 @@ def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
     return lattice_convexity_witness(k, lat) is None
 
 
+def _first_outside(lat: Lattice, k: PointSet, shift=None) -> Vec | None:
+    """The first point of K + shift outside the lattice, or None.
+
+    Each point is its first one plus an offset of K, so one rational test of
+    the first point and integer tests of the offsets decide them all.
+    """
+    first = k.points[0] if shift is None else vadd(k.points[0], shift)
+    if not lat.contains(first):
+        return first
+    den, ints = k.offsets
+    for p, z in zip(k.points, ints):
+        if not lat.contains_scaled(z, den):
+            return p if shift is None else vadd(p, shift)
+    return None
+
+
+def _missing_point(k: PointSet, scanned: list[Vec]) -> Vec | None:
+    """The first scanned point not in K, for K inside the scanned set.
+
+    Then equal sizes mean equal sets, and no point needs to be looked up.
+    """
+    if len(scanned) == len(k):
+        return None
+    return next((q for q in scanned if q not in k), None)
+
+
 def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
     """A lattice point of conv(K) missing from K, or None when K is convex."""
-    for p in k.points:
-        if not lat.contains(p):
-            raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
-    for q in k.hull().lattice_points(lat):
-        if q not in k:
-            return q
-    return None
+    p = _first_outside(lat, k)
+    if p is not None:
+        raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
+    return _missing_point(k, k.hull().lattice_points(lat))
 
 
 def sum_convexity_witness(
@@ -186,15 +256,11 @@ def sum_convexity_witness(
     s + t = (s + t0) + (s0 + t) - (s0 + t0); raises NotInLatticeError with
     the first of those |S| + |T| - 1 points outside it.
     """
-    s0, t0 = s.points[0], t.points[0]
-    for p in [vadd(a, t0) for a in s.points] + [vadd(s0, b) for b in t.points[1:]]:
-        if not lat.contains(p):
-            raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
+    p = _first_outside(lat, s, t.points[0]) or _first_outside(lat, t, s.points[0])
+    if p is not None:
+        raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
     big = polytope.minkowski_hull(s.hull(), t.hull())
-    for q in big.lattice_points(lat):
-        if q not in total:
-            return q
-    return None
+    return _missing_point(total, big.lattice_points(lat))
 
 
 def generated_lattice(k: PointSet) -> Lattice:

@@ -262,15 +262,19 @@ class Polytope:
         x belongs to the polytope iff all equalities hold and every
         inequality <row, x> <= rhs is satisfied.
         """
+        # per-call tuples are built from lists: tuple(<genexpr>) over every
+        # facet made the process's max RSS grow with the number of calls
         if self.dim == 0:
             p = self.vertices[0]
             eqs = tuple(
-                (tuple(Fraction(int(i == j)) for j in range(self.ambient)), p[i])
-                for i in range(self.ambient)
+                [
+                    (tuple(Fraction(int(i == j)) for j in range(self.ambient)), p[i])
+                    for i in range(self.ambient)
+                ]
             )
             return eqs, ()
         if self.is_full_dimensional():
-            return (), tuple((vec(a), b) for a, b in self._data["hyps"])
+            return (), tuple([(vec(a), b) for a, b in self._data["hyps"]])
         d = self._data
         eqs = d["eqs"]
         ineqs = []
@@ -283,6 +287,23 @@ class Polytope:
             row = tuple(row)
             ineqs.append((row, gamma + vdot(row, d["p0"])))
         return eqs, tuple(ineqs)
+
+    @cached_property
+    def _integer_constraints(self):
+        """`constraint_system()` with integral rows: (eqs, ineqs) as (row, rhs)
+        pairs, each row an int tuple and each rhs rational."""
+        if self.is_full_dimensional():
+            return (), self._data["hyps"]
+
+        def integral(system):
+            out = []
+            for row, rhs in system:
+                scale, (irow,) = linalg.clear_denominators([row])
+                out.append((irow, rhs * scale))
+            return out
+
+        eqs, ineqs = self.constraint_system()
+        return integral(eqs), integral(ineqs)
 
     # -- geometry ----------------------------------------------------------
 
@@ -343,28 +364,34 @@ class Polytope:
         return self._lattice_scan(lattice, strict=True)
 
     def _lattice_scan(self, lattice, strict: bool) -> list[Vec]:
-        basis = lattice.basis
-        inv = lattice.inverse_basis
-        zverts = [linalg.mat_vec(inv, v) for v in self.vertices]
-        lo = [min(math.floor(v[i]) for v in zverts) for i in range(self.ambient)]
-        hi = [max(math.ceil(v[i]) for v in zverts) for i in range(self.ambient)]
-        eqs, ineqs = self.constraint_system()
+        """Lattice points as integer coordinates z of x = B z, in integers only.
+
+        The box comes from the vertices' lattice coordinates, and a
+        constraint <r, x> ~ rhs with r integral becomes <r, (F B) z> ~ F rhs,
+        cleared of the denominator of F rhs.
+        """
+        m, zverts = lattice.integer_coordinates(self.vertices)
+        # integer coordinates between the vertices' least and greatest
+        lo = [-(-min(col) // m) for col in zip(*zverts)]
+        hi = [max(col) // m for col in zip(*zverts)]
+        f, basis_rows = lattice.integer_basis
+        basis_cols = list(zip(*basis_rows))
 
         def integer_rows(system):
-            # <r, B z> ~ rhs as integer (row, rhs) pairs, one scale per row
             rows, rhss = [], []
             for r, rhs in system:
-                _, (irow,) = linalg.clear_denominators(
-                    [[vdot(r, col) for col in basis] + [rhs]]
-                )
-                rows.append(irow[:-1])
-                rhss.append(irow[-1])
+                q, n = rhs.denominator, f * rhs.numerator
+                row = [q * _idot(r, col) for col in basis_cols]
+                g = math.gcd(n, *row)
+                rows.append(tuple([c // g for c in row]))
+                rhss.append(n // g)
             return rows, rhss
 
+        eqs, ineqs = self._integer_constraints
         eq_rows, eq_rhs = integer_rows(eqs)
         le_rows, le_rhs = integer_rows(ineqs)
         pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
-        return sorted(linalg.mat_vec(basis, z) for z in pts)
+        return lattice.points(pts)
 
 
 def _vertices_from_hyperplanes(points, ipts, planes, d) -> tuple[Vec, ...]:

@@ -84,7 +84,7 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
         raise NotASublatticeError("L is not a sublattice of M")
     for p in tile.points:
         if not ambient.contains(p):
-            raise NotATilingError(f"tile point {p} is outside M", witness=p)
+            raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
     idx = index(translations, ambient)
     if len(tile) != idx:
         raise NotATilingError(
@@ -94,14 +94,14 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     for p in tile.points:
         r = translations.canonical_residue(p)
         if r in seen:
+            pair = f"{vec_str(seen[r])} and {vec_str(p)}"
             raise NotATilingError(
-                f"tile points {seen[r]} and {p} lie in the same coset of L",
-                witness=(seen[r], p),
+                f"tile points {pair} lie in the same coset of L", witness=(seen[r], p)
             )
         seen[r] = p
     gap = pointset.lattice_convexity_witness(tile, ambient)
     if gap is not None:
-        raise NotLatticeConvexError(f"tile misses the M-point {gap}", witness=gap)
+        raise NotLatticeConvexError(f"tile misses the M-point {vec_str(gap)}", witness=gap)
     return Tiling(ambient, translations, tile, verified=True)
 
 
@@ -114,11 +114,6 @@ def _independent_differences(points: tuple[Vec, ...]) -> list[Vec]:
     return [diffs[i] for i in linalg.independent_subset(diffs)]
 
 
-def _lattice_coordinates(points, lat: Lattice):
-    """(scale, the integer points scale * B^-1 p) with the least common scale."""
-    return linalg.clear_denominators(mat_vec(lat.inverse_basis, p) for p in points)
-
-
 def _thin_widths(points, lat: Lattice, bound, strict=False):
     """(u, w(points, u)) for every u in L* \\ {o} of width <= bound (< if strict).
 
@@ -126,7 +121,7 @@ def _thin_widths(points, lat: Lattice, bound, strict=False):
     integer coordinates are the widths times the scale.  Raises
     LowerDimensionalError when the points do not span the space.
     """
-    scale, ints = _lattice_coordinates(points, lat)
+    scale, ints = lat.integer_coordinates(points)
     bstar = transpose(lat.inverse_basis)
     for m, spread in thin_directions(ints, bound * scale, strict):
         yield mat_vec(bstar, m), Fraction(spread, scale)
@@ -183,7 +178,7 @@ def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
         for take, col in zip(picks, cell_basis):
             if take:
                 corner = vadd(corner, col)
-        corners.append(mat_vec(ambient.inverse_basis, corner))
+        corners.append(ambient.coordinates(corner))
     lo = [min(math.floor(c[i]) for c in corners) for i in range(d)]
     hi = [max(math.ceil(c[i]) for c in corners) for i in range(d)]
     # coordinates of x = B_M z in the cell basis: rows of inv_cell applied to
@@ -373,7 +368,7 @@ def affine_covering_test(vertices, lat: Lattice) -> bool:
     d = lat.dim
     if d > 3:
         raise UnsupportedDimensionError("covering test is implemented for d <= 3")
-    scale, ints = _lattice_coordinates([vsub(v, vertices[0]) for v in vertices], lat)
+    scale, ints = lat.integer_coordinates([vsub(v, vertices[0]) for v in vertices])
     normals = linalg.nullspace(ints)
     if len(normals) != 1:
         raise ValueError("expected the vertices of a facet, spanning a (d-1)-flat")
@@ -518,7 +513,7 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
     # In dual coordinates the points ±w become ±B^T w, over which b = B z
     # has spread 2 max |<w, b>|; the kernel scans the z with spread <= 2 kappa.
     signed = [v for w in wset.vectors for v in (w, vneg(w))]
-    scale, pts = _lattice_coordinates(signed, lat.dual())
+    scale, pts = lat.dual().integer_coordinates(signed)
     try:
         cands = sorted((spread, z) for z, spread in thin_directions(pts, 2 * kappa * scale))
     except LowerDimensionalError:

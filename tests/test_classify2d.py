@@ -314,3 +314,15 @@ def test_tile_points_matches_kernel_region():
     for x, y in grid:
         assert 0 + 1 <= 7 * x - 3 * y <= 0 + 7
         assert 4 + 1 <= 1 * y <= 4 + 7
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures pulls in logging; only classify with workers > 1 needs it
+    code = "import sys, homometry\nprint('concurrent.futures' in sys.modules)\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

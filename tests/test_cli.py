@@ -1,5 +1,6 @@
 """CLI verbs: schemas, exit codes, witnesses, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,57 @@ def test_verify_tiling_ok_and_violation(tmp_path, capsys):
     assert code == 1
     assert doc["status"] == "violation"
     assert "witnesses" in doc
+
+
+HALVES = {"basis": [["1/2", 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "doc_in, reason",
+    [
+        (
+            {"M": {"basis": [[1, 0], [0, 1]]}, "L": {"basis": [[2, 0], [0, 1]]},
+             "T": {"points": [[0, 0], ["1/2", 0]]}},
+            "tile point (1/2, 0) is outside M",
+        ),
+        (
+            {"M": HALVES, "L": {"basis": [["3/2", 0], [0, 1]]},
+             "T": {"points": [[0, 0], ["1/2", 0], ["3/2", 0]]}},
+            "tile points (0, 0) and (3/2, 0) lie in the same coset of L",
+        ),
+        (
+            {"M": HALVES, "L": {"basis": [["3/2", 0], [0, 1]]},
+             "T": {"points": [[0, 0], ["1/2", 0], ["5/2", 0]]}},
+            "tile misses the M-point (1, 0)",
+        ),
+    ],
+    ids=["outside-M", "coset-clash", "convexity-gap"],
+)
+def test_verify_tiling_violations_print_plain_rationals(tmp_path, capsys, doc_in, reason):
+    path = write_doc(tmp_path, "t.json", doc_in)
+    code, out = run_cli(capsys, ["verify-tiling", path])
+    assert code == 1
+    assert reason in out
+    assert "Fraction(" not in out
+
+
+# SHA-256 of the covariogram verb's output before the covariogram moved onto
+# integer offsets; the report must not change by a byte
+COVARIOGRAM_OUTPUTS = [
+    ({"points": [[0], [1], [3]]},
+     "a7617ed0238e0f7c7426a70dcecbc827197a4a9ca8895590674f7eda0bfb1e5b"),
+    (TILE_K2, "6e04c49a9ff25fa4dde8b52150b5f03a06e1efe5848b8fd2bdcbb043754f5c3a"),
+    ({"points": [["1/2", 0], [1, "1/3"], [0, "-2/3"], ["7/6", 2]]},
+     "b4bea019da9ae116150f0400dffa985c49c2a91b42408e09ee4e94f6d7c7aa73"),
+]
+
+
+@pytest.mark.parametrize("doc_in, digest", COVARIOGRAM_OUTPUTS)
+def test_covariogram_report_is_unchanged(tmp_path, capsys, doc_in, digest):
+    path = write_doc(tmp_path, "k.json", doc_in)
+    code, out = run_cli(capsys, ["covariogram", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_abc_verb(tmp_path, capsys):

@@ -45,6 +45,8 @@ def test_planar_family_rejects_bad_s():
     bad2 = PointSet([(0, 0), b1, linalg.vsub(b2, b1), linalg.vadd(b1, b2)])
     with pytest.raises(InvalidSError):
         con.planar_family(2, bad2)
+    with pytest.raises(InvalidSError, match=r"S point \(1/2, 0\) is outside L"):
+        con.planar_family(2, PointSet([(0, 0), ("1/2", 0)]))
 
 
 def test_planar_family_condition_a_holds():

@@ -1,10 +1,13 @@
 """Lattices: membership, duals, indices, residues, sublattice enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.classify2d import shear_normal_bases
@@ -193,3 +196,96 @@ def test_json_roundtrip():
     lat = Lattice([(3, -1), (2, 1)])
     doc = lat.to_json()
     assert jsonio.lattice_in(doc, "$") == lat
+
+
+# -- the integer views against the former Fraction formulas -----------------
+
+
+def fraction_coordinates(lat, v):
+    """The former Lattice.coordinates: B^-1 v by a Fraction mat_vec."""
+    return linalg.mat_vec(lat.inverse_basis, linalg.vec(v))
+
+
+def fraction_contains(lat, v):
+    return all(c.denominator == 1 for c in fraction_coordinates(lat, v))
+
+
+def fraction_residue(lat, v):
+    coords = fraction_coordinates(lat, v)
+    return linalg.mat_vec(lat.basis, tuple(c - (c.numerator // c.denominator) for c in coords))
+
+
+def fraction_primitive_parallel(lat, v):
+    coords = linalg.primitive_integer_direction(fraction_coordinates(lat, v))
+    return linalg.mat_vec(lat.basis, coords)
+
+
+DENOMINATORS = [(1,), (2, 3), (1, 5, 7), (4, 6), (3, 2**65 + 1)]
+
+
+@st.composite
+def skewed_lattices(draw, dims=(1, 2, 3)):
+    """Rational lattices: a lower-triangular basis with mixed denominators,
+    sheared by multiples of its first column, so B^-1 has large entries."""
+    d = draw(st.sampled_from(dims))
+    dens = draw(st.sampled_from(DENOMINATORS))
+    entry = st.builds(F, st.integers(-9, 9), st.sampled_from(dens))
+    nonzero = st.builds(F, st.integers(1, 4) | st.integers(-4, -1), st.sampled_from(dens))
+    cols = []
+    for j in range(d):
+        cols.append([F(0)] * j + [draw(nonzero)] + [draw(entry) for _ in range(d - j - 1)])
+    for j in range(1, d):
+        k = draw(st.integers(-5, 5))
+        cols[j] = [a + k * b for a, b in zip(cols[j], cols[0])]
+    return Lattice(cols)
+
+
+@st.composite
+def lattice_and_points(draw):
+    """A skewed lattice and points near it: lattice points with coordinates
+    up to 2**70, some of them moved off the lattice by a small rational."""
+    lat = draw(skewed_lattices())
+    d = lat.dim
+    dens = draw(st.sampled_from(DENOMINATORS))
+    small = st.builds(F, st.integers(-3, 3), st.sampled_from(dens))
+    big = st.integers(-5, 5) | st.integers(-(2**70), 2**70)
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        z = draw(st.tuples(*[big] * d))
+        p = linalg.mat_vec(lat.basis, z)
+        if draw(st.booleans()):
+            p = linalg.vadd(p, draw(st.tuples(*[small] * d)))
+        pts.append(p)
+    return lat, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_points())
+def test_integer_views_match_fraction_formulas(case):
+    lat, pts = case
+    coords = [fraction_coordinates(lat, p) for p in pts]
+    m, ints = lat.integer_coordinates(pts)
+    assert m == math.lcm(*[c.denominator for v in coords for c in v])
+    assert ints == [tuple(c * m for c in v) for v in coords]
+    for p in pts:
+        assert lat.coordinates(p) == fraction_coordinates(lat, p)
+        assert lat.contains(p) == fraction_contains(lat, p)
+        assert lat.canonical_residue(p) == fraction_residue(lat, p)
+        if any(p):
+            assert lat.primitive_parallel(p) == fraction_primitive_parallel(lat, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed_lattices(), st.lists(st.integers(-(2**70), 2**70), min_size=3, max_size=3))
+def test_integer_basis_maps_coordinates_back(lat, z):
+    z = z[: lat.dim]
+    (x,) = lat.points([z])
+    assert x == linalg.mat_vec(lat.basis, z)
+    den, (p,) = linalg.clear_denominators([x])
+    assert lat.contains_scaled(p, den)
+    assert lat.contains_scaled(p, 2 * den) == all(c % 2 == 0 for c in z)
+
+
+def test_contains_refuses_a_vector_of_another_dimension():
+    with pytest.raises(ValueError):
+        Z2.contains((1, 2, 3))

@@ -1,12 +1,15 @@
 """Point sets: covariograms, homometry, symmetry, direct sums, convexity."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homometry import linalg
 from homometry import pointset as ps
 from homometry.errors import (
     DegenerateDifferencesError,
@@ -214,3 +217,129 @@ def test_json_roundtrip():
 
     k = PointSet([(0, 0), (F(1, 2), 3)])
     assert jsonio.pointset_in(k.to_json(), "$") == k
+
+
+# -- the integer offsets against the former Fraction formulas ---------------
+
+
+def fraction_covariogram(k: PointSet) -> dict:
+    """The former covariogram: a Fraction difference per ordered pair."""
+    counts: Counter = Counter()
+    for a in k.points:
+        for b in k.points:
+            counts[linalg.vsub(a, b)] += 1
+    return dict(counts)
+
+
+def fraction_trivially_homometric(k: PointSet, m: PointSet) -> bool:
+    if k.dim != m.dim or len(k) != len(m):
+        return False
+    kn = k.normalized()
+    return kn == m.normalized() or kn == m.negate().normalized()
+
+
+def fraction_centrally_symmetric(k: PointSet) -> bool:
+    c = linalg.vadd(k.lexmin(), k.lexmax())
+    return all(linalg.vsub(c, p) in k for p in k.points)
+
+
+def fraction_convexity_witness(k: PointSet, lat: Lattice):
+    """The former lattice_convexity_witness: every point tested alone."""
+    for p in k.points:
+        if not all(c.denominator == 1 for c in linalg.mat_vec(lat.inverse_basis, p)):
+            raise NotInLatticeError("outside", witness=p)
+    for q in k.hull().lattice_points(lat):
+        if q not in k:
+            return q
+    return None
+
+
+DENOMINATORS = [(1,), (2, 3), (1, 5, 7), (4, 6), (3, 2**65 + 1)]
+
+
+@st.composite
+def rational_sets(draw, d=None):
+    """Sets in d = 1..3 with mixed denominators, shifted past 2**64 or not."""
+    d = d or draw(st.integers(1, 3))
+    dens = draw(st.sampled_from(DENOMINATORS))
+    coord = st.builds(F, st.integers(-4, 4), st.sampled_from(dens))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    shift = draw(st.tuples(*[st.sampled_from([0, F(2**64 + 1, 3), -(2**70)])] * d))
+    return PointSet([linalg.vadd(linalg.vec(p), shift) for p in pts])
+
+
+@st.composite
+def related_pairs(draw):
+    """(K, M): M a translate or reflection of K, K itself moved by one
+    point, or an independent set of the same dimension."""
+    k = draw(rational_sets())
+    t = draw(st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 4))] * k.dim))
+    kind = draw(st.sampled_from(["translate", "reflect", "moved", "other"]))
+    if kind == "translate":
+        return k, k.translate(t)
+    if kind == "reflect":
+        return k, k.negate().translate(t)
+    if kind == "moved":
+        pts = list(k.points)
+        pts[draw(st.integers(0, len(pts) - 1))] = linalg.vadd(pts[0], t)
+        return k, PointSet(pts)
+    return k, draw(rational_sets(k.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pairs())
+def test_offsets_match_fraction_formulas(pair):
+    k, m = pair
+    den, ints = k.offsets
+    diffs = [linalg.vsub(p, k.lexmin()) for p in k.points]
+    assert den == math.lcm(*[c.denominator for v in diffs for c in v])
+    assert ints == tuple(tuple(int(c * den) for c in v) for v in diffs)
+    cov = ps.covariogram(k)
+    assert cov.entries == fraction_covariogram(k)
+    assert (cov == ps.covariogram(m)) == (fraction_covariogram(k) == fraction_covariogram(m))
+    assert ps.trivially_homometric(k, m) == fraction_trivially_homometric(k, m)
+    assert ps.centrally_symmetric(k) == fraction_centrally_symmetric(k)
+
+
+@st.composite
+def sets_near_a_lattice(draw):
+    """(K, L): L = (1/q) Z^d sheared along e1, K lattice points of L with
+    coordinates up to 2**70, one of them moved off L in half the cases."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1, 2, 3]))
+    shear = draw(st.integers(-4, 4))
+    cols = [
+        [F(int(i == j), q) + (shear if i == 0 < j else 0) for i in range(d)]
+        for j in range(d)
+    ]
+    lat = Lattice(cols)
+    far = draw(st.sampled_from([0, 2**70]))
+    zs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8))
+    pts = [linalg.mat_vec(lat.basis, [c + far for c in z]) for z in zs]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pts) - 1))
+        pts[i] = (pts[i][0] + F(1, 7),) + pts[i][1:]
+    return PointSet(pts), lat
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_near_a_lattice())
+def test_convexity_witness_matches_fraction_formula(case):
+    k, lat = case
+    try:
+        expected = fraction_convexity_witness(k, lat)
+    except NotInLatticeError as exc:
+        with pytest.raises(NotInLatticeError) as info:
+            ps.lattice_convexity_witness(k, lat)
+        assert info.value.witness == exc.witness
+        return
+    assert ps.lattice_convexity_witness(k, lat) == expected
+
+
+def test_covariogram_is_translation_invariant_and_sees_scaling():
+    k = PointSet([(0, 0), (2, 1), (3, 0), (F(1, 2), 5)])
+    shifted = k.translate((F(1, 3), 0))
+    assert ps.covariogram(k) == ps.covariogram(shifted)
+    assert ps.covariogram(shifted).to_json() == ps.covariogram(k).to_json()
+    doubled = PointSet([linalg.vscale(2, p) for p in k.points])
+    assert ps.covariogram(k) != ps.covariogram(doubled)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homometry import linalg
+from homometry._kernels import box_scan
 from homometry.errors import (
     LowerDimensionalError,
     OriginNotInteriorError,
@@ -409,3 +410,63 @@ def test_hull_matches_brute_force_oracle(points):
         assert p.vertices == verts
         assert list(p.facets()) == facets
         assert p.volume() == volume
+
+
+# -- the integer lattice scan against the former Fraction scan --------------
+
+
+def fraction_lattice_scan(poly, lat, strict):
+    """The former Polytope._lattice_scan: Fraction box, rows and map-back."""
+    d = poly.ambient
+    zverts = [linalg.mat_vec(lat.inverse_basis, v) for v in poly.vertices]
+    lo = [min(z[i].__floor__() for z in zverts) for i in range(d)]
+    hi = [max(z[i].__ceil__() for z in zverts) for i in range(d)]
+    eqs, ineqs = poly.constraint_system()
+
+    def integer_rows(system):
+        rows, rhss = [], []
+        for r, rhs in system:
+            _, (irow,) = linalg.clear_denominators(
+                [[linalg.vdot(r, col) for col in lat.basis] + [rhs]]
+            )
+            rows.append(irow[:-1])
+            rhss.append(irow[-1])
+        return rows, rhss
+
+    eq_rows, eq_rhs = integer_rows(eqs)
+    le_rows, le_rhs = integer_rows(ineqs)
+    pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
+    return sorted(linalg.mat_vec(lat.basis, z) for z in pts)
+
+
+@st.composite
+def polytopes_and_lattices(draw):
+    """Hulls of up to 7 points in d = 1..3 with mixed denominators, some flat,
+    some past 2**64, and a lattice (1/q) Z^d sheared by up to 3 per entry."""
+    d = draw(st.integers(1, 3))
+    dens = draw(st.sampled_from([(1,), (2, 3), (1, 5, 7), (4, 6)]))
+    coord = st.builds(F, st.integers(-4, 4), st.sampled_from(dens))
+    flat = d > 1 and draw(st.integers(0, 3)) == 0
+    width = d - 1 if flat else d
+    pts = draw(st.lists(st.tuples(*[coord] * width), min_size=1, max_size=7))
+    if flat:
+        c = draw(st.tuples(*[coord] * width))
+        pts = [p + (linalg.vdot(c, p),) for p in pts]
+    shift = draw(st.sampled_from([0, 2**64 + 1, F(-(2**70), 3)]))
+    q = draw(st.sampled_from([1, 2, 3]))
+    cols = [[F(int(i == j), q) for i in range(d)] for j in range(d)]
+    for j in range(1, d):
+        k = draw(st.integers(-3, 3))
+        cols[j] = [a + k * b for a, b in zip(cols[j], cols[j - 1])]
+    poly = hull([tuple(x + shift for x in p) for p in pts])
+    return poly, Lattice(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes_and_lattices())
+def test_lattice_scan_matches_fraction_scan(case):
+    poly, lat = case
+    assert poly.lattice_points(lat) == fraction_lattice_scan(poly, lat, strict=False)
+    if poly.is_full_dimensional():
+        inner = poly.interior_lattice_points(lat)
+        assert inner == fraction_lattice_scan(poly, lat, strict=True)
