@@ -9,9 +9,11 @@ Conventions used throughout the package:
   combination of the columns of M with coefficients x.
 
 Every rational solver (``det`` beyond 2x2, ``solve``, ``inverse``,
-``adjugate``, ``nullspace``, ``independent_subset``, ``rank_of``) is a thin
-wrapper around one row-incremental Gauss-Jordan pass, ``_gauss_jordan``.
-``clear_denominators`` is the one way rational data becomes integer data.
+``nullspace``, ``independent_subset``, ``rank_of``) is a thin wrapper
+around one fraction-free, row-incremental Gauss-Jordan pass,
+``_gauss_jordan``: it runs on integers, and only the solvers' outputs are
+Fractions.  ``clear_denominators`` is the one way rational vectors become
+integer data.
 """
 
 from __future__ import annotations
@@ -114,55 +116,58 @@ def clear_denominators(vectors: Iterable[Sequence]) -> tuple[int, list[tuple[int
     return den, [tuple(e.numerator * (den // e.denominator) for e in v) for v in vectors]
 
 
-_ZERO = Fraction(0)
-
-
 def _gauss_jordan(rows: Iterable[Sequence], width: int):
-    """One row-incremental Gauss-Jordan pass, the elimination behind every
-    exact solver here.
+    """One fraction-free, row-incremental Gauss-Jordan pass, the elimination
+    behind every exact solver here (Bareiss 1968).
 
-    Each row is reduced against the pivot rows kept so far.  When a nonzero
-    entry is left among its first `width` entries, the first such entry is
-    its lead: the row is scaled to lead 1, its lead column is cleared from
-    the other pivot rows, and it is kept.  The pass stops after `width`
-    pivots.  Returns (kept, pivots, lead_product): the indices of the kept
-    rows, their reduced rows as (lead column, row) in the order kept, and
-    the product of the leads before scaling.  The kept rows are exactly the
-    rows independent of the rows kept before them, and the pivot rows are
-    the reduced row echelon form of what they span.
+    Each row is cleared of its denominators on entry, then reduced against
+    the pivot rows kept so far.  When a nonzero entry is left among its
+    first `width` entries, the first such entry is its lead and the row is
+    kept.  The pass stops after `width` pivots.  Every pivot row is `den`
+    times its row of the reduced row echelon form, where `den` is the
+    leading minor of the kept rows: their determinant at the lead columns,
+    which is what makes every update below an exact integer division.
+
+    Returns (kept, pivots, den, scale): the indices of the kept rows, their
+    pivot rows as (lead column, int row) in the order kept, den, and the
+    product of the kept rows' denominator scales, so that den / scale is
+    the leading minor of the kept rows as given.  The kept rows are exactly
+    the rows independent of the rows kept before them.
     """
-    # zero entries are skipped, not multiplied: a Fraction operation on 0
-    # costs as much as on any other value, and pivot rows are mostly zeros
     kept: list[int] = []
-    pivots: list[tuple[int, list[Fraction]]] = []
-    lead_product = Fraction(1)
+    pivots: list[tuple[int, list[int]]] = []
+    den = scale = 1
     for i, row in enumerate(rows):
+        q = math.lcm(*[e.denominator for e in row])
+        row = [e.numerator * (q // e.denominator) for e in row]
+        # den times the row reduced against the pivots, zero at every lead
+        u = [den * x for x in row]
         for lead, p in pivots:
             c = row[lead]
             if c:
-                row = [x - c * y if y else x for x, y in zip(row, p)]
-        lead = next((k for k in range(width) if row[k]), None)
+                u = [x - c * y for x, y in zip(u, p)]
+        lead = next((k for k in range(width) if u[k]), None)
         if lead is None:
             continue
-        lead_product *= row[lead]
-        inv = 1 / Fraction(row[lead])
-        row = [e * inv if e else _ZERO for e in row]
+        new_den = u[lead]
         for j, (other, p) in enumerate(pivots):
             c = p[lead]
-            if c:
-                pivots[j] = (other, [x - c * y if y else x for x, y in zip(p, row)])
+            pivots[j] = (other, [(new_den * x - c * y) // den for x, y in zip(p, u)])
         kept.append(i)
-        pivots.append((lead, row))
+        pivots.append((lead, u))
+        den = new_den
+        scale *= q
         if len(pivots) == width:
             break
-    return kept, pivots, lead_product
+    return kept, pivots, den, scale
 
 
 def det(m: Mat) -> Fraction:
     """Exact determinant: closed forms up to 2x2, else one Gauss-Jordan pass.
 
-    The pass reduces the columns as rows; the determinant is the product of
-    the leads times the sign of the permutation their columns form.
+    The pass reduces the columns as rows; the determinant is the leading
+    minor over the row scales, times the sign of the permutation the lead
+    columns form.
     """
     d = len(m)
     if any(len(c) != d for c in m):
@@ -173,43 +178,38 @@ def det(m: Mat) -> Fraction:
         return m[0][0]
     if d == 2:
         return m[0][0] * m[1][1] - m[1][0] * m[0][1]
-    _, pivots, lead_product = _gauss_jordan(m, d)
+    _, pivots, den, scale = _gauss_jordan(m, d)
     if len(pivots) < d:
         return Fraction(0)
     leads = [lead for lead, _ in pivots]
     inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1 :])
-    return -lead_product if inversions % 2 else lead_product
-
-
-def adjugate(m: Mat) -> Mat:
-    """Matrix Adj with m @ Adj = det(m) * identity, for nonsingular m only.
-
-    Raises SingularMatrixError when det(m) = 0.
-    """
-    dm = det(m)
-    return tuple(tuple(dm * e for e in col) for col in inverse(m))
+    return Fraction(-den if inversions % 2 else den, scale)
 
 
 def _solve_columns(m: Mat, rhs: Sequence[Sequence]) -> Mat:
     """The columns x_k with m @ x_k = rhs[k], from one elimination of [m | rhs]."""
     d = len(m)
+    if any(len(c) != d for c in (*m, *rhs)):
+        raise ValueError("solving needs a square matrix and right-hand sides of its size")
     rows = [[col[i] for col in m] + [b[i] for b in rhs] for i in range(d)]
-    _, pivots, _ = _gauss_jordan(rows, d)
+    _, pivots, den, _ = _gauss_jordan(rows, d)
     if len(pivots) < d:
         raise SingularMatrixError("singular matrix")
     x = [()] * d
     for lead, row in pivots:
-        x[lead] = row[d:]
+        x[lead] = [Fraction(e, den) for e in row[d:]]
     return tuple(zip(*x))
 
 
 def solve(m: Mat, v: Vec) -> Vec:
-    """Exact solution x of m @ x = v; raises SingularMatrixError."""
+    """Exact solution x of m @ x = v; raises SingularMatrixError, and
+    ValueError unless m is square and v of its size."""
     return _solve_columns(m, [vec(v)])[0]
 
 
 def inverse(m: Mat) -> Mat:
-    """Exact inverse; raises SingularMatrixError."""
+    """Exact inverse; raises SingularMatrixError, and ValueError unless m is
+    square."""
     return _solve_columns(m, identity(len(m)))
 
 
@@ -350,7 +350,7 @@ def independent_subset(vectors: Sequence[Sequence]) -> list[int]:
     """
     if not vectors:
         return []
-    kept, _, _ = _gauss_jordan(vectors, len(vectors[0]))
+    kept, _, _, _ = _gauss_jordan(vectors, len(vectors[0]))
     return kept
 
 
@@ -388,7 +388,7 @@ def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:
     if not rows:
         raise ValueError("nullspace needs at least the ambient dimension")
     d = len(rows[0])
-    _, pivots, _ = _gauss_jordan(rows, d)
+    _, pivots, den, _ = _gauss_jordan(rows, d)
     leads = {lead for lead, _ in pivots}
     out = []
     for fc in range(d):
@@ -397,6 +397,6 @@ def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:
         x = [Fraction(0)] * d
         x[fc] = Fraction(1)
         for pc, row in pivots:
-            x[pc] = -row[fc]
+            x[pc] = Fraction(-row[fc], den)
         out.append(tuple(x))
     return tuple(out)

@@ -40,8 +40,9 @@ def _idot(u: IntVec, v: IntVec) -> int:
 def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
     """Primitive normal of the hyperplane through d integer points of Z^d.
 
-    Cofactors of the d-1 edge vectors from pts[0]; None when the points
-    are affinely dependent.
+    Closed-form cofactors of the d-1 edge vectors from pts[0] in d = 2 and
+    d = 3, (1,) in d = 1, else the kernel of the (d-1) x d edge matrix from
+    one exact elimination.  None when the points are affinely dependent.
     """
     p0 = pts[0]
     rows = [tuple(x - y for x, y in zip(q, p0)) for q in pts[1:]]
@@ -52,11 +53,13 @@ def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
     elif d == 3:
         (a1, a2, a3), (b1, b2, b3) = rows
         normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    elif d == 1:  # no edges: the hyperplane is the point itself
+        normal = (1,)
     else:
-        normal = tuple(
-            (-1) ** j * int(linalg.det(tuple(r[:j] + r[j + 1 :] for r in rows)))
-            for j in range(d)
-        )
+        kernel = linalg.nullspace(rows)
+        if len(kernel) != 1:
+            return None
+        normal = linalg.primitive_integer_direction(kernel[0])
     g = math.gcd(*normal)
     return tuple(c // g for c in normal) if g else None
 
@@ -64,7 +67,8 @@ def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
 def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     """Beneath-beyond hull of full-dimensional points.
 
-    Returns (hyperplanes, boundary simplices, interior point, vertices).
+    Returns (hyperplanes, boundary simplices, interior point, vertices,
+    the vertices on each hyperplane).
     Each boundary simplex is a tuple of d point indices; simplices tile the
     boundary exactly, which later gives exact volumes for free.
     """
@@ -149,9 +153,8 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     hyperplanes = tuple((a, Fraction(b, den)) for a, b in planes)
     simplices = tuple(tuple(sorted(verts)) for verts in facets)
     centroid = tuple(Fraction(c, (d + 1) * den) for c in inner)
-    return hyperplanes, simplices, centroid, _vertices_from_hyperplanes(
-        points, ipts, planes, d
-    )
+    verts, on_plane = _vertices_from_hyperplanes(points, ipts, planes, d)
+    return hyperplanes, simplices, centroid, verts, on_plane
 
 
 class Polytope:
@@ -185,9 +188,10 @@ class Polytope:
         r = len(dirs)
         if r == ambient:
             init = [0] + frame
-            hyps, simplex_idx, inner, verts = _hull_full_dim(pts, ambient, init)
+            hyps, simplex_idx, inner, verts, on_plane = _hull_full_dim(pts, ambient, init)
             data = {
                 "hyps": hyps,
+                "facet_vertices": on_plane,
                 "simplices": tuple(tuple(pts[i] for i in s) for s in simplex_idx),
                 "inner": inner,
             }
@@ -243,11 +247,8 @@ class Polytope:
         """Pairs (primitive integer normal, vertices on that facet)."""
         if not self.is_full_dimensional():
             raise LowerDimensionalError("facets of a lower-dimensional polytope")
-        out = []
-        for a, b in self._data["hyps"]:
-            av = vec(a)
-            out.append((a, tuple(v for v in self.vertices if vdot(av, v) == b)))
-        return tuple(out)
+        normals = [a for a, _ in self._data["hyps"]]
+        return tuple(zip(normals, self._data["facet_vertices"]))
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -394,17 +395,21 @@ class Polytope:
         return lattice.points(pts)
 
 
-def _vertices_from_hyperplanes(points, ipts, planes, d) -> tuple[Vec, ...]:
-    """Extreme points: input points whose tight facet normals span R^d.
+def _vertices_from_hyperplanes(points, ipts, planes, d):
+    """Extreme points, and the extreme points on each plane, in the order of
+    `points` (sorted): the points whose tight facet normals span R^d.
 
     `ipts` and `planes` are the integer view of `points` and of the facets.
     """
     verts = []
+    on_plane = [[] for _ in planes]
     for p, q in zip(points, ipts):
-        tight = [a for a, b in planes if _idot(a, q) == b]
-        if len(tight) >= d and linalg.rank_of(tight) == d:
+        tight = [k for k, (a, b) in enumerate(planes) if _idot(a, q) == b]
+        if len(tight) >= d and linalg.rank_of([planes[k][0] for k in tight]) == d:
             verts.append(p)
-    return tuple(sorted(verts))
+            for k in tight:
+                on_plane[k].append(p)
+    return tuple(verts), tuple(map(tuple, on_plane))
 
 
 def hull(points) -> Polytope:

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lattice import Lattice, index
-from .linalg import Vec, mat, mat_vec, transpose, vadd, vdot, vec, vec_str, vneg, vsub
+from .linalg import Vec, mat, mat_vec, transpose, vdot, vec, vec_str, vneg, vsub
 from .pointset import PointSet
 
 
@@ -162,6 +162,23 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
 # -- Dirichlet cells and tile enumeration -----------------------------------
 
 
+def _cell_points(rows, lo, hi) -> list[tuple[int, ...]]:
+    """The integer z with lo_i <= <rows_i, z> <= hi_i, in lexicographic order.
+
+    The rows are d independent integer vectors and the bounds integers: as
+    <rows_i, z> is an integer, an open bound b is the closed bound
+    floor(b) + 1 from below and ceil(b) - 1 from above.  The scan's box is
+    that of z = R^-1 c over the corners c of the box [lo, hi].
+    """
+    box_lo, box_hi = [], []
+    # column j of R^-1 is row j of (R^T)^-1, and the rows are R^T's columns
+    for col in linalg.inverse(rows):
+        box_lo.append(math.ceil(sum(min(a * l, a * h) for a, l, h in zip(col, lo, hi))))
+        box_hi.append(math.floor(sum(max(a * l, a * h) for a, l, h in zip(col, lo, hi))))
+    le_rows = [*rows, *[tuple(-e for e in r) for r in rows]]
+    return box_scan(box_lo, box_hi, [], [], le_rows, [*hi, *[-b for b in lo]])
+
+
 def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
     """Points of M inside the half-open cell v + (0,1] b_1 + ... + (0,1] b_d."""
     cell_basis = mat(cell_basis)
@@ -169,80 +186,42 @@ def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
         if not ambient.contains(col):
             msg = f"cell basis vector {vec_str(col)} is outside M"
             raise NotInLatticeError(msg, witness=col)
-    v = vec(v)
-    d = ambient.dim
-    inv_cell = linalg.inverse(cell_basis)
-    corners = []
-    for picks in itertools.product((0, 1), repeat=d):
-        corner = v
-        for take, col in zip(picks, cell_basis):
-            if take:
-                corner = vadd(corner, col)
-        corners.append(ambient.coordinates(corner))
-    lo = [min(math.floor(c[i]) for c in corners) for i in range(d)]
-    hi = [max(math.ceil(c[i]) for c in corners) for i in range(d)]
-    # coordinates of x = B_M z in the cell basis: rows of inv_cell applied to
-    # x, so x - v has cell coordinates c_i = row_i·z - t_i
-    t = mat_vec(inv_cell, v)
-    le_rows, le_rhs = [], []
-    for i in range(d):
-        row = [
-            vdot(tuple(inv_cell[k][i] for k in range(d)), col)
-            for col in ambient.basis
-        ]
-        # irow = scale * row_i and ti = scale * t_i are integral
-        scale, ((*irow, ti),) = linalg.clear_denominators([row + [t[i]]])
-        # c_i <= 1  ->  irow·z <= ti + scale
-        le_rows.append(tuple(irow))
-        le_rhs.append(ti + scale)
-        # c_i > 0   ->  irow·z >= ti + 1, as the integers are spaced by 1
-        le_rows.append(tuple(-e for e in irow))
-        le_rhs.append(-(ti + 1))
-    pts = box_scan(lo, hi, [], [], le_rows, le_rhs, strict=False)
+    # with the cell basis K in M-coordinates, x = B_M z has cell coordinates
+    # c = K^-1 (z - y), y the M-coordinates of v, and E K^-1 is integral
+    _, k_cols = ambient.integer_coordinates(cell_basis)
+    e, rows = Lattice(k_cols).integer_inverse
+    y = ambient.coordinates(v)
+    # 0 < c_i <= 1 is <row_i, y> < <row_i, z> <= <row_i, y> + E
+    floors = [math.floor(vdot(row, y)) for row in rows]
+    pts = _cell_points(rows, [f + 1 for f in floors], [f + e for f in floors])
     return PointSet([mat_vec(ambient.basis, z) for z in pts])
 
 
 def enumerate_tiles_tq(basis) -> list[PointSet]:
     """All candidate tiles T_q of the integer lattice for a sublattice basis.
 
-    The admissible offsets q_i run over {0, ..., L-1} in steps of n_i, the
-    gcd of the i-th adjugate row; tiles are the integer points of the closed
-    cells sum_i [(q_i+n_i)/L, (q_i+L)/L] b_i, deduplicated.
+    With L = det(B), the rows a_i of L B^-1 (the adjugate) are integral, and
+    the admissible offsets q_i run over {0, ..., L-1} in steps of n_i, the
+    gcd of a_i; tiles are the integer points t of the closed cells
+    q_i + n_i <= <a_i, t> <= q_i + L, deduplicated.
     """
     basis = mat(basis)
     if not linalg.is_integral(basis):
         raise ValueError("tile enumeration needs an integral basis")
-    d = len(basis)
     det = linalg.det(basis)
     if det == 0:
         raise SingularMatrixError("singular basis")
     if det < 0:
         raise ValueError("basis must be positively oriented (det > 0)")
     big_l = int(det)
-    adj = linalg.adjugate(basis)
-    rows = [tuple(int(adj[j][i]) for j in range(d)) for i in range(d)]
-    ns = [math.gcd(*[abs(e) for e in row]) for row in rows]
+    e, e_rows = Lattice(basis).integer_inverse
+    rows = [tuple(big_l // e * c for c in row) for row in e_rows]
+    ns = [math.gcd(*row) for row in rows]
     seen = set()
     tiles = []
     for q in itertools.product(*[range(0, big_l, n) for n in ns]):
-        lo_vals = [q[i] + ns[i] for i in range(d)]
-        hi_vals = [q[i] + big_l for i in range(d)]
-        corners = []
-        for picks in itertools.product((0, 1), repeat=d):
-            c = tuple(
-                Fraction(hi_vals[i] if picks[i] else lo_vals[i], big_l)
-                for i in range(d)
-            )
-            corners.append(mat_vec(basis, c))
-        lo = [min(math.floor(c[i]) for c in corners) for i in range(d)]
-        hi = [max(math.ceil(c[i]) for c in corners) for i in range(d)]
-        le_rows, le_rhs = [], []
-        for i in range(d):
-            le_rows.append(rows[i])
-            le_rhs.append(hi_vals[i])
-            le_rows.append(tuple(-e for e in rows[i]))
-            le_rhs.append(-lo_vals[i])
-        pts = box_scan(lo, hi, [], [], le_rows, le_rhs, strict=False)
+        lo = [qi + n for qi, n in zip(q, ns)]
+        pts = _cell_points(rows, lo, [qi + big_l for qi in q])
         if not pts:
             continue
         key = frozenset(pts)

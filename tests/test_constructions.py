@@ -78,6 +78,34 @@ def test_generalized_d3_k1_data():
     assert values == [0, 1, 2, 3]
 
 
+def assert_hull_supports(k: PointSet):
+    """Every facet inequality of conv(K) holds on all of K and is tight on d
+    affinely independent vertices, ranked by integer HNF instead of the
+    elimination behind the hull; facet_vertex_sets lists the tight ones."""
+    poly = k.hull()
+    d = poly.ambient
+    assert poly.dim == d and set(poly.vertices) <= set(k.points)
+    incidences = dict(poly.facet_vertex_sets())
+    for a, b in poly.facets():
+        assert max(linalg.vdot(a, p) for p in k.points) == b
+        tight = tuple(v for v in poly.vertices if linalg.vdot(a, v) == b)
+        assert len(linalg.hnf_basis([linalg.vsub(v, tight[0]) for v in tight])) == d - 1
+        assert incidences[tuple(int(c) for c in a)] == tight
+
+
+@pytest.mark.parametrize("d, k", [(5, 1), (5, 2), (6, 1)])
+def test_generalized_family_beyond_four_dimensions(d, k):
+    # the construction holds for each d >= 3; these reach the hull's
+    # generic facet normal, past the closed forms of d = 2 and 3
+    pair = con.generalized_family(d, k)
+    plus, minus = pair.sum_plus, pair.sum_minus
+    assert ps.covariogram(plus) == ps.covariogram(minus)
+    assert pair.nontrivial and not ps.trivially_homometric(plus, minus)
+    for total in (plus, minus):
+        assert ps.is_lattice_convex(total, pair.tiling.ambient)
+        assert_hull_supports(total)
+
+
 def test_generalized_truncated_box():
     pair = con.generalized_family(2, 1, variant="truncated_box", n=2, m=3)
     assert pair.nontrivial

@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, adjugates, HNF, dual bases."""
+"""Exact linear algebra: determinants, inverses, HNF, dual bases."""
 
 import itertools
 import math
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.errors import InvariantError, SingularMatrixError
-from homometry.linalg import det, adjugate, dual_basis, hnf, identity, mat, solve
+from homometry.linalg import det, dual_basis, hnf, identity, mat, solve
+
+
+def det_times_inverse(m):
+    """det(m) * inverse(m), the adjugate of a nonsingular m."""
+    value = det(m)
+    return tuple(tuple(value * e for e in col) for col in linalg.inverse(m))
 
 
 def rand_matrix(rng, d, lo=-6, hi=6, integral=False):
@@ -48,7 +54,7 @@ def test_det_3x3_hand_oracle():
 
 def test_adjugate_identity():
     for d in (1, 2, 3):
-        assert adjugate(identity(d)) == identity(d)
+        assert det_times_inverse(identity(d)) == identity(d)
 
 
 def test_adjugate_defining_identity():
@@ -59,14 +65,14 @@ def test_adjugate_defining_identity():
             target = tuple(
                 tuple(det(m) * F(int(i == j)) for i in range(d)) for j in range(d)
             )
-            assert linalg.mat_mul(m, adjugate(m)) == target
+            assert linalg.mat_mul(m, det_times_inverse(m)) == target
 
 
 def test_adjugate_integral_for_integer_matrices():
     rng = random.Random(11)
     for _ in range(20):
         m = rand_matrix(rng, 3, integral=True)
-        assert linalg.is_integral(adjugate(m))
+        assert linalg.is_integral(det_times_inverse(m))
 
 
 def test_solve_identity_and_roundtrip():
@@ -103,6 +109,28 @@ def test_plain_int_matrices_stay_exact():
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve(mat([(1, 2), (2, 4)]), linalg.vec((1, 0)))
+
+
+def test_solve_and_inverse_refuse_non_square_input():
+    # m @ (1, 2) is (1, 2, 19), so (1, 2) does not solve the system
+    with pytest.raises(ValueError):
+        solve(((1, 0, 5), (0, 1, 7)), (1, 2, 99))
+    with pytest.raises(ValueError):
+        linalg.inverse(((1,), (0,)))
+    with pytest.raises(ValueError):
+        solve(identity(2), (1, 2, 3))
+
+
+def test_gauss_jordan_is_fraction_free_on_integer_input():
+    # row 2 is row 0 + row 1; the reduced row echelon form of rows 0, 1, 3
+    # is (1, 0, 0, 27/5), (0, 0, 1, 1), (0, 1, 0, -6/5) with leads 0, 2, 1
+    rows = [(2, 4, 1, 7), (1, 2, 0, 3), (3, 6, 1, 10), (0, 5, 2, -4)]
+    kept, pivots, den, scale = linalg._gauss_jordan(rows, 4)
+    assert kept == [0, 1, 3] and scale == 1
+    # den is the determinant of rows 0, 1, 3 at the columns 0, 2, 1
+    assert den == leibniz_det([[2, 1, 4], [1, 0, 2], [0, 2, 5]]) == -5
+    assert pivots == [(0, [-5, 0, 0, -27]), (2, [0, 0, -5, -5]), (1, [0, -5, 0, 6])]
+    assert all(type(e) is int for _, row in pivots for e in row)
 
 
 def test_dual_basis_examples():
@@ -336,7 +364,7 @@ def test_square_solvers_match_leibniz(m, data):
     if value == 0:
         for call in (
             lambda: linalg.inverse(m),
-            lambda: linalg.adjugate(m),
+            lambda: det_times_inverse(m),
             lambda: solve(m, (1,) * d),
         ):
             with pytest.raises(SingularMatrixError):
@@ -347,7 +375,7 @@ def test_square_solvers_match_leibniz(m, data):
     x = tuple(data.draw(ENTRIES) for _ in range(d))
     assert solve(m, linalg.mat_vec(m, x)) == x
     target = tuple(tuple(value * int(i == j) for i in range(d)) for j in range(d))
-    assert linalg.mat_mul(m, adjugate(m)) == target
+    assert linalg.mat_mul(m, det_times_inverse(m)) == target
 
 
 @settings(max_examples=150, deadline=None)

@@ -409,6 +409,9 @@ def test_hull_matches_brute_force_oracle(points):
         assert p.dim == d
         assert p.vertices == verts
         assert list(p.facets()) == facets
+        assert p.facet_vertex_sets() == tuple(
+            (a, tuple(v for v in verts if linalg.vdot(a, v) == b)) for a, b in facets
+        )
         assert p.volume() == volume
 
 

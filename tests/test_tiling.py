@@ -218,6 +218,64 @@ def test_dirichlet_tile_periodicity():
     assert t1 == t0.translate((2, -1))
 
 
+def test_dirichlet_tile_d3_matches_brute_force():
+    # a rational ambient lattice M and a cell basis in M, scanned directly:
+    # the M-points x with 0 < c_i <= 1 for c = C^-1 (x - v)
+    ambient = Lattice([(F(1, 2), 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1)])
+    k_cols = [(2, 0, 1), (1, 1, 0), (0, 1, 2)]
+    cells = [linalg.mat_vec(ambient.basis, k) for k in k_cols]
+    inv_cells = linalg.inverse(linalg.mat(cells))
+    count = abs(linalg.det(linalg.mat(k_cols)))
+    for v in [(0, 0, 0), (F(1, 3), F(-1, 2), F(2, 5)), cells[0]]:
+        brute = []
+        for z in itertools.product(range(-6, 7), repeat=3):
+            x = linalg.mat_vec(ambient.basis, z)
+            c = linalg.mat_vec(inv_cells, linalg.vsub(x, linalg.vec(v)))
+            if all(0 < ci <= 1 for ci in c):
+                brute.append(x)
+        tile = ti.dirichlet_tile(ambient, cells, v)
+        assert tile == PointSet(brute) and len(brute) == count
+
+
+@pytest.mark.parametrize("basis", [[(2, 0, 0), (1, 2, 0), (0, 1, 2)], [(1, 1, 0), (0, 2, 1), (1, 0, 2)]])
+def test_enumerate_tiles_d3_matches_brute_force(basis):
+    # the adjugate rows by cofactors, then every T_q scanned directly
+    b = [[col[j] for col in basis] for j in range(3)]  # b[j][i] = B_ji
+    big_l = leibniz_det3(b)
+    adj = [
+        [
+            (-1) ** (i + j) * leibniz_det2([r[:i] + r[i + 1 :] for r in b[:j] + b[j + 1 :]])
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    ns = [math.gcd(*row) for row in adj]
+    # the cells lie in 0 <= <a_i, t> <= 2L, so |t_j| <= 2 sum_i |B_ji|
+    radius = 2 * max(sum(map(abs, row)) for row in b)
+    tiles = {}
+    for t in itertools.product(range(-radius, radius + 1), repeat=3):
+        values = [sum(a * x for a, x in zip(row, t)) for row in adj]
+        qs = [
+            [q for q in range(0, big_l, n) if q + n <= v <= q + big_l]
+            for v, n in zip(values, ns)
+        ]
+        for q in itertools.product(*qs):
+            tiles.setdefault(q, []).append(t)
+    brute = sorted({PointSet(pts) for pts in tiles.values()}, key=lambda k: k.points)
+    assert ti.enumerate_tiles_tq(linalg.mat(basis)) == brute
+
+
+def leibniz_det2(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def leibniz_det3(m):
+    return sum(
+        (-1) ** j * m[0][j] * leibniz_det2([r[:j] + r[j + 1 :] for r in m[1:]])
+        for j in range(3)
+    )
+
+
 def test_enumerate_tiles_identity():
     tiles = ti.enumerate_tiles_tq(linalg.identity(2))
     assert len(tiles) == 1
