@@ -29,6 +29,7 @@ from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import hull
 from test_acceptance import _abc_pool
+from test_linalg import leibniz_det
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -237,16 +238,16 @@ def test_dirichlet_tile_d3_matches_brute_force():
         assert tile == PointSet(brute) and len(brute) == count
 
 
-@pytest.mark.parametrize("basis", [[(2, 0, 0), (1, 2, 0), (0, 1, 2)], [(1, 1, 0), (0, 2, 1), (1, 0, 2)]])
+@pytest.mark.parametrize(
+    "basis", [[(2, 0, 0), (1, 2, 0), (0, 1, 2)], [(1, 1, 0), (0, 2, 1), (1, 0, 2)]]
+)
 def test_enumerate_tiles_d3_matches_brute_force(basis):
     # the adjugate rows by cofactors, then every T_q scanned directly
     b = [[col[j] for col in basis] for j in range(3)]  # b[j][i] = B_ji
-    big_l = leibniz_det3(b)
+    big_l = leibniz_det(b)
     adj = [
-        [
-            (-1) ** (i + j) * leibniz_det2([r[:i] + r[i + 1 :] for r in b[:j] + b[j + 1 :]])
-            for j in range(3)
-        ]
+        [(-1) ** (i + j) * leibniz_det([r[:i] + r[i + 1 :] for r in b[:j] + b[j + 1 :]])
+         for j in range(3)]
         for i in range(3)
     ]
     ns = [math.gcd(*row) for row in adj]
@@ -263,17 +264,6 @@ def test_enumerate_tiles_d3_matches_brute_force(basis):
             tiles.setdefault(q, []).append(t)
     brute = sorted({PointSet(pts) for pts in tiles.values()}, key=lambda k: k.points)
     assert ti.enumerate_tiles_tq(linalg.mat(basis)) == brute
-
-
-def leibniz_det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def leibniz_det3(m):
-    return sum(
-        (-1) ** j * m[0][j] * leibniz_det2([r[:j] + r[j + 1 :] for r in m[1:]])
-        for j in range(3)
-    )
 
 
 def test_enumerate_tiles_identity():
