@@ -25,7 +25,6 @@ from .pointset import PointSet, centrally_symmetric
 class SearchConfig:
     det_lo: int = 7
     det_hi: int = 18
-    include_width_one_case: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
 
 def tile_points(l: int, h: int, s: int, q1: int, q2: int) -> PointSet:
     """Exact reconstruction of the tile T_q for a surviving offset pair."""
-    return PointSet(tile_grid(l, h, s, q1, q2))
+    return PointSet.from_scaled(tile_grid(l, h, s, q1, q2))
 
 
 def _exact_filters(pts: PointSet, l: int, h: int, s: int):
@@ -230,10 +229,9 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
 
     central = [c for c in classes if c.centrally_symmetric]
     noncentral = [c for c in classes if not c.centrally_symmetric]
-    report = {
+    return {
         "config": {
             "det_range": [config.det_lo, config.det_hi],
-            "include_width_one_case": config.include_width_one_case,
             "workers": config.workers,
         },
         "cases": [
@@ -250,18 +248,3 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
         "centrally_symmetric_classes": central,
         "noncentrally_symmetric_classes": noncentral,
     }
-    if config.include_width_one_case:
-        report["width_one_family"] = {
-            "note": (
-                "tiles of lattice width 1 are excluded from the search; up to "
-                "unimodular equivalence they form the documented family below "
-                "and are classified in prior work"
-            ),
-            "family": "T = {0..k} x {0} union {0..l} x {1}, k >= 1, 0 <= l <= k",
-            "samples": [
-                [[x, 0] for x in range(k + 1)] + [[x, 1] for x in range(le + 1)]
-                for k in (1, 2, 3)
-                for le in (0, k - 1)
-            ],
-        }
-    return report

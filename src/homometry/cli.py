@@ -174,7 +174,6 @@ def cmd_classify2d(args) -> int:
         config = classify2d.SearchConfig(
             det_lo=int(lo),
             det_hi=int(hi),
-            include_width_one_case=args.include_width_one_case,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-range", default="7:18", help="inclusive range, e.g. 7:18")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", choices=("json", "text"), default="json")
-    p.add_argument("--include-width-one-case", action="store_true")
     p.set_defaults(func=cmd_classify2d)
 
     p = sub.add_parser("gen-example")

@@ -33,8 +33,8 @@ class DegenerateDifferencesError(HomometryError):
     """The difference set does not span the ambient space."""
 
 
-class EmptySetError(HomometryError):
-    pass
+class EmptySetError(HomometryError, ValueError):
+    """A point set or hull input with no points."""
 
 
 class NotDirectError(HomometryError):

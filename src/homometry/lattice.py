@@ -75,12 +75,15 @@ class Lattice:
         return v
 
     def integer_coordinates(self, points) -> tuple[int, list[IntVec]]:
-        """(m, [m B^-1 p for p in points]), m the least integer that makes them integral.
-
-        With D p integral, B^-1 p is (E B^-1)(D p) / (E D); m is E D over
-        the gcd of E D and every numerator.
-        """
+        """(m, [m B^-1 p for p in points]), m the least integer that makes them integral."""
         den, ints = linalg.clear_denominators([self._checked(p) for p in points])
+        return self.scaled_coordinates(ints, den)
+
+    def scaled_coordinates(self, ints, den: int) -> tuple[int, list[IntVec]]:
+        """`integer_coordinates` of the points p / den, for integer vectors p: B^-1 (p / den)
+        is (E B^-1) p / (E den), and m is E den over the gcd of E den and every numerator."""
+        if any(len(p) != self.dim for p in ints):
+            raise ValueError(f"expected vectors of dimension {self.dim}")
         e, rows = self.integer_inverse
         coords = [[sum(map(mul, r, p)) for r in rows] for p in ints]
         g = math.gcd(e * den, *itertools.chain.from_iterable(coords))

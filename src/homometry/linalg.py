@@ -13,7 +13,7 @@ Every rational solver (``det`` beyond 2x2, ``solve``, ``inverse``,
 around one fraction-free, row-incremental Gauss-Jordan pass,
 ``_gauss_jordan``: it runs on integers, and only the solvers' outputs are
 Fractions.  ``clear_denominators`` is the one way rational vectors become
-integer data.
+integer data; a ``PointSet`` keeps its points in the form it returns.
 """
 
 from __future__ import annotations

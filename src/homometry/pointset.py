@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 
 from . import linalg, polytope
 from .errors import (
@@ -17,61 +17,102 @@ from .errors import (
     NotInLatticeError,
 )
 from .lattice import IntVec, Lattice
-from .linalg import Vec, vadd, vec, vec_str, vneg, vsub
+from .linalg import Vec, vec, vec_str
 
 
 class PointSet:
-    """A finite set of rational points, stored sorted and deduplicated."""
+    """A finite set of rational points, kept as (D, the sorted integer points D p).
+
+    D is the least positive integer that makes every D p integral, so equal
+    sets have equal pairs, and D > 0 keeps the rational order.  `points`,
+    the sorted rational view, is built on first use.
+    """
 
     def __init__(self, points):
-        self.points: tuple[Vec, ...] = tuple(sorted({vec(p) for p in points}))
-        if not self.points:
+        self._store(*linalg.clear_denominators([vec(p) for p in points]))
+
+    @classmethod
+    def from_scaled(cls, ints, den: int = 1) -> "PointSet":
+        """The set of the points p / den, for integer vectors p in any order."""
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        k = cls.__new__(cls)
+        k._store(den, ints)
+        return k
+
+    def _store(self, den: int, ints):
+        """Keep the points p / den sorted and distinct, with den and every p
+        divided by the gcd of den and every coordinate."""
+        ints = tuple(sorted({tuple(p) for p in ints}))
+        if not ints:
             raise EmptySetError("empty point set")
-        self.dim = len(self.points[0])
-        if any(len(p) != self.dim for p in self.points):
+        self.dim = len(ints[0])
+        if any(len(p) != self.dim for p in ints):
             raise ValueError("mixed dimensions in point set")
-        self._set = frozenset(self.points)
+        g = math.gcd(den, *itertools.chain.from_iterable(ints)) if den > 1 else 1
+        if g > 1:
+            den, ints = den // g, tuple([tuple([c // g for c in p]) for p in ints])
+        self.den, self.ints = den, ints
+
+    @cached_property
+    def points(self) -> tuple[Vec, ...]:
+        return tuple([self._point(p) for p in self.ints])
+
+    def _point(self, p: IntVec) -> Vec:
+        den = self.den
+        return tuple([Fraction(c, den) for c in p])
+
+    @cached_property
+    def _int_set(self) -> frozenset:
+        return frozenset(self.ints)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, p):
-        return vec(p) in self._set
+        """Whether p is a point of K; False for a p of another dimension."""
+        p, den = vec(p), self.den
+        if len(p) != self.dim or any(den % c.denominator for c in p):
+            return False
+        return tuple([c.numerator * (den // c.denominator) for c in p]) in self._int_set
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.points == other.points
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.points)
+        return hash((self.den, self.ints))
 
     def __repr__(self):
-        return f"PointSet({len(self.points)} points, dim={self.dim})"
+        return f"PointSet({len(self.ints)} points, dim={self.dim})"
 
     def lexmin(self) -> Vec:
-        return self.points[0]
+        return self._point(self.ints[0])
 
     def lexmax(self) -> Vec:
-        return self.points[-1]
+        return self._point(self.ints[-1])
 
     def translate(self, t) -> "PointSet":
         t = vec(t)
-        return PointSet([vadd(p, t) for p in self.points])
+        if len(t) != self.dim:
+            raise ValueError(f"cannot translate a set of dimension {self.dim} by {vec_str(t)}")
+        return _sum(self, PointSet([t]))
 
     def negate(self) -> "PointSet":
-        return PointSet([vneg(p) for p in self.points])
+        return PointSet.from_scaled([tuple([-c for c in p]) for p in self.ints], self.den)
 
     def normalized(self) -> "PointSet":
         """Translate so the lexicographic minimum sits at the origin."""
-        return self.translate(vneg(self.lexmin()))
+        p0 = self.ints[0]
+        return PointSet.from_scaled([tuple(map(sub, p, p0)) for p in self.ints], self.den)
 
     @cached_property
     def _hull(self) -> polytope.Polytope:
-        return polytope.hull(self.points)
+        return polytope.hull(self)
 
     def hull(self) -> polytope.Polytope:
         """conv(K), built on the first call; the set is immutable, so it is kept."""
@@ -79,26 +120,32 @@ class PointSet:
 
     @cached_property
     def offsets(self) -> tuple[int, tuple[IntVec, ...]]:
-        """(D, the integer points D (p - lexmin) in point order).
+        """The pair (D, D (p - lexmin)) of `normalized()`, in point order.
 
-        D is the least integer that makes them integral.  Every difference
-        p - q is (p - lexmin) - (q - lexmin), so D is also the least integer
-        that makes the differences of K integral, and depends only on them.
+        Every difference p - q is (p - lexmin) - (q - lexmin), so D is also
+        the least integer that makes the differences of K integral, and
+        depends only on them.
         """
-        scale, ints = linalg.clear_denominators(self.points)
-        p0 = ints[0]
-        rel = [tuple(map(sub, p, p0)) for p in ints]
-        g = math.gcd(scale, *itertools.chain.from_iterable(rel))
-        return scale // g, tuple([tuple([c // g for c in p]) for p in rel])
+        n = self.normalized()
+        return n.den, n.ints
 
     def differences(self) -> list[Vec]:
         """All pairwise differences (with repetitions collapsed)."""
-        return sorted({vsub(a, b) for a in self.points for b in self.points})
+        return list(_sum(self, self.negate()).points)
 
     def to_json(self):
         from .jsonio import rational_out
 
         return {"points": [[rational_out(c) for c in p] for p in self.points]}
+
+
+def _sum(s: PointSet, t: PointSet) -> PointSet:
+    """{p + q : p in S, q in T}, added in integers over lcm(D_S, D_T)."""
+    den = math.lcm(s.den, t.den)
+    a, b = den // s.den, den // t.den
+    xs = [tuple([a * c for c in p]) for p in s.ints]
+    ys = [tuple([b * c for c in q]) for q in t.ints]
+    return PointSet.from_scaled((tuple(map(add, p, q)) for p in xs for q in ys), den)
 
 
 class Covariogram:
@@ -192,7 +239,7 @@ def centrally_symmetric(k: PointSet) -> bool:
 def minkowski_sum(s: PointSet, t: PointSet) -> PointSet:
     if s.dim != t.dim:
         raise ValueError(f"cannot add sets of dimensions {s.dim} and {t.dim}")
-    return PointSet([vadd(a, b) for a in s.points for b in t.points])
+    return _sum(s, t)
 
 
 def is_direct_sum(s: PointSet, t: PointSet) -> bool:
@@ -211,20 +258,10 @@ def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
     return lattice_convexity_witness(k, lat) is None
 
 
-def _first_outside(lat: Lattice, k: PointSet, shift=None) -> Vec | None:
-    """The first point of K + shift outside the lattice, or None.
-
-    Each point is its first one plus an offset of K, so one rational test of
-    the first point and integer tests of the offsets decide them all.
-    """
-    first = k.points[0] if shift is None else vadd(k.points[0], shift)
-    if not lat.contains(first):
-        return first
-    den, ints = k.offsets
-    for p, z in zip(k.points, ints):
-        if not lat.contains_scaled(z, den):
-            return p if shift is None else vadd(p, shift)
-    return None
+def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
+    """The first point of K outside the lattice, or None."""
+    den = k.den
+    return next((k._point(z) for z in k.ints if not lat.contains_scaled(z, den)), None)
 
 
 def _missing_point(k: PointSet, scanned: list[Vec]) -> Vec | None:
@@ -256,7 +293,8 @@ def sum_convexity_witness(
     s + t = (s + t0) + (s0 + t) - (s0 + t0); raises NotInLatticeError with
     the first of those |S| + |T| - 1 points outside it.
     """
-    p = _first_outside(lat, s, t.points[0]) or _first_outside(lat, t, s.points[0])
+    s0, t0 = s.lexmin(), t.lexmin()
+    p = _first_outside(lat, s.translate(t0)) or _first_outside(lat, t.translate(s0))
     if p is not None:
         raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
     big = polytope.minkowski_hull(s.hull(), t.hull())
@@ -267,9 +305,7 @@ def generated_lattice(k: PointSet) -> Lattice:
     """The lattice spanned over Z by the difference vectors of K."""
     if len(k) < 2:
         raise DegenerateDifferencesError("need at least two points")
-    anchor = k.lexmin()
-    diffs = [vsub(p, anchor) for p in k.points[1:]]
-    basis = linalg.hnf_basis(diffs)
+    basis = linalg.hnf_basis(k.normalized().points[1:])
     if len(basis) < k.dim:
         raise DegenerateDifferencesError("differences do not span the ambient space")
     return Lattice(basis)
@@ -285,11 +321,9 @@ def intrinsically_lattice_convex(k: PointSet) -> bool:
     """
     if len(k) < 2:
         raise DegenerateDifferencesError("need at least two points")
-    anchor = k.lexmin()
-    diffs = [vsub(p, anchor) for p in k.points[1:]]
-    basis = linalg.hnf_basis(diffs)
+    shifted = k.normalized()
+    basis = linalg.hnf_basis(shifted.points[1:])
     rank = len(basis)
-    shifted = k.translate(vneg(anchor))
     if rank == k.dim:
         return is_lattice_convex(shifted, Lattice(basis))
     # reduce onto the difference span: coordinates w.r.t. the span basis

@@ -1,16 +1,17 @@
 """Exact V-representation polytopes with lazily derived facet structure.
 
-The hull construction is an incremental beneath-beyond on an integer view
-of the input: every coordinate is scaled once by the common denominator D,
-so facet normals, visibility tests, the orientation test and the final
-"every input point is inside" sweep are all integer dot products.  Facets
-are kept as oriented boundary simplices with primitive integer normals;
-the final facet inequalities are their deduplicated carrier hyperplanes
-<a, x> <= beta / D.  A ridge -> facet-count map is updated on the ridges
-each insertion touches and checked there, so a boundary that stops being
-a pseudomanifold fails loudly instead of silently producing a wrong hull.
-Lower-dimensional input is reduced to exact affine coordinates and handled
-recursively.
+The hull construction is an incremental beneath-beyond on the stored
+form (D, the sorted integer points D p) of the input's `PointSet`.
+Facet normals, visibility tests, the orientation test and the final
+"every input point is inside" sweep are all integer dot products.
+Facets are kept as oriented boundary simplices with primitive integer
+normals; the final facet inequalities are their deduplicated carrier
+hyperplanes <a, x> <= beta / D.  The vertices are a `PointSet` of input
+points, so sums of hulls add integers.  A ridge -> facet-count map is
+updated on the ridges each insertion touches and checked there, so a
+boundary that stops being a pseudomanifold fails loudly instead of
+silently producing a wrong hull.  Lower-dimensional input is reduced to
+exact affine coordinates and handled recursively.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
-from . import linalg
+from . import linalg, pointset
 from ._kernels import box_scan
 from .errors import (
     InvariantError,
     LowerDimensionalError,
     OriginNotInteriorError,
 )
-from .linalg import Vec, frac, vadd, vdot, vec, vneg, vscale, vsub
+from .linalg import Vec, frac, vdot, vec, vneg, vscale
 
 IntVec = tuple[int, ...]
 
@@ -64,15 +65,13 @@ def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
     return tuple(c // g for c in normal) if g else None
 
 
-def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
-    """Beneath-beyond hull of full-dimensional points.
+def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
+    """Beneath-beyond hull of a full-dimensional set, on its integer points.
 
-    Returns (hyperplanes, boundary simplices, interior point, vertices,
-    the vertices on each hyperplane).
-    Each boundary simplex is a tuple of d point indices; simplices tile the
-    boundary exactly, which later gives exact volumes for free.
+    The boundary simplices (d integer points each) tile the boundary
+    exactly, which later gives exact volumes for free.
     """
-    den, ipts = linalg.clear_denominators(points)
+    den, ipts, d = k.den, k.ints, k.dim
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
     # compared with (d + 1) * beta
     inner = tuple(map(sum, zip(*[ipts[i] for i in init])))
@@ -81,19 +80,19 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
         a = _primitive_normal([ipts[i] for i in idx])
         if a is None:
             raise InvariantError(
-                "degenerate facet simplex", witness=[points[i] for i in idx]
+                "degenerate facet simplex", witness=[k.points[i] for i in idx]
             )
         beta = _idot(a, ipts[idx[0]])
         if any(_idot(a, ipts[i]) != beta for i in idx[1:]):
             raise InvariantError(
-                "facet simplex is off its hyperplane", witness=[points[i] for i in idx]
+                "facet simplex is off its hyperplane", witness=[k.points[i] for i in idx]
             )
         side = _idot(a, inner) - (d + 1) * beta
         if side > 0:
             a, beta = tuple(-c for c in a), -beta
         elif side == 0:
             raise InvariantError(
-                "interior point on facet hyperplane", witness=[points[i] for i in idx]
+                "interior point on facet hyperplane", witness=[k.points[i] for i in idx]
             )
         return a, beta
 
@@ -118,7 +117,7 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
             elif c != 2:
                 raise InvariantError(
                     "boundary is not a pseudomanifold at a ridge",
-                    witness=[points[i] for i in sorted(r)],
+                    witness=[k.points[i] for i in sorted(r)],
                 )
 
     add_facets([[i for i in init if i != leave_out] for leave_out in init], [])
@@ -126,7 +125,7 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
     init_set = set(init)
     # farthest-first insertion: interior points then cost one visibility scan
     order = sorted(
-        (i for i in range(len(points)) if i not in init_set),
+        (i for i in range(len(ipts)) if i not in init_set),
         key=lambda i: sum(((d + 1) * c - z) ** 2 for c, z in zip(ipts[i], inner)),
         reverse=True,
     )
@@ -145,23 +144,30 @@ def _hull_full_dim(points: list[Vec], d: int, init: list[int]):
         horizon = [r for r, c in crossed.items() if c == 1]
         add_facets([[*r, idx] for r in horizon], list(crossed))
 
-    for p, q in zip(points, ipts):
+    for i, q in enumerate(ipts):
         if any(_idot(a, q) > b for a, b in facets.values()):
-            raise InvariantError("hull misses an input point", witness=p)
+            raise InvariantError("hull misses an input point", witness=k.points[i])
 
     planes = sorted(set(facets.values()))
-    hyperplanes = tuple((a, Fraction(b, den)) for a, b in planes)
-    simplices = tuple(tuple(sorted(verts)) for verts in facets)
-    centroid = tuple(Fraction(c, (d + 1) * den) for c in inner)
-    verts, on_plane = _vertices_from_hyperplanes(points, ipts, planes, d)
-    return hyperplanes, simplices, centroid, verts, on_plane
+    verts, on_plane = _vertices_from_hyperplanes(ipts, planes, d)
+    data = {
+        "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
+        "facet_vertices": on_plane,
+        # the boundary simplices' points D p, and (d + 1) D times a point inside
+        "simplices": tuple(tuple(ipts[i] for i in sorted(f)) for f in facets),
+        "inner": inner,
+        "scale": (d + 1) * den,
+    }
+    return Polytope(
+        _vertices=pointset.PointSet.from_scaled(verts, den), _ambient=d, _dim=d, _internal=data
+    )
 
 
 class Polytope:
     """Convex hull of finitely many rational points, exact throughout."""
 
     def __init__(self, *, _vertices, _ambient, _dim, _internal):
-        self.vertices: tuple[Vec, ...] = _vertices
+        self.vertex_set: pointset.PointSet = _vertices
         self.ambient: int = _ambient
         self.dim: int = _dim
         # internal structure, depends on dimension case
@@ -171,57 +177,46 @@ class Polytope:
 
     @staticmethod
     def hull(points) -> "Polytope":
-        pts = sorted({vec(p) for p in points})
-        if not pts:
-            raise ValueError("hull of an empty point list")
-        ambient = len(pts[0])
-        if any(len(p) != ambient for p in pts):
-            raise ValueError("mixed dimensions in hull input")
-        if len(pts) == 1:
-            return Polytope(
-                _vertices=(pts[0],), _ambient=ambient, _dim=0, _internal=None
-            )
-        p0 = pts[0]
-        diffs = [vsub(p, p0) for p in pts]  # diffs[0] is zero and never picked
+        """conv of a PointSet, or of the PointSet of any nonempty points."""
+        k = points if isinstance(points, pointset.PointSet) else pointset.PointSet(points)
+        ambient, ints = k.dim, k.ints
+        if len(ints) == 1:
+            return Polytope(_vertices=k, _ambient=ambient, _dim=0, _internal=None)
+        p0 = ints[0]
+        diffs = [tuple(map(sub, p, p0)) for p in ints]  # diffs[0] is zero and never picked
         frame = linalg.independent_subset(diffs)
         dirs = tuple(diffs[i] for i in frame)
         r = len(dirs)
         if r == ambient:
-            init = [0] + frame
-            hyps, simplex_idx, inner, verts, on_plane = _hull_full_dim(pts, ambient, init)
-            data = {
-                "hyps": hyps,
-                "facet_vertices": on_plane,
-                "simplices": tuple(tuple(pts[i] for i in s) for s in simplex_idx),
-                "inner": inner,
-            }
-            return Polytope(
-                _vertices=verts, _ambient=ambient, _dim=ambient, _internal=data
-            )
-        # lower-dimensional: reduce to exact affine coordinates and recurse
+            return _hull_full_dim(k, [0] + frame)
+        # lower-dimensional: reduce to exact affine coordinates and recurse; the
+        # coordinates of D (x - p0) on the columns D (p - p0) are those of x - p0 on p - p0
         row_idx, coord_mat, reduced = linalg.span_coordinates(dirs, diffs)
         inner_poly = Polytope.hull(reduced)
-        eq_rows = linalg.nullspace(dirs)
-        eqs = tuple((n, vdot(n, p0)) for n in eq_rows)
-        verts = tuple(
-            sorted(vadd(p0, linalg.mat_vec(dirs, lam)) for lam in inner_poly.vertices)
-        )
+        index = dict(zip(reduced, ints))
+        verts = pointset.PointSet.from_scaled([index[v] for v in inner_poly.vertices], k.den)
+        lexmin = k.lexmin()
         data = {
-            "p0": p0,
+            "p0": lexmin,
             "row_idx": row_idx,
-            "coord_mat": coord_mat,
-            "eqs": eqs,
+            "coord_mat": tuple([vscale(k.den, col) for col in coord_mat]),
+            "eqs": tuple([(n, vdot(n, lexmin)) for n in linalg.nullspace(dirs)]),
             "reduced": inner_poly,
         }
         return Polytope(_vertices=verts, _ambient=ambient, _dim=r, _internal=data)
 
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The extreme points, sorted."""
+        return self.vertex_set.points
+
     # -- basic queries -----------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Polytope) and self.vertices == other.vertices
+        return isinstance(other, Polytope) and self.vertex_set == other.vertex_set
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash(self.vertex_set)
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
@@ -247,8 +242,8 @@ class Polytope:
         """Pairs (primitive integer normal, vertices on that facet)."""
         if not self.is_full_dimensional():
             raise LowerDimensionalError("facets of a lower-dimensional polytope")
-        normals = [a for a, _ in self._data["hyps"]]
-        return tuple(zip(normals, self._data["facet_vertices"]))
+        verts, hyps, on = self.vertices, self._data["hyps"], self._data["facet_vertices"]
+        return tuple([(a, tuple([verts[j] for j in f])) for (a, _), f in zip(hyps, on)])
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -309,34 +304,31 @@ class Polytope:
     # -- geometry ----------------------------------------------------------
 
     def translate(self, t) -> "Polytope":
-        t = vec(t)
-        return Polytope.hull([vadd(v, t) for v in self.vertices])
+        return Polytope.hull(self.vertex_set.translate(t))
 
     def scale(self, c) -> "Polytope":
         c = frac(c)
         return Polytope.hull([vscale(c, v) for v in self.vertices])
 
     def negate(self) -> "Polytope":
-        return Polytope.hull([vneg(v) for v in self.vertices])
+        return Polytope.hull(self.vertex_set.negate())
 
     def difference_body(self) -> "Polytope":
         """The origin-symmetric body of pairwise vertex differences."""
-        return Polytope.hull(
-            [vsub(a, b) for a in self.vertices for b in self.vertices]
-        )
+        vs = self.vertex_set
+        return Polytope.hull(pointset.minkowski_sum(vs, vs.negate()))
 
     @cached_property
     def _volume(self) -> Fraction:
         if self.dim < self.ambient:
             return Fraction(0)
-        d = self.ambient
-        inner = self._data["inner"]
-        total = Fraction(0)
-        fact = math.factorial(d)
-        for simplex in self._data["simplices"]:
-            cols = tuple(vsub(q, inner) for q in simplex)
+        d, data = self.ambient, self._data
+        inner = data["inner"]
+        total = 0
+        for simplex in data["simplices"]:
+            cols = tuple([tuple([(d + 1) * c - z for c, z in zip(q, inner)]) for q in simplex])
             total += abs(linalg.det(cols))
-        return total / fact
+        return Fraction(total, math.factorial(d) * data["scale"] ** d)
 
     def volume(self) -> Fraction:
         """Exact ambient-dimensional volume (0 for flat polytopes)."""
@@ -371,7 +363,7 @@ class Polytope:
         constraint <r, x> ~ rhs with r integral becomes <r, (F B) z> ~ F rhs,
         cleared of the denominator of F rhs.
         """
-        m, zverts = lattice.integer_coordinates(self.vertices)
+        m, zverts = lattice.scaled_coordinates(self.vertex_set.ints, self.vertex_set.den)
         # integer coordinates between the vertices' least and greatest
         lo = [-(-min(col) // m) for col in zip(*zverts)]
         hi = [max(col) // m for col in zip(*zverts)]
@@ -395,21 +387,20 @@ class Polytope:
         return lattice.points(pts)
 
 
-def _vertices_from_hyperplanes(points, ipts, planes, d):
-    """Extreme points, and the extreme points on each plane, in the order of
-    `points` (sorted): the points whose tight facet normals span R^d.
-
-    `ipts` and `planes` are the integer view of `points` and of the facets.
+def _vertices_from_hyperplanes(ipts, planes, d):
+    """The extreme points among the sorted integer points `ipts`, those whose
+    tight facet normals span R^d, and the positions in that list of the
+    extreme points on each of the integer facets `planes`.
     """
     verts = []
     on_plane = [[] for _ in planes]
-    for p, q in zip(points, ipts):
+    for q in ipts:
         tight = [k for k, (a, b) in enumerate(planes) if _idot(a, q) == b]
         if len(tight) >= d and linalg.rank_of([planes[k][0] for k in tight]) == d:
-            verts.append(p)
             for k in tight:
-                on_plane[k].append(p)
-    return tuple(verts), tuple(map(tuple, on_plane))
+                on_plane[k].append(len(verts))
+            verts.append(q)
+    return verts, tuple(map(tuple, on_plane))
 
 
 def hull(points) -> Polytope:
@@ -419,4 +410,4 @@ def hull(points) -> Polytope:
 
 def minkowski_hull(p: Polytope, q: Polytope) -> Polytope:
     """conv(P + Q) from vertex sums only (far fewer points than the full sum)."""
-    return Polytope.hull([vadd(a, b) for a in p.vertices for b in q.vertices])
+    return Polytope.hull(pointset._sum(p.vertex_set, q.vertex_set))

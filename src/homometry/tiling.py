@@ -66,10 +66,9 @@ class WSetResult:
 
 def width_of(obj, u) -> Fraction:
     """w(K, u) = h(K, u) + h(K, -u) for a PointSet or Polytope."""
-    u = vec(u)
-    pts = obj.vertices if isinstance(obj, polytope.Polytope) else obj.points
-    vals = [vdot(u, p) for p in pts]
-    return max(vals) - min(vals)
+    u, k = vec(u), obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
+    vals = [vdot(u, p) for p in k.ints]
+    return (max(vals) - min(vals)) / k.den
 
 
 def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Tiling:
@@ -82,17 +81,18 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
         raise ValueError("dimension mismatch between lattices and tile")
     if not translations.is_sublattice_of(ambient):
         raise NotASublatticeError("L is not a sublattice of M")
-    for p in tile.points:
-        if not ambient.contains(p):
-            raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
+    p = pointset._first_outside(ambient, tile)
+    if p is not None:
+        raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
     idx = index(translations, ambient)
     if len(tile) != idx:
         raise NotATilingError(
             f"tile has {len(tile)} points but the index [M:L] is {idx}"
         )
+    m, zs = translations.scaled_coordinates(tile.ints, tile.den)
     seen = {}
-    for p in tile.points:
-        r = translations.canonical_residue(p)
+    for p, z in zip(tile.points, zs):
+        r = tuple([c % m for c in z])  # the coordinates m B^-1 p mod m name the coset
         if r in seen:
             pair = f"{vec_str(seen[r])} and {vec_str(p)}"
             raise NotATilingError(
@@ -108,20 +108,14 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _independent_differences(points: tuple[Vec, ...]) -> list[Vec]:
-    """Greedy linearly independent difference vectors from the first point."""
-    diffs = [vsub(p, points[0]) for p in points[1:]]
-    return [diffs[i] for i in linalg.independent_subset(diffs)]
-
-
-def _thin_widths(points, lat: Lattice, bound, strict=False):
-    """(u, w(points, u)) for every u in L* \\ {o} of width <= bound (< if strict).
+def _thin_widths(k: PointSet, lat: Lattice, bound, strict=False):
+    """(u, w(K, u)) for every u in L* \\ {o} of width <= bound (< if strict).
 
     For u = B* m, <u, p> = <m, B^-1 p>, so the kernel's spreads over the
     integer coordinates are the widths times the scale.  Raises
     LowerDimensionalError when the points do not span the space.
     """
-    scale, ints = lat.integer_coordinates(points)
+    scale, ints = lat.scaled_coordinates(k.ints, k.den)
     bstar = transpose(lat.inverse_basis)
     for m, spread in thin_directions(ints, bound * scale, strict):
         yield mat_vec(bstar, m), Fraction(spread, scale)
@@ -130,7 +124,7 @@ def _thin_widths(points, lat: Lattice, bound, strict=False):
 def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
     """The exact finite set W(T, L) with the width of every member."""
     try:
-        found = dict(_thin_widths(tile.points, lat, 1, strict=True))
+        found = dict(_thin_widths(tile, lat, 1, strict=True))
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "W is infinite for tiles that do not span the space"
@@ -144,14 +138,15 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     Among minimizers the smallest u wins.  Flat sets get width 0 together
     with an orthogonal dual vector (always present for rational data).
     """
-    pts = obj.vertices if isinstance(obj, polytope.Polytope) else obj.points
+    k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
     bstar = transpose(lat.inverse_basis)
-    w0 = min(width_of(obj, col) for col in bstar)
+    w0 = min(width_of(k, col) for col in bstar)
     try:
-        return min((w, u) for u, w in _thin_widths(pts, lat, w0))
+        return min((w, u) for u, w in _thin_widths(k, lat, w0))
     except LowerDimensionalError:
         pass
-    dirs = _independent_differences(pts)
+    _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
+    dirs = [rel[i] for i in linalg.independent_subset(rel)]
     if not dirs:  # single point: any dual vector works
         return Fraction(0), bstar[0]
     rows = tuple(tuple(vdot(v, col) for col in bstar) for v in dirs)
@@ -217,18 +212,13 @@ def enumerate_tiles_tq(basis) -> list[PointSet]:
     e, e_rows = Lattice(basis).integer_inverse
     rows = [tuple(big_l // e * c for c in row) for row in e_rows]
     ns = [math.gcd(*row) for row in rows]
-    seen = set()
-    tiles = []
+    tiles = set()
     for q in itertools.product(*[range(0, big_l, n) for n in ns]):
         lo = [qi + n for qi, n in zip(q, ns)]
         pts = _cell_points(rows, lo, [qi + big_l for qi in q])
-        if not pts:
-            continue
-        key = frozenset(pts)
-        if key not in seen:
-            seen.add(key)
-            tiles.append(PointSet(pts))
-    return sorted(tiles, key=lambda t: t.points)
+        if pts:
+            tiles.add(PointSet.from_scaled(pts))
+    return sorted(tiles, key=lambda t: t.ints)
 
 
 # -- the sufficient/necessary convexity conditions ---------------------------
@@ -471,7 +461,7 @@ def parity_check(t: Tiling) -> bool:
     """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* with w(T, u) < 1/2."""
     _require_verified(t)
     try:
-        thin = _thin_widths(t.tile.points, t.translations, Fraction(1, 2), strict=True)
+        thin = _thin_widths(t.tile, t.translations, Fraction(1, 2), strict=True)
         return next(thin, None) is None
     except LowerDimensionalError:
         raise LowerDimensionalTileError(

@@ -1,5 +1,6 @@
 """The planar classification search and unimodular tile equivalence."""
 
+import itertools
 import json
 import math
 import os
@@ -253,9 +254,19 @@ def test_classify_workers_deterministic():
     assert reps1 == reps2
 
 
-def test_classify_report_flags():
-    report = cl.classify(cl.SearchConfig(det_lo=7, det_hi=7, include_width_one_case=True))
-    assert "width_one_family" in report
+def test_two_row_tiles_are_convex_of_lattice_width_one():
+    # the tiles {0..k} x {0} ∪ {0..l} x {1} the search leaves out: each is
+    # Z^2-convex, and no nonzero dual vector in a box of radius 6 gives a
+    # width below 1, while (0, 1) gives exactly 1
+    z2 = Lattice.standard(2)
+    for k, l in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)]:
+        tile = PointSet([(x, 0) for x in range(k + 1)] + [(x, 1) for x in range(l + 1)])
+        assert tile.hull().lattice_points(z2) == list(tile.points)
+        widths = {
+            u: ti.width_of(tile, u) for u in itertools.product(range(-6, 7), repeat=2) if any(u)
+        }
+        assert min(widths.values()) == 1 == widths[(0, 1)]
+        assert ti.lattice_width(tile, z2)[0] == 1
 
 
 def test_failed_recheck_raises_with_witness(monkeypatch, capsys):

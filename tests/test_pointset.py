@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg
+from homometry import linalg, polytope
 from homometry import pointset as ps
 from homometry.errors import (
     DegenerateDifferencesError,
+    EmptySetError,
     NotDirectError,
     NotInLatticeError,
 )
@@ -343,3 +344,122 @@ def test_covariogram_is_translation_invariant_and_sees_scaling():
     assert ps.covariogram(shifted).to_json() == ps.covariogram(k).to_json()
     doubled = PointSet([linalg.vscale(2, p) for p in k.points])
     assert ps.covariogram(k) != ps.covariogram(doubled)
+
+
+# -- the integer PointSet against the former Fraction implementation --------
+
+
+class FractionSet:
+    """The former PointSet: sorted, deduplicated Fraction tuples."""
+
+    def __init__(self, points):
+        self.points = tuple(sorted({linalg.vec(p) for p in points}))
+        if not self.points:
+            raise EmptySetError("empty point set")
+        self.dim = len(self.points[0])
+        if any(len(p) != self.dim for p in self.points):
+            raise ValueError("mixed dimensions in point set")
+        self._set = frozenset(self.points)
+
+    def __contains__(self, p):
+        return linalg.vec(p) in self._set
+
+    def translate(self, t):
+        t = linalg.vec(t)
+        return FractionSet([linalg.vadd(p, t) for p in self.points])
+
+    def negate(self):
+        return FractionSet([linalg.vneg(p) for p in self.points])
+
+    def normalized(self):
+        return self.translate(linalg.vneg(self.points[0]))
+
+    @property
+    def offsets(self):
+        scale, ints = linalg.clear_denominators(self.points)
+        p0 = ints[0]
+        rel = [tuple(a - b for a, b in zip(p, p0)) for p in ints]
+        g = math.gcd(scale, *[c for p in rel for c in p])
+        return scale // g, tuple(tuple(c // g for c in p) for p in rel)
+
+
+def fraction_minkowski_sum(s: FractionSet, t: FractionSet) -> FractionSet:
+    return FractionSet([linalg.vadd(a, b) for a in s.points for b in t.points])
+
+
+# numerators near 0 and past 2**64, denominators 1..6
+NUMERATORS = st.integers(-6, 6) | st.sampled_from([2**64 + 1, -(2**65) - 3, 3 * 2**70])
+COORDS = st.builds(F, NUMERATORS, st.integers(1, 6))
+
+
+def point_lists(d):
+    return st.lists(st.tuples(*[COORDS] * d), min_size=1, max_size=6)
+
+
+def assert_same(new: PointSet, old: FractionSet):
+    assert new.points == old.points  # the same points in the same order
+    assert list(new) == list(old.points) and len(new) == len(old.points)
+    assert set(new.points) == set(old.points)
+    assert new.dim == old.dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_pointset_matches_fraction_oracle(data):
+    d = data.draw(st.integers(1, 4))
+    pts, other = data.draw(point_lists(d)), data.draw(point_lists(d))
+    t = data.draw(st.tuples(*[COORDS] * d))
+    k, m = PointSet(pts), PointSet(other)
+    old_k, old_m = FractionSet(pts), FractionSet(other)
+    assert_same(k, old_k)
+    assert k.den == math.lcm(*[c.denominator for p in k.points for c in p])
+    assert_same(k.translate(t), old_k.translate(t))
+    assert_same(k.negate(), old_k.negate())
+    assert_same(k.normalized(), old_k.normalized())
+    assert k.offsets == old_k.offsets
+    assert_same(ps.minkowski_sum(k, m), fraction_minkowski_sum(old_k, old_m))
+    off_grid = tuple(c + F(1, 7) for c in t)
+    for p in [*pts, *other, t, off_grid, t[:-1], (*t, 0)]:
+        assert (p in k) == (p in old_k)
+    # the same set built another way: equal, with an equal hash
+    again = PointSet.from_scaled([tuple(int(c * 6 * k.den) for c in p) for p in pts], 6 * k.den)
+    for a, b in [(k, m), (k, again), (k, k.translate(t).translate(linalg.vneg(t)))]:
+        assert (a == b) == (a.points == b.points)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+def test_translate_checks_the_dimension():
+    k = PointSet([(0, 0), (1, F(1, 2))])
+    with pytest.raises(ValueError):
+        k.translate((1,))
+    with pytest.raises(ValueError):
+        k.translate((1, 2, 3))
+
+
+def test_empty_input_is_a_value_error():
+    with pytest.raises(EmptySetError):
+        PointSet([])
+    with pytest.raises(ValueError):
+        polytope.hull([])
+    with pytest.raises(ValueError):
+        PointSet.from_scaled([(1, 2)], 0)
+
+
+def test_membership_needs_the_denominator_and_the_dimension():
+    k = PointSet([(0, 0), (F(1, 2), 1), (F(3, 2), F(1, 3))])
+    assert k.den == 6
+    assert (F(1, 2), 1) in k and (F(3, 2), F(1, 3)) in k
+    assert (F(1, 4), 0) not in k  # 4 does not divide 6
+    assert (F(1, 12), F(1, 5)) not in k
+    assert (0,) not in k and (0, 0, 0) not in k
+
+
+def test_from_scaled_reduces_the_denominator():
+    k = PointSet.from_scaled([(6, 0), (2, 4), (2, 4)], 4)
+    assert k.den == 2 and k.ints == ((1, 2), (3, 0))
+    assert k == PointSet([(F(1, 2), 1), (F(3, 2), 0)])
+    assert ps.minkowski_sum(k, k.negate()).den == 1  # lcm 2, reduced by the gcd
+    half = PointSet([(F(1, 2),)])
+    assert ps.minkowski_sum(half, half) == PointSet([(1,)])
+    assert ps.minkowski_sum(half, half).den == 1

@@ -470,6 +470,38 @@ def test_conditions_a_and_c_match_their_separate_loops():
     assert {(False, False, True), (False, False, False)} <= outcomes
 
 
+def test_condition_c_scans_past_the_first_wide_facet():
+    # random S = conv(P) ∩ L, where conv(S) often has several facets with
+    # w(T, u) >= 1 and the first of them need not cover aff(F)
+    rng = random.Random(12)
+    tilings = [generalized_family_tiling(3, k) for k in (1, 2)]
+    tilings += [planar_family_tiling(k) for k in (1, 2, 3)]
+    several = later = 0
+    for _ in range(160):
+        t = rng.choice(tilings)
+        d = t.ambient.dim
+        coeffs = [tuple(int(i == j) for i in range(d)) for j in range(d)] + [(0,) * d]
+        coeffs += [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(rng.randint(1, 3))]
+        p = PointSet(linalg.mat_vec(t.translations.basis, c) for c in coeffs)
+        s = PointSet(p.hull().lattice_points(t.translations))
+        dual = t.translations.dual()
+        wide = []  # (u, whether F covers aff(F)) in facet order
+        for a, verts in s.hull().facet_vertex_sets():
+            u = dual.primitive_parallel(a)
+            if ti.width_of(t.tile, u) >= 1:
+                wide.append((u, oracle_affine_covering(verts, t.translations)))
+        covering = [u for u, covers in wide if covers]
+        holds_c, witness = ti.condition_c_witness(s, t)
+        assert holds_c == (not covering)
+        assert witness == (covering[0] if covering else None)
+        holds_a, holds_b = ti.check_condition_a(s, t), ti.check_condition_b(s, t)
+        assert holds_a == (not wide)
+        assert (not holds_a or holds_b) and (not holds_b or holds_c)
+        several += len(wide) > 1
+        later += bool(covering) and not wide[0][1]
+    assert several >= 40 and later >= 5
+
+
 def test_check_abc_is_the_three_witness_calls():
     pair = generalized_family(4, 1)
     for s, t in _condition_cases() + [(pair.s, pair.tiling)]:
@@ -661,7 +693,8 @@ def oracle_affine_covering(vertices, lat):
         k = next(i for i, e in enumerate(prim) if e != 0)
         return abs(v[k] / prim[k]) >= 1
     f0 = vertices[0]
-    dirs = ti._independent_differences(vertices)
+    diffs = [linalg.vsub(v, f0) for v in vertices[1:]]
+    dirs = [diffs[i] for i in linalg.independent_subset(diffs)]
     normal = linalg.nullspace(dirs)[0]
     w_row = tuple(linalg.vdot(normal, col) for col in lat.basis)
     kernel = linalg.integer_kernel([linalg.primitive_integer_direction(w_row)])
