@@ -1,4 +1,4 @@
-"""Full-rank lattices: membership, duals, cosets, sublattice enumeration."""
+"""Full-rank lattices: membership, coordinates, duals, sublattice enumeration."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class Lattice:
     containment), since basis matrices are only unique up to unimodular
     column changes.
 
-    Membership, coordinates and residues run on two integer views: the rows
+    Membership, coordinates and lattice points run on two integer views: the rows
     of E B^-1 and of F B, each scaled by the least integer that makes it
     integral.  A rational point enters as p / D with p integral, so its
     coordinates are (E B^-1) p / (E D) and a lattice point B z is
@@ -135,14 +135,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(basis={[list(map(str, c)) for c in self.basis]})"
-
-    def canonical_residue(self, v) -> Vec:
-        """The representative of v + L inside the half-open cell sum [0,1) b_i."""
-        m, (n,) = self.integer_coordinates([v])
-        f, rows = self.integer_basis
-        # the coordinates' fractional parts are (n mod m) / m
-        rest = [c % m for c in n]
-        return tuple([Fraction(sum(map(mul, r, rest)), f * m) for r in rows])
 
     def primitive_part(self, v) -> Vec:
         """v divided by the gcd of its basis coordinates (primitive vector)."""

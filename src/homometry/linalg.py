@@ -11,9 +11,11 @@ Conventions used throughout the package:
 Every rational solver (``det`` beyond 2x2, ``solve``, ``inverse``,
 ``nullspace``, ``independent_subset``, ``rank_of``) is a thin wrapper
 around one fraction-free, row-incremental Gauss-Jordan pass,
-``_gauss_jordan``: it runs on integers, and only the solvers' outputs are
-Fractions.  ``clear_denominators`` is the one way rational vectors become
-integer data; a ``PointSet`` keeps its points in the form it returns.
+``_gauss_jordan``: it runs on integers.  ``det``, ``solve`` and
+``inverse`` return Fractions; ``nullspace`` reads primitive integer
+kernel vectors straight off the pivot rows and makes no Fraction.
+``clear_denominators`` is the one way rational vectors become integer
+data; a ``PointSet`` keeps its points in the form it returns.
 """
 
 from __future__ import annotations
@@ -379,24 +381,29 @@ def span_coordinates(cols: Sequence[Vec], points: Sequence[Vec]):
     return rows, inv, coords
 
 
-def nullspace(rows: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Basis of {x : <r, x> = 0 for all rows r}, exact.
+def nullspace(rows: Sequence[Vec]) -> tuple[tuple[int, ...], ...]:
+    """Basis of {x : <r, x> = 0 for all rows r}, as primitive integer vectors.
 
-    One vector per free column of the reduced row echelon form: 1 there,
-    minus that column's pivot-row entries at the pivot columns, 0 elsewhere.
+    One vector per free column fc of the reduced row echelon form.  The
+    pivot rows are `den` times their rows of that form, so `den` at fc and
+    minus each pivot row's entry at fc at its lead column is an integer
+    kernel vector; it is divided by its gcd times the sign of `den`, which
+    keeps it positively parallel to the vector with 1 at fc.
     """
     if not rows:
         raise ValueError("nullspace needs at least the ambient dimension")
     d = len(rows[0])
     _, pivots, den, _ = _gauss_jordan(rows, d)
     leads = {lead for lead, _ in pivots}
+    sign = 1 if den > 0 else -1
     out = []
     for fc in range(d):
         if fc in leads:
             continue
-        x = [Fraction(0)] * d
-        x[fc] = Fraction(1)
+        x = [0] * d
+        x[fc] = den
         for pc, row in pivots:
-            x[pc] = Fraction(-row[fc], den)
-        out.append(tuple(x))
+            x[pc] = -row[fc]
+        g = sign * math.gcd(*x)
+        out.append(tuple([c // g for c in x]))
     return tuple(out)

@@ -10,8 +10,12 @@ hyperplanes <a, x> <= beta / D.  The vertices are a `PointSet` of input
 points, so sums of hulls add integers.  A ridge -> facet-count map is
 updated on the ridges each insertion touches and checked there, so a
 boundary that stops being a pseudomanifold fails loudly instead of
-silently producing a wrong hull.  Lower-dimensional input is reduced to
-exact affine coordinates and handled recursively.
+silently producing a wrong hull.  Lower-dimensional input of rank r is
+projected onto r coordinates that map its affine hull one to one onto
+R^r; the full-dimensional hull there is lifted back by point index and
+by placing each facet row at those coordinates.  Every polytope keeps
+one constraint system, equalities and inequalities with primitive
+integer rows and rational right-hand sides.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
         kernel = linalg.nullspace(rows)
         if len(kernel) != 1:
             return None
-        normal = linalg.primitive_integer_direction(kernel[0])
+        return kernel[0]
     g = math.gcd(*normal)
     return tuple(c // g for c in normal) if g else None
 
@@ -151,6 +155,7 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     planes = sorted(set(facets.values()))
     verts, on_plane = _vertices_from_hyperplanes(ipts, planes, d)
     data = {
+        "eqs": (),
         "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
         "facet_vertices": on_plane,
         # the boundary simplices' points D p, and (d + 1) D times a point inside
@@ -170,7 +175,8 @@ class Polytope:
         self.vertex_set: pointset.PointSet = _vertices
         self.ambient: int = _ambient
         self.dim: int = _dim
-        # internal structure, depends on dimension case
+        # "eqs" and "hyps", the constraint system; the volume's simplices and
+        # the facets' vertices when full-dimensional
         self._data = _internal
 
     # -- construction -----------------------------------------------------
@@ -180,8 +186,8 @@ class Polytope:
         """conv of a PointSet, or of the PointSet of any nonempty points."""
         k = points if isinstance(points, pointset.PointSet) else pointset.PointSet(points)
         ambient, ints = k.dim, k.ints
-        if len(ints) == 1:
-            return Polytope(_vertices=k, _ambient=ambient, _dim=0, _internal=None)
+        if len(ints) == 1:  # its equalities x_i = p_i are built on first read
+            return Polytope(_vertices=k, _ambient=ambient, _dim=0, _internal={"hyps": ()})
         p0 = ints[0]
         diffs = [tuple(map(sub, p, p0)) for p in ints]  # diffs[0] is zero and never picked
         frame = linalg.independent_subset(diffs)
@@ -189,19 +195,22 @@ class Polytope:
         r = len(dirs)
         if r == ambient:
             return _hull_full_dim(k, [0] + frame)
-        # lower-dimensional: reduce to exact affine coordinates and recurse; the
-        # coordinates of D (x - p0) on the columns D (p - p0) are those of x - p0 on p - p0
-        row_idx, coord_mat, reduced = linalg.span_coordinates(dirs, diffs)
-        inner_poly = Polytope.hull(reduced)
-        index = dict(zip(reduced, ints))
-        verts = pointset.PointSet.from_scaled([index[v] for v in inner_poly.vertices], k.den)
-        lexmin = k.lexmin()
+        # flat: r coordinates on which the directions are independent map aff(K)
+        # one to one onto R^r, where the projected points D p are full-dimensional
+        cols = linalg.independent_subset(tuple(zip(*dirs)))
+        projected = [tuple([p[i] for i in cols]) for p in ints]
+        flat = Polytope.hull(pointset.PointSet.from_scaled(projected))
+        index = dict(zip(projected, ints))
+        verts = pointset.PointSet.from_scaled([index[v] for v in flat.vertex_set.ints], k.den)
+        hyps = []
+        for a, b in flat._data["hyps"]:  # <a, D p at cols> <= b
+            row = [0] * ambient
+            for i, c in zip(cols, a):
+                row[i] = c
+            hyps.append((tuple(row), b / k.den))
         data = {
-            "p0": lexmin,
-            "row_idx": row_idx,
-            "coord_mat": tuple([vscale(k.den, col) for col in coord_mat]),
-            "eqs": tuple([(n, vdot(n, lexmin)) for n in linalg.nullspace(dirs)]),
-            "reduced": inner_poly,
+            "eqs": tuple([(n, Fraction(_idot(n, p0), k.den)) for n in linalg.nullspace(dirs)]),
+            "hyps": tuple(hyps),
         }
         return Polytope(_vertices=verts, _ambient=ambient, _dim=r, _internal=data)
 
@@ -255,51 +264,16 @@ class Polytope:
     def constraint_system(self):
         """Ambient description: (equalities, inequalities) as (row, rhs) pairs.
 
-        x belongs to the polytope iff all equalities hold and every
-        inequality <row, x> <= rhs is satisfied.
+        Each row is a primitive int tuple and each rhs a Fraction; x belongs
+        to the polytope iff <row, x> = rhs for every equality and
+        <row, x> <= rhs for every inequality.
         """
-        # per-call tuples are built from lists: tuple(<genexpr>) over every
-        # facet made the process's max RSS grow with the number of calls
-        if self.dim == 0:
-            p = self.vertices[0]
-            eqs = tuple(
-                [
-                    (tuple(Fraction(int(i == j)) for j in range(self.ambient)), p[i])
-                    for i in range(self.ambient)
-                ]
-            )
-            return eqs, ()
-        if self.is_full_dimensional():
-            return (), tuple([(vec(a), b) for a, b in self._data["hyps"]])
-        d = self._data
-        eqs = d["eqs"]
-        ineqs = []
-        for f, gamma in d["reduced"].facets():
-            # lift reduced inequality f . lam <= gamma to ambient coordinates
-            coeff = linalg.mat_vec(linalg.transpose(d["coord_mat"]), f)
-            row = [Fraction(0)] * self.ambient
-            for pos, c in zip(d["row_idx"], coeff):
-                row[pos] = c
-            row = tuple(row)
-            ineqs.append((row, gamma + vdot(row, d["p0"])))
-        return eqs, tuple(ineqs)
-
-    @cached_property
-    def _integer_constraints(self):
-        """`constraint_system()` with integral rows: (eqs, ineqs) as (row, rhs)
-        pairs, each row an int tuple and each rhs rational."""
-        if self.is_full_dimensional():
-            return (), self._data["hyps"]
-
-        def integral(system):
-            out = []
-            for row, rhs in system:
-                scale, (irow,) = linalg.clear_denominators([row])
-                out.append((irow, rhs * scale))
-            return out
-
-        eqs, ineqs = self.constraint_system()
-        return integral(eqs), integral(ineqs)
+        data = self._data
+        if "eqs" not in data:  # a single point p: x_i = p_i
+            (p,), den, d = self.vertex_set.ints, self.vertex_set.den, self.ambient
+            units = [tuple([int(i == j) for j in range(d)]) for i in range(d)]
+            data["eqs"] = tuple([(u, Fraction(c, den)) for u, c in zip(units, p)])
+        return data["eqs"], data["hyps"]
 
     # -- geometry ----------------------------------------------------------
 
@@ -380,7 +354,7 @@ class Polytope:
                 rhss.append(n // g)
             return rows, rhss
 
-        eqs, ineqs = self._integer_constraints
+        eqs, ineqs = self.constraint_system()
         eq_rows, eq_rhs = integer_rows(eqs)
         le_rows, le_rhs = integer_rows(ineqs)
         pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)

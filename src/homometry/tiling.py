@@ -150,26 +150,26 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     if not dirs:  # single point: any dual vector works
         return Fraction(0), bstar[0]
     rows = tuple(tuple(vdot(v, col) for col in bstar) for v in dirs)
-    m = linalg.primitive_integer_direction(linalg.nullspace(rows)[0])
-    return Fraction(0), mat_vec(bstar, m)
+    return Fraction(0), mat_vec(bstar, linalg.nullspace(rows)[0])
 
 
 # -- Dirichlet cells and tile enumeration -----------------------------------
 
 
-def _cell_points(rows, lo, hi) -> list[tuple[int, ...]]:
+def _cell_points(rows, inverse, lo, hi) -> list[tuple[int, ...]]:
     """The integer z with lo_i <= <rows_i, z> <= hi_i, in lexicographic order.
 
-    The rows are d independent integer vectors and the bounds integers: as
+    The rows R are d independent integer vectors and the bounds integers: as
     <rows_i, z> is an integer, an open bound b is the closed bound
-    floor(b) + 1 from below and ceil(b) - 1 from above.  The scan's box is
-    that of z = R^-1 c over the corners c of the box [lo, hi].
+    floor(b) + 1 from below and ceil(b) - 1 from above.  `inverse` is
+    (m, the integer rows of m R^-1) for an m > 0, and the scan's box is that
+    of z = R^-1 c over the corners c of the box [lo, hi].
     """
+    m, inv_rows = inverse
     box_lo, box_hi = [], []
-    # column j of R^-1 is row j of (R^T)^-1, and the rows are R^T's columns
-    for col in linalg.inverse(rows):
-        box_lo.append(math.ceil(sum(min(a * l, a * h) for a, l, h in zip(col, lo, hi))))
-        box_hi.append(math.floor(sum(max(a * l, a * h) for a, l, h in zip(col, lo, hi))))
+    for row in inv_rows:
+        box_lo.append(-(-sum([min(a * l, a * h) for a, l, h in zip(row, lo, hi)]) // m))
+        box_hi.append(sum([max(a * l, a * h) for a, l, h in zip(row, lo, hi)]) // m)
     le_rows = [*rows, *[tuple(-e for e in r) for r in rows]]
     return box_scan(box_lo, box_hi, [], [], le_rows, [*hi, *[-b for b in lo]])
 
@@ -186,9 +186,10 @@ def dirichlet_tile(ambient: Lattice, cell_basis, v) -> PointSet:
     _, k_cols = ambient.integer_coordinates(cell_basis)
     e, rows = Lattice(k_cols).integer_inverse
     y = ambient.coordinates(v)
-    # 0 < c_i <= 1 is <row_i, y> < <row_i, z> <= <row_i, y> + E
+    # 0 < c_i <= 1 is <row_i, y> < <row_i, z> <= <row_i, y> + E; E (E K^-1)^-1 is K
     floors = [math.floor(vdot(row, y)) for row in rows]
-    pts = _cell_points(rows, [f + 1 for f in floors], [f + e for f in floors])
+    lo, hi = [f + 1 for f in floors], [f + e for f in floors]
+    pts = _cell_points(rows, (e, tuple(zip(*k_cols))), lo, hi)
     return PointSet([mat_vec(ambient.basis, z) for z in pts])
 
 
@@ -211,11 +212,13 @@ def enumerate_tiles_tq(basis) -> list[PointSet]:
     big_l = int(det)
     e, e_rows = Lattice(basis).integer_inverse
     rows = [tuple(big_l // e * c for c in row) for row in e_rows]
+    # L (L B^-1)^-1 is B, the same for every offset
+    inverse = (big_l, tuple([tuple(map(int, r)) for r in zip(*basis)]))
     ns = [math.gcd(*row) for row in rows]
     tiles = set()
     for q in itertools.product(*[range(0, big_l, n) for n in ns]):
         lo = [qi + n for qi, n in zip(q, ns)]
-        pts = _cell_points(rows, lo, [qi + big_l for qi in q])
+        pts = _cell_points(rows, inverse, lo, [qi + big_l for qi in q])
         if pts:
             tiles.add(PointSet.from_scaled(pts))
     return sorted(tiles, key=lambda t: t.ints)
@@ -345,8 +348,7 @@ def affine_covering_test(vertices, lat: Lattice) -> bool:
         return True
     if d == 2:
         return math.gcd(*ints[-1]) >= scale
-    w = linalg.primitive_integer_direction(normals[0])
-    _, _, coords = linalg.span_coordinates(linalg.integer_kernel([w]), ints)
+    _, _, coords = linalg.span_coordinates(linalg.integer_kernel([normals[0]]), ints)
     poly = []
     for v, xy in zip(vertices, coords):
         if any(c.denominator != 1 for c in xy):

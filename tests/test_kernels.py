@@ -107,20 +107,25 @@ def spread(m, points):
 
 
 def brute_force_thin_directions(points, bound, strict=False):
-    """Every nonzero m in a cube that holds all of them, with direct spreads.
+    """Every nonzero m in a box that holds all of them, with direct spreads.
 
     Any m of spread <= bound has |<m, v>| <= bound on every difference v, so
-    the frame of d differences with the largest |det| bounds each |m_j| by
-    bound * sum_k |(A^T)^-1_jk|; the cube reaches one step beyond that.
+    every frame A of d independent differences bounds each |m_j| by
+    bound * sum_k |(A^T)^-1_jk|.  The box takes the least of these bounds
+    per coordinate over all frames, and reaches one step beyond it.
     """
     d = len(points[0])
+    # v and -v give the same bounds, so only the lexicographically positive
     diffs = sorted({tuple(a - b for a, b in zip(p, q)) for p in points for q in points})
-    frame = max(itertools.combinations(diffs, d), key=lambda f: abs(linalg.det(f)))
-    radius = 1 + max(
-        int(bound * sum(abs(e) for e in col)) for col in linalg.inverse(frame)
-    )
+    diffs = [v for v in diffs if v > (0,) * d]
+    radii = None
+    for frame in itertools.combinations(diffs, d):
+        if linalg.det(frame) == 0:
+            continue
+        bounds = [int(bound * sum(abs(e) for e in col)) for col in linalg.inverse(frame)]
+        radii = bounds if radii is None else list(map(min, radii, bounds))
     out = []
-    for m in itertools.product(range(-radius, radius + 1), repeat=d):
+    for m in itertools.product(*[range(-1 - r, 2 + r) for r in radii]):
         w = spread(m, points)
         if any(m) and (w < bound if strict else w <= bound):
             out.append((m, w))

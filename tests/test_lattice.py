@@ -71,26 +71,6 @@ def test_index_errors():
         index(Z2, Lattice([(2, 0), (0, 2)]))
 
 
-def test_canonical_residue_basics():
-    lat = Lattice([(2, -1), (1, 3)])
-    zero = (F(0), F(0))
-    for col in lat.basis:
-        assert lat.canonical_residue(col) == zero
-    v = (F(5), F(-2))
-    assert lat.canonical_residue(v) == lat.canonical_residue(
-        linalg.vadd(linalg.vec(v), lat.basis[0])
-    )
-
-
-def test_canonical_residue_seven_classes():
-    # brute-force residue table over a box: exactly det = 7 classes
-    lat = Lattice([(2, -1), (1, 3)])
-    residues = {
-        lat.canonical_residue((x, y)) for x in range(-4, 5) for y in range(-4, 5)
-    }
-    assert len(residues) == 7
-
-
 @pytest.mark.parametrize("det_value,count", [(1, 1), (7, 8), (12, 28)])
 def test_sublattice_counts(det_value, count):
     triples = sublattices_of_z2(det_value)
@@ -135,26 +115,6 @@ def test_shear_normal_bases_are_one_per_shear_orbit(n):
         assert l * h == n and 0 <= s < h
     for l, h, s in sublattices_of_z2(n):
         assert (l, h, s % h) in bases
-
-
-def test_residue_injectivity_small_indices():
-    # residues are constant on cosets and injective across them
-    rng = random.Random(1)
-    for det_value in (2, 3, 4, 6, 9, 12, 25, 49):
-        for l, h, s in sublattices_of_z2(det_value)[:4]:
-            lat = lattice_from_lhs(l, h, s)
-            box = [(x, y) for x in range(2 * l) for y in range(2 * h)]
-            table = {}
-            for p in box:
-                table.setdefault(lat.canonical_residue(p), set()).add(p)
-            assert len(table) == det_value
-            for _ in range(5):
-                p = rng.choice(box)
-                shift = linalg.vadd(
-                    linalg.vec(p),
-                    linalg.mat_vec(lat.basis, (rng.randint(-2, 2), rng.randint(-2, 2))),
-                )
-                assert lat.canonical_residue(p) == lat.canonical_residue(shift)
 
 
 def test_primitive_part():
@@ -208,11 +168,6 @@ def fraction_coordinates(lat, v):
 
 def fraction_contains(lat, v):
     return all(c.denominator == 1 for c in fraction_coordinates(lat, v))
-
-
-def fraction_residue(lat, v):
-    coords = fraction_coordinates(lat, v)
-    return linalg.mat_vec(lat.basis, tuple(c - (c.numerator // c.denominator) for c in coords))
 
 
 def fraction_primitive_parallel(lat, v):
@@ -270,7 +225,6 @@ def test_integer_views_match_fraction_formulas(case):
     for p in pts:
         assert lat.coordinates(p) == fraction_coordinates(lat, p)
         assert lat.contains(p) == fraction_contains(lat, p)
-        assert lat.canonical_residue(p) == fraction_residue(lat, p)
         if any(p):
             assert lat.primitive_parallel(p) == fraction_primitive_parallel(lat, p)
 

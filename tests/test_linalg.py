@@ -101,7 +101,7 @@ def test_plain_int_matrices_stay_exact():
     value = det(((1, 0, 0), (0, 1, 1), (0, -2, 1)))
     assert value == 3 and exact([value])
     (v,) = linalg.nullspace([(2, 1, 0), (1, 3, 1)])
-    assert v == (F(1, 5), F(-2, 5), 1) and exact(v)
+    assert v == (1, -2, 5) and all(type(x) is int for x in v)
     inv = linalg.inverse(((2, 1), (1, 1)))
     assert inv == ((1, -1), (-1, 2)) and all(exact(col) for col in inv)
 
@@ -407,3 +407,60 @@ def test_clear_denominators_matches_naive_lcm(rows):
     assert got_den == den
     assert ints == [tuple(int(F(e) * den) for e in row) for row in rows]
     assert all(type(x) is int for row in ints for x in row)
+
+
+def fraction_nullspace(rows):
+    """The former nullspace: Fraction kernel vectors with 1 at each free
+    column, from a plain Fraction reduced row echelon form."""
+    d = len(rows[0])
+    m = [[F(e) for e in r] for r in rows]
+    leads = []
+    for c in range(d):
+        i = next((i for i in range(len(leads), len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        top = len(leads)
+        m[top], m[i] = m[i], m[top]
+        m[top] = [e / m[top][c] for e in m[top]]
+        for j in range(len(m)):
+            if j != top and m[j][c]:
+                m[j] = [a - m[j][c] * b for a, b in zip(m[j], m[top])]
+        leads.append(c)
+    out = []
+    for fc in range(d):
+        if fc in leads:
+            continue
+        x = [F(0)] * d
+        x[fc] = F(1)
+        for i, pc in enumerate(leads):
+            x[pc] = -m[i][fc]
+        out.append(tuple(x))
+    return tuple(out)
+
+
+@st.composite
+def nonempty_rows_of_every_rank(draw):
+    """Rows of int/Fraction entries in d = 1..5 whose rank is any of 0..d:
+    r free rows, then combinations and zero rows."""
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(0, d))
+    rows = draw(int_fraction_rows(d, r))
+    for _ in range(draw(st.integers(0 if rows else 1, 2))):
+        cs = [draw(st.integers(-2, 2)) for _ in rows]
+        combo = [sum((c * F(row[k]) for c, row in zip(cs, rows)), F(0)) for k in range(d)]
+        rows.append(tuple(combo))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonempty_rows_of_every_rank())
+def test_nullspace_is_the_primitive_fraction_kernel(rows):
+    got = linalg.nullspace(rows)
+    want = fraction_nullspace(rows)
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        # a positive multiple of w, the ratio read at w's first nonzero entry
+        k = next(i for i, e in enumerate(w) if e)
+        c = v[k] / w[k]
+        assert c > 0 and v == tuple(c * e for e in w)

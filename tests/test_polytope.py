@@ -418,13 +418,14 @@ def test_hull_matches_brute_force_oracle(points):
 # -- the integer lattice scan against the former Fraction scan --------------
 
 
-def fraction_lattice_scan(poly, lat, strict):
-    """The former Polytope._lattice_scan: Fraction box, rows and map-back."""
-    d = poly.ambient
-    zverts = [linalg.mat_vec(lat.inverse_basis, v) for v in poly.vertices]
+def fraction_lattice_scan(vertices, system, lat, strict):
+    """The former Polytope._lattice_scan: Fraction box, rows and map-back,
+    over the constraint system (eqs, ineqs) of conv(vertices)."""
+    d = len(vertices[0])
+    zverts = [linalg.mat_vec(lat.inverse_basis, v) for v in vertices]
     lo = [min(z[i].__floor__() for z in zverts) for i in range(d)]
     hi = [max(z[i].__ceil__() for z in zverts) for i in range(d)]
-    eqs, ineqs = poly.constraint_system()
+    eqs, ineqs = system
 
     def integer_rows(system):
         rows, rhss = [], []
@@ -442,10 +443,65 @@ def fraction_lattice_scan(poly, lat, strict):
     return sorted(linalg.mat_vec(lat.basis, z) for z in pts)
 
 
+def fraction_flat_hull(points):
+    """The former hull of flat input: (vertices, (eqs, ineqs)) in Fractions.
+
+    A point p gives x_i = p_i.  Otherwise the differences from the first
+    point are reduced to exact coordinates on their span
+    (`linalg.span_coordinates`), hulled there, and each reduced facet
+    <f, lam> <= gamma is lifted back through the inverse of the span's
+    invertible block of rows.  The equalities say that x - p0 is the span
+    combination of its own entries at that block.
+    """
+    pts = sorted(set(linalg.vec(p) for p in points))
+    d, p0 = len(pts[0]), pts[0]
+    units = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+    if len(pts) == 1:
+        return tuple(pts), (tuple(zip(units, p0)), ())
+    diffs = [linalg.vsub(p, p0) for p in pts]
+    dirs = tuple(diffs[i] for i in linalg.independent_subset(diffs))
+    rows, inv, coords = linalg.span_coordinates(dirs, diffs)
+    reduced = hull(coords)
+    verts = tuple(sorted(pts[coords.index(v)] for v in reduced.vertices))
+    ineqs = []
+    for f, gamma in reduced.facets():
+        coeff = linalg.mat_vec(linalg.transpose(inv), f)
+        row = [F(0)] * d
+        for pos, c in zip(rows, coeff):
+            row[pos] = c
+        ineqs.append((tuple(row), gamma + linalg.vdot(row, p0)))
+    images = [linalg.mat_vec(dirs, col) for col in inv]
+    eqs = []
+    for i in range(d):
+        if i not in rows:
+            row = list(units[i])
+            for pos, image in zip(rows, images):
+                row[pos] -= image[i]
+            eqs.append((tuple(row), linalg.vdot(row, p0)))
+    return verts, (tuple(eqs), tuple(ineqs))
+
+
+def satisfies(system, x):
+    eqs, ineqs = system
+    return all(linalg.vdot(r, x) == b for r, b in eqs) and all(
+        linalg.vdot(r, x) <= b for r, b in ineqs
+    )
+
+
+def sheared_lattice(draw, d):
+    """(1/q) Z^d for q in 1..3, each basis column sheared by up to 3 times the one before."""
+    q = draw(st.sampled_from([1, 2, 3]))
+    cols = [[F(int(i == j), q) for i in range(d)] for j in range(d)]
+    for j in range(1, d):
+        k = draw(st.integers(-3, 3))
+        cols[j] = [a + k * b for a, b in zip(cols[j], cols[j - 1])]
+    return Lattice(cols)
+
+
 @st.composite
 def polytopes_and_lattices(draw):
     """Hulls of up to 7 points in d = 1..3 with mixed denominators, some flat,
-    some past 2**64, and a lattice (1/q) Z^d sheared by up to 3 per entry."""
+    some past 2**64, and a sheared lattice (1/q) Z^d."""
     d = draw(st.integers(1, 3))
     dens = draw(st.sampled_from([(1,), (2, 3), (1, 5, 7), (4, 6)]))
     coord = st.builds(F, st.integers(-4, 4), st.sampled_from(dens))
@@ -456,20 +512,63 @@ def polytopes_and_lattices(draw):
         c = draw(st.tuples(*[coord] * width))
         pts = [p + (linalg.vdot(c, p),) for p in pts]
     shift = draw(st.sampled_from([0, 2**64 + 1, F(-(2**70), 3)]))
-    q = draw(st.sampled_from([1, 2, 3]))
-    cols = [[F(int(i == j), q) for i in range(d)] for j in range(d)]
-    for j in range(1, d):
-        k = draw(st.integers(-3, 3))
-        cols[j] = [a + k * b for a, b in zip(cols[j], cols[j - 1])]
     poly = hull([tuple(x + shift for x in p) for p in pts])
-    return poly, Lattice(cols)
+    return poly, sheared_lattice(draw, d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(polytopes_and_lattices())
 def test_lattice_scan_matches_fraction_scan(case):
     poly, lat = case
-    assert poly.lattice_points(lat) == fraction_lattice_scan(poly, lat, strict=False)
-    if poly.is_full_dimensional():
+    full = poly.is_full_dimensional()
+    system = poly.constraint_system() if full else fraction_flat_hull(poly.vertices)[1]
+    assert poly.lattice_points(lat) == fraction_lattice_scan(poly.vertices, system, lat, False)
+    if full:
         inner = poly.interior_lattice_points(lat)
-        assert inner == fraction_lattice_scan(poly, lat, strict=True)
+        assert inner == fraction_lattice_scan(poly.vertices, system, lat, strict=True)
+
+
+@st.composite
+def flat_point_sets(draw):
+    """Points of rank 0..d-1 in d = 2..4: a base point plus small integer
+    combinations of rank-many rational directions, denominators 1..6, some
+    shifted past 2**64."""
+    d = draw(st.integers(2, 4))
+    rank = draw(st.integers(0, d - 1))
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
+    base = draw(st.tuples(*[coord] * d))
+    dirs = draw(st.lists(st.tuples(*[coord] * d), min_size=rank, max_size=rank))
+    combos = st.tuples(*[st.integers(-2, 2)] * rank)
+    pts = []
+    for cs in draw(st.lists(combos, min_size=1, max_size=6)):
+        pts.append(tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base)))
+    shift = draw(st.sampled_from([0, 2**64 + 1, F(-(2**70), 3)]))
+    return [tuple(x + shift for x in p) for p in pts], sheared_lattice(draw, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_point_sets(), st.data())
+def test_flat_hull_matches_fraction_lifting(case, data):
+    pts, lat = case
+    poly = hull(pts)
+    verts, system = fraction_flat_hull(pts)
+    assert not poly.is_full_dimensional()
+    assert poly.vertices == verts
+    # probes: the vertices, their midpoints and the centroid, each also moved
+    # by a rational combination of vertex differences, which stays in the
+    # plane and may leave the hull, and by a step that may leave the plane
+    probes = list(verts) + [linalg.vscale(F(1, len(verts)), tuple(map(sum, zip(*verts))))]
+    probes += [linalg.vscale(F(1, 2), linalg.vadd(u, v)) for u, v in zip(verts, verts[1:])]
+    small = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
+    edges = [linalg.vsub(v, verts[0]) for v in verts[1:]]
+    for p in list(probes):
+        moved = p
+        for e in edges:
+            moved = linalg.vadd(moved, linalg.vscale(data.draw(small), e))
+        probes.append(moved)
+        probes.append(linalg.vadd(p, data.draw(st.tuples(*[small] * len(p)))))
+    for x in probes:
+        assert poly.contains(x) == satisfies(system, x)
+    assert poly.lattice_points(lat) == fraction_lattice_scan(verts, system, lat, strict=False)
+    with pytest.raises(LowerDimensionalError):
+        poly.interior_lattice_points(lat)

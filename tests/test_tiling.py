@@ -239,7 +239,13 @@ def test_dirichlet_tile_d3_matches_brute_force():
 
 
 @pytest.mark.parametrize(
-    "basis", [[(2, 0, 0), (1, 2, 0), (0, 1, 2)], [(1, 1, 0), (0, 2, 1), (1, 0, 2)]]
+    "basis",
+    [
+        [(2, 0, 0), (1, 2, 0), (0, 1, 2)],
+        [(1, 1, 0), (0, 2, 1), (1, 0, 2)],
+        # B and B^T give different tile sets: a transposed inverse shows here
+        [(3, 1, 0), (0, 2, 1), (1, 0, 2)],
+    ],
 )
 def test_enumerate_tiles_d3_matches_brute_force(basis):
     # the adjugate rows by cofactors, then every T_q scanned directly
