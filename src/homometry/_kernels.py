@@ -1,5 +1,5 @@
 """Integer hot loops: the lattice-point box scan, the thin-direction search,
-the planar tile grid and the planar tile search.
+the planar lattice width, the planar tile grid and the planar tile search.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.
@@ -91,6 +91,82 @@ def thin_directions(points, bound, strict=False):
             yield m, hi - lo
 
 
+def _hull_edges(points):
+    """The edge vectors of conv(points), counterclockwise (Andrew's monotone chain).
+
+    Raises LowerDimensionalError when the planar points do not span the plane.
+    """
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) > 1 and (
+                (out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (x - out[-2][0])
+                <= 0
+            ):
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    ring = chain(pts) + chain(reversed(pts))
+    if len(ring) < 3:
+        raise LowerDimensionalError("point set is not full-dimensional")
+    return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
+
+
+def _gauss_step(edges, a, b):
+    """(mu, f(b - mu a)) for an integer mu minimizing the spread f(b - mu a).
+
+    Walking once around the hull, <m, e> rises by the spread f(m) and falls
+    by it again, so f(m) = 1/2 sum |<m, e>| over the edges e, and
+    f(b - mu a) = 1/2 sum |c_e - mu s_e| with s_e = <a, e>, c_e = <b, e>: a
+    convex piecewise-linear function of mu with breakpoints c_e / s_e.  Its
+    real minimum lies at their median weighted by |s_e|.  Floor is monotone,
+    so the same weighted median of the floors is that median's floor K, and
+    the integer minimum lies at K or K + 1.  No step depends on the size of
+    mu or of the coordinates.
+    """
+    terms = [(b[0] * ex + b[1] * ey, a[0] * ex + a[1] * ey) for ex, ey in edges]
+    floors = sorted((c // s, s) if s > 0 else (-c // -s, -s) for c, s in terms if s)
+    total, acc = sum(w for _, w in floors), 0
+    for k, w in floors:
+        acc += w
+        if 2 * acc >= total:
+            break
+    lo, hi = (sum(abs(c - mu * s) for c, s in terms) // 2 for mu in (k, k + 1))
+    return (k + 1, hi) if hi < lo else (k, lo)
+
+
+def planar_width(points):
+    """(w, m): the lattice width of planar integer points and an m attaining it.
+
+    w is the least spread max - min of <m, p> over nonzero integer m.  For
+    points that span the plane the spread is a norm, and the generalized
+    Gauss reduction (Kaib and Schnorr 1996, J. Algorithms 21) finds its
+    shortest lattice vector: from the basis e1, e2 with f(a) <= f(b), take
+    b - mu a of least spread; stop once that is no shorter than a, else swap.
+    A basis with f(a) <= f(b) <= f(b - mu a) for every integer mu holds the
+    successive minima of any norm in the plane, so f(a) is the width.  Like
+    Euclid's algorithm it takes a number of steps logarithmic in the spreads
+    of e1 and e2.  Raises LowerDimensionalError when the points do not span
+    the plane.
+    """
+    edges = _hull_edges(points)
+    # the spreads of e1 and e2, the coordinates' ranges
+    fa, fb = (sum(abs(e[i]) for e in edges) // 2 for i in (0, 1))
+    a, b = (1, 0), (0, 1)
+    if fb < fa:
+        a, b, fa = b, a, fb
+    while True:
+        mu, fb = _gauss_step(edges, a, b)
+        b = (b[0] - mu * a[0], b[1] - mu * a[1])
+        if fb >= fa:
+            return fa, a
+        a, b, fa = b, a, fb
+
+
 # ---------------------------------------------------------------------------
 # Planar tile search kernel (the classify2d inner loop).
 #
@@ -103,6 +179,16 @@ def thin_directions(points, bound, strict=False):
 # two-dimensional, its width in direction b1*+b2* is < 1 (after clearing
 # denominators: spread of <t, a1+a2> < L) and its lattice width w(T, Z^2)
 # exceeds 1.
+#
+# Each of T_q's h rows holds exactly l consecutive points.  The rows are
+# y = q2/l + 1 .. q2/l + h, since q2 is a multiple of l.  On row y the values
+# <t, a1> = h x - s y run over one coset of hZ inside n1*Z, and the interval
+# [q1 + n1, q1 + L] meets such a coset exactly where (q1, q1 + L] does: in l
+# values, as L = l*h.  So row y is xlo(y) .. xlo(y) + l - 1, and as h > 0,
+# <t, a1+a2> = h x + (l - s) y is least and greatest on a row at its ends.
+# Over the tile it spreads by h*(l - 1) plus the range of
+# v(y) = h xlo(y) + (l - s) y over the rows, so the spread reaches L exactly
+# when that range reaches h.
 # ---------------------------------------------------------------------------
 
 
@@ -119,24 +205,18 @@ def tile_grid(l: int, h: int, s: int, q1: int, q2: int) -> list[tuple[int, int]]
     return pts
 
 
-def _is_two_dimensional(pts):
-    if len(pts) < 3:
-        return False
-    x0, y0 = pts[0]
-    v1 = (pts[1][0] - x0, pts[1][1] - y0)
-    for x, y in pts[2:]:
-        if v1[0] * (y - y0) - v1[1] * (x - x0) != 0:
-            return True
-    return False
-
-
 def search_base_raw(l: int, h: int, s: int):
     """Run the tile scan for one base triple; returns (stats dict, [(q1, q2)]).
 
     Stats record how many tile candidates were tried and why candidates were
-    rejected, mirroring the three filters.
+    rejected, counted in the order of the three filters: a flat tile is a
+    dimension reject whatever its diagonal spread.  The scan walks the rows'
+    left ends and stops once the rows read span the plane and the range of
+    v reaches h; only a tile that passes both filters gets its points listed,
+    for the lattice-width filter.
     """
     big_l = l * h
+    n1 = math.gcd(h, s)
     stats = {
         "q_candidates": 0,
         "dimension_rejects": 0,
@@ -144,20 +224,39 @@ def search_base_raw(l: int, h: int, s: int):
         "width_one_rejects": 0,
     }
     survivors = []
-    dx, dy = h, l - s  # a1 + a2
-    for q1 in range(0, big_l, math.gcd(h, s)):
+    slope = l - s
+    # a row of two points and a second row span the plane
+    wide = l > 1 and h > 1
+    for q1 in range(0, big_l, n1):
+        c = q1 + n1
         for q2 in range(0, big_l, l):
             stats["q_candidates"] += 1
-            pts = tile_grid(l, h, s, q1, q2)
-            if not _is_two_dimensional(pts):
-                stats["dimension_rejects"] += 1
-                continue
-            vals = [dx * x + dy * y for x, y in pts]
-            if max(vals) - min(vals) >= big_l:
-                stats["diagonal_width_rejects"] += 1
-                continue
-            if next(thin_directions(pts, 1), None) is not None:
-                stats["width_one_rejects"] += 1
-                continue
-            survivors.append((q1, q2))
+            y0 = q2 // l + 1
+            x0 = -((-(c + s * y0)) // h)
+            vmin = vmax = h * x0 + slope * y0
+            spans, dx = wide, None
+            for y in range(y0 + 1, y0 + h):
+                x = -((-(c + s * y)) // h)
+                v = h * x + slope * y
+                if v < vmin:
+                    vmin = v
+                elif v > vmax:
+                    vmax = v
+                if not spans:
+                    # one point a row: they span once one leaves the line
+                    # through the first two
+                    if dx is None:
+                        dx = x - x0
+                    else:
+                        spans = x - x0 != dx * (y - y0)
+                if spans and vmax - vmin >= h:
+                    stats["diagonal_width_rejects"] += 1
+                    break
+            else:
+                if not spans:
+                    stats["dimension_rejects"] += 1
+                elif planar_width(tile_grid(l, h, s, q1, q2))[0] <= 1:
+                    stats["width_one_rejects"] += 1
+                else:
+                    survivors.append((q1, q2))
     return stats, survivors

@@ -3,9 +3,13 @@
 For each determinant the candidate sublattices of Z^2 are the bases
 b1 = (l, 0), b2 = (s, h); a base is searched only when the triangle
 conv{o, b1, b2} passes the width window (width 3 with determinant 7..18,
-width 4 with determinant 12..16).  The per-base tile scan runs in an
-integer kernel; every survivor is rebuilt and re-checked in exact rational
-arithmetic and verified to tile, and tiles with equal unimodular normal forms
+width 4 with determinant 12..16), its lattice width taken by the planar Gauss
+reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
+kernel that walks each candidate tile's rows by their end points and lists
+the points only of the tiles that pass its dimension and diagonal-width
+filters.  Every survivor is rebuilt and re-checked in exact rational
+arithmetic, its lattice width by the thin-direction search rather than the
+reduction, and verified to tile; tiles with equal unimodular normal forms
 (`normal_form`) form one class.
 """
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg, tiling
-from ._kernels import search_base_raw, thin_directions, tile_grid
+from ._kernels import planar_width, search_base_raw, tile_grid
 from .errors import InvariantError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs
 from .linalg import mat, mat_vec, vadd, vneg, vsub
@@ -56,9 +60,12 @@ def shear_normal_bases(det_value: int) -> list[tuple[int, int, int]]:
 
 
 def delta_width(l: int, h: int, s: int) -> int:
-    """Lattice width of the half-cell triangle conv{o, (l,0), (s,h)} in Z^2."""
-    # the direction (0, 1) has spread h, so the minimum lies within that bound
-    return min(spread for _, spread in thin_directions(((0, 0), (l, 0), (s, h)), h))
+    """Lattice width of the half-cell triangle conv{o, (l,0), (s,h)} in Z^2.
+
+    The least spread of <m, t> over the three vertices, m a nonzero integer
+    vector, found by the planar Gauss reduction of `planar_width`.
+    """
+    return planar_width(((0, 0), (l, 0), (s, h)))[0]
 
 
 def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
@@ -190,7 +197,27 @@ def _search_case(args):
 
 
 def classify(config: SearchConfig = SearchConfig()) -> dict:
-    """Run the full search and group the surviving tiles into classes."""
+    """Run the full search and group the surviving tiles into classes.
+
+    With the default determinants 7..18 this reproduces the paper's planar
+    claim, in these terms:
+
+    * the tiles T: Z^2-convex tiles of a lattice L (T ⊕ L = Z^2 and
+      T = conv(T) ∩ Z^2) of lattice width w(T, Z^2) >= 2 and of width < 1
+      in the direction b1* + b2* of the dual basis;
+    * the lattices L: the bases b1 = (l, 0), b2 = (s, h) with 0 <= s < h and
+      determinant l*h in 7..18 whose triangle conv{o, b1, b2} lies in the
+      width window (`search_bases_with_det`);
+    * the equivalence: unimodular maps of Z^2 followed by translations;
+    * the result: one class, the cross {o, ±e1, ±e2, ±(e1 + e2)}, centrally
+      symmetric, with 14 tiles, 7 on each of the bases (1, 0), (3, 7) and
+      (1, 0), (5, 7).
+
+    The search takes from the paper that every such tile is a translate of
+    one of the cells T_q it scans; it re-checks and verifies each tile it
+    keeps, not that this pruning is complete.  Tiles of lattice width 1, the
+    two-row sets {0..k} x {0} ∪ {0..m} x {1}, are left out by design.
+    """
     cases = []
     for det_value in range(config.det_lo, config.det_hi + 1):
         for l, h, s in search_bases_with_det(det_value):

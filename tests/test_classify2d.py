@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homometry import classify2d as cl
 from homometry import linalg, tiling as ti
-from homometry._kernels import search_base_raw
+from homometry._kernels import search_base_raw, thin_directions, tile_grid
 from homometry.cli import main
 from homometry.errors import InvariantError
 from homometry.lattice import Lattice, lattice_from_lhs
@@ -66,6 +66,87 @@ def test_kernel_paths_agree():
         assert stats["q_candidates"] == len(offsets)
         rejects = sum(v for k, v in stats.items() if k.endswith("_rejects"))
         assert rejects == len(offsets) - len(exact)
+
+
+# -- the row-scan kernel and the Gauss-reduced width against the point lists ---
+
+
+def _is_two_dimensional(pts):
+    if len(pts) < 3:
+        return False
+    x0, y0 = pts[0]
+    v1 = (pts[1][0] - x0, pts[1][1] - y0)
+    for x, y in pts[2:]:
+        if v1[0] * (y - y0) - v1[1] * (x - x0) != 0:
+            return True
+    return False
+
+
+def point_list_search_base(l, h, s):
+    """The tile scan on every candidate's full point list, filter by filter."""
+    big_l = l * h
+    stats = {
+        "q_candidates": 0,
+        "dimension_rejects": 0,
+        "diagonal_width_rejects": 0,
+        "width_one_rejects": 0,
+    }
+    survivors = []
+    dx, dy = h, l - s  # a1 + a2
+    for q1 in range(0, big_l, math.gcd(h, s)):
+        for q2 in range(0, big_l, l):
+            stats["q_candidates"] += 1
+            pts = tile_grid(l, h, s, q1, q2)
+            if not _is_two_dimensional(pts):
+                stats["dimension_rejects"] += 1
+                continue
+            vals = [dx * x + dy * y for x, y in pts]
+            if max(vals) - min(vals) >= big_l:
+                stats["diagonal_width_rejects"] += 1
+                continue
+            if next(thin_directions(pts, 1), None) is not None:
+                stats["width_one_rejects"] += 1
+                continue
+            survivors.append((q1, q2))
+    return stats, survivors
+
+
+ALL_BASES = [b for d in range(1, 25) for b in cl.shear_normal_bases(d)]
+
+
+def test_kernel_matches_the_point_list_scan():
+    totals = dict.fromkeys(search_base_raw(1, 1, 0)[0], 0)
+    for base in ALL_BASES:
+        stats, survivors = search_base_raw(*base)
+        assert (stats, survivors) == point_list_search_base(*base), base
+        for key, value in stats.items():
+            totals[key] += value
+    # every filter rejects somewhere in this range
+    assert all(totals.values())
+
+
+def test_delta_width_matches_thin_directions():
+    for l, h, s in ALL_BASES:
+        triangle = ((0, 0), (l, 0), (s, h))
+        # the direction (0, 1) has spread h, so the minimum lies within that bound
+        expected = min(spread for _, spread in thin_directions(triangle, h))
+        assert cl.delta_width(l, h, s) == expected, (l, h, s)
+
+
+def test_search_counts_for_det_7_to_18():
+    # the filters' counts pin the work: a kernel that loses candidates fails
+    # here, not only in its speed
+    report = cl.classify(cl.SearchConfig(det_lo=7, det_hi=18))
+    cases = report["cases"]
+    totals = {key: sum(case["stats"][key] for case in cases) for key in cases[0]["stats"]}
+    assert len(cases) == 118
+    assert totals == {
+        "q_candidates": 12_759,
+        "dimension_rejects": 0,
+        "diagonal_width_rejects": 12_745,
+        "width_one_rejects": 0,
+    }
+    assert report["survivor_count"] == sum(case["survivors"] for case in cases) == 14
 
 
 def test_survivors_verify_as_tilings():

@@ -1,5 +1,5 @@
 """The integer kernels against brute-force oracles: the row-sliced box scan,
-the thin-direction search and the tile grid."""
+the thin-direction search, the planar lattice width and the tile grid."""
 
 import itertools
 from fractions import Fraction as F
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg
-from homometry._kernels import box_scan, thin_directions, tile_grid
+from homometry import _kernels, linalg
+from homometry._kernels import box_scan, planar_width, thin_directions, tile_grid
 from homometry.errors import LowerDimensionalError
 
 BIG = 2**64
@@ -185,3 +185,94 @@ def test_thin_directions_unit_square():
     assert list(thin_directions(square, F(3, 2), strict=True)) == list(
         thin_directions(square, 1)
     )
+
+
+# -- the planar lattice width -------------------------------------------------
+
+# shears of one row by a multiple of the other; they generate SL2(Z)
+shears = st.lists(st.tuples(st.booleans(), st.integers(-4, 4)), max_size=4)
+
+
+def unimodular(ops):
+    u = [[1, 0], [0, 1]]
+    for first, k in ops:
+        i, j = (0, 1) if first else (1, 0)
+        u[i] = [u[i][0] + k * u[j][0], u[i][1] + k * u[j][1]]
+    return u
+
+
+def image(u, points, shift=(0, 0)):
+    return [
+        (u[0][0] * x + u[0][1] * y + shift[0], u[1][0] * x + u[1][1] * y + shift[1])
+        for x, y in points
+    ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=7),
+    shears,
+    st.sampled_from([(0, 0), (BIG, -3 * BIG)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_planar_width_matches_brute_force(base, ops, shift):
+    # a unimodular map and a translation keep the width, so the skewed,
+    # shifted set must have the width the brute-force box finds on the small one
+    points = image(unimodular(ops), base, shift)
+    if linalg.rank_of([tuple(a - b for a, b in zip(p, base[0])) for p in base]) < 2:
+        with pytest.raises(LowerDimensionalError):
+            planar_width(points)
+        return
+    w, m = planar_width(points)
+    assert any(m) and spread(m, points) == w
+    assert min(found for _, found in brute_force_thin_directions(base, w)) == w
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(4, 4)],
+        [(0, 0), (3, 1)],
+        [(0, 0), (1, 1), (3, 3), (1, 1)],
+        [(BIG, 0), (BIG + 2, 6), (BIG - 1, -3)],
+    ],
+)
+def test_planar_width_flat_input_raises(points):
+    with pytest.raises(LowerDimensionalError):
+        planar_width(points)
+
+
+def fibonacci_unimodular(top):
+    a, b = 1, 1
+    while a < top:
+        a, b = a + b, a
+    # [[a, b], [b, a - b]] has determinant a(a - b) - b^2 = +-1
+    return [[a, b], [b, a - b]]
+
+
+def test_planar_width_near_1e9_takes_few_steps(monkeypatch):
+    steps = []
+    real = _kernels._gauss_step
+
+    def counted(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_gauss_step", counted)
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    cross = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    cases = [
+        # consecutive Fibonacci numbers are the slowest case of Euclid's algorithm
+        (fibonacci_unimodular(10**9), square, 1),
+        (unimodular([(True, 999_999_937), (False, -1)]), square, 1),
+        (fibonacci_unimodular(10**9), cross, 2),
+        (unimodular([(False, 10**9 - 1), (True, -1)]), cross, 2),
+    ]
+    for u, base, width in cases:
+        points = image(u, base, (10**9, -(10**9)))
+        steps.clear()
+        w, m = planar_width(points)
+        assert (w, spread(m, points)) == (width, width)
+        # a step takes mu from the breakpoints, so the count follows the
+        # number of digits of the coordinate ranges, like Euclid's algorithm
+        ranges = [max(p[i] for p in points) - min(p[i] for p in points) for i in (0, 1)]
+        assert len(steps) <= max(ranges).bit_length() + 2
