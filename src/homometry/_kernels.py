@@ -1,5 +1,5 @@
-"""Integer hot loops: the lattice-point box scan, the thin-direction search,
-the planar lattice width, the planar tile grid and the planar tile search.
+"""Integer hot loops: the lattice-point box scan, the thin-direction search
+on it, the planar lattice width and the planar tile search.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.
@@ -35,7 +35,7 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
     for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
         t_lo, t_hi = lo[-1], hi[-1]
         for head, c, rhs, is_eq in rows:
-            rest = rhs - sum(r * z for r, z in zip(head, prefix))
+            rest = rhs - sum(map(mul, head, prefix))
             if c == 0:
                 if (rest != 0) if is_eq else (rest < 0):
                     break
@@ -63,7 +63,11 @@ def thin_directions(points, bound, strict=False):
     lexicographic order.  Any such m has |<m, v_k>| <= spread on d
     independent differences v_k, the columns of A, so
     |m_j| <= spread * sum_k |(A^T)^-1_jk|: the box is finite and exact.
-    Raises LowerDimensionalError when the points do not span the space.
+    In it `box_scan` keeps the m with |<m, p - p0>| within the bound for
+    every point p, a superset of the answer, and each kept m's spread is
+    then checked.  The box is scanned one first-coordinate slice at a time,
+    so memory stays that of one slice.  Raises LowerDimensionalError when
+    the points do not span the space.
     """
     p0 = points[0]
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
@@ -74,25 +78,21 @@ def thin_directions(points, bound, strict=False):
     cap = math.ceil(bound) - 1 if strict else math.floor(bound)
     # column j of A^-1 is row j of (A^T)^-1
     tops = [math.floor(cap * sum(map(abs, col))) for col in linalg.inverse(frame)]
-    ranges = [range(-top, top + 1) for top in tops]
-    for m in itertools.product(*ranges):
-        if not any(m):
-            continue
-        lo = hi = sum(map(mul, m, p0))
-        for p in points:
-            v = sum(map(mul, m, p))
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if hi - lo > cap:
-                break
-        else:
-            yield m, hi - lo
+    rows = diffs + [tuple(-e for e in v) for v in diffs]
+    rhs = [cap] * len(rows)
+    lo, hi = [-top for top in tops[1:]], tops[1:]
+    for m0 in range(-tops[0], tops[0] + 1):
+        for m in box_scan([m0, *lo], [m0, *hi], [], [], rows, rhs):
+            if any(m):
+                values = [sum(map(mul, m, v)) for v in diffs]
+                spread = max(0, *values) - min(0, *values)
+                if spread <= cap:
+                    yield m, spread
 
 
-def _hull_edges(points):
-    """The edge vectors of conv(points), counterclockwise (Andrew's monotone chain).
+def hull_ring(points):
+    """The vertices of conv(points), counterclockwise from the least one
+    (Andrew's monotone chain).
 
     Raises LowerDimensionalError when the planar points do not span the plane.
     """
@@ -113,7 +113,7 @@ def _hull_edges(points):
     ring = chain(pts) + chain(reversed(pts))
     if len(ring) < 3:
         raise LowerDimensionalError("point set is not full-dimensional")
-    return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
+    return ring
 
 
 def _gauss_step(edges, a, b):
@@ -153,7 +153,8 @@ def planar_width(points):
     of e1 and e2.  Raises LowerDimensionalError when the points do not span
     the plane.
     """
-    edges = _hull_edges(points)
+    ring = hull_ring(points)
+    edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
     # the spreads of e1 and e2, the coordinates' ranges
     fa, fb = (sum(abs(e[i]) for e in edges) // 2 for i in (0, 1))
     a, b = (1, 0), (0, 1)
@@ -175,10 +176,10 @@ def planar_width(points):
 #
 #   T_q = {t in Z^2 : q_i + n_i <= <t, a_i> <= q_i + L},    q_i in n_i*Z,
 #
-# with n1 = gcd(h, s) and n2 = l, and a tile survives when it is
-# two-dimensional, its width in direction b1*+b2* is < 1 (after clearing
-# denominators: spread of <t, a1+a2> < L) and its lattice width w(T, Z^2)
-# exceeds 1.
+# with n1 = gcd(h, s) and n2 = l.  The kernel keeps a tile when it is
+# two-dimensional and its width in direction b1*+b2* is < 1 (after clearing
+# denominators: spread of <t, a1+a2> < L); whether its lattice width
+# w(T, Z^2) exceeds 1 is decided once, in exact arithmetic, by the caller.
 #
 # Each of T_q's h rows holds exactly l consecutive points.  The rows are
 # y = q2/l + 1 .. q2/l + h, since q2 is a multiple of l.  On row y the values
@@ -192,37 +193,18 @@ def planar_width(points):
 # ---------------------------------------------------------------------------
 
 
-def tile_grid(l: int, h: int, s: int, q1: int, q2: int) -> list[tuple[int, int]]:
-    """The integer points of T_q, row by row in increasing y, then x."""
-    big_l = l * h
-    n1 = math.gcd(h, s)
-    pts = []
-    for y in range(-((-(q2 + l)) // l), (q2 + big_l) // l + 1):
-        xlo = -((-(q1 + n1 + s * y)) // h)
-        xhi = (q1 + big_l + s * y) // h
-        for x in range(xlo, xhi + 1):
-            pts.append((x, y))
-    return pts
-
-
 def search_base_raw(l: int, h: int, s: int):
     """Run the tile scan for one base triple; returns (stats dict, [(q1, q2)]).
 
     Stats record how many tile candidates were tried and why candidates were
-    rejected, counted in the order of the three filters: a flat tile is a
+    rejected, counted in the order of the two filters: a flat tile is a
     dimension reject whatever its diagonal spread.  The scan walks the rows'
     left ends and stops once the rows read span the plane and the range of
-    v reaches h; only a tile that passes both filters gets its points listed,
-    for the lattice-width filter.
+    v reaches h.
     """
     big_l = l * h
     n1 = math.gcd(h, s)
-    stats = {
-        "q_candidates": 0,
-        "dimension_rejects": 0,
-        "diagonal_width_rejects": 0,
-        "width_one_rejects": 0,
-    }
+    stats = {"q_candidates": 0, "dimension_rejects": 0, "diagonal_width_rejects": 0}
     survivors = []
     slope = l - s
     # a row of two points and a second row span the plane
@@ -253,10 +235,8 @@ def search_base_raw(l: int, h: int, s: int):
                     stats["diagonal_width_rejects"] += 1
                     break
             else:
-                if not spans:
-                    stats["dimension_rejects"] += 1
-                elif planar_width(tile_grid(l, h, s, q1, q2))[0] <= 1:
-                    stats["width_one_rejects"] += 1
-                else:
+                if spans:
                     survivors.append((q1, q2))
+                else:
+                    stats["dimension_rejects"] += 1
     return stats, survivors

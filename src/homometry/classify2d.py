@@ -5,20 +5,21 @@ b1 = (l, 0), b2 = (s, h); a base is searched only when the triangle
 conv{o, b1, b2} passes the width window (width 3 with determinant 7..18,
 width 4 with determinant 12..16), its lattice width taken by the planar Gauss
 reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
-kernel that walks each candidate tile's rows by their end points and lists
-the points only of the tiles that pass its dimension and diagonal-width
-filters.  Every survivor is rebuilt and re-checked in exact rational
-arithmetic, its lattice width by the thin-direction search rather than the
-reduction, and verified to tile; tiles with equal unimodular normal forms
-(`normal_form`) form one class.
+kernel that walks each candidate tile's rows by their end points and keeps
+the tiles that pass its dimension and diagonal-width filters.  Every tile it
+keeps is rebuilt and re-checked in exact rational arithmetic; its lattice
+width, taken by the thin-direction search, decides once whether it exceeds
+1, and each tile that does is verified to tile.  Tiles with equal unimodular
+normal forms (`normal_form`) form one class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import linalg, tiling
-from ._kernels import planar_width, search_base_raw, tile_grid
+from ._kernels import planar_width, search_base_raw
 from .errors import InvariantError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs
 from .linalg import mat, mat_vec, vadd, vneg, vsub
@@ -29,13 +30,14 @@ from .pointset import PointSet, centrally_symmetric
 class SearchConfig:
     det_lo: int = 7
     det_hi: int = 18
+    # the search runs in one process; the field stays for callers that pass 1
     workers: int = 1
 
     def __post_init__(self):
         if self.det_lo < 1 or self.det_hi < self.det_lo:
             raise ValueError("bad determinant range")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        if self.workers != 1:
+            raise ValueError("the search runs in one process: workers must be 1")
 
 
 @dataclass
@@ -81,12 +83,23 @@ def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
 
 
 def tile_points(l: int, h: int, s: int, q1: int, q2: int) -> PointSet:
-    """Exact reconstruction of the tile T_q for a surviving offset pair."""
-    return PointSet.from_scaled(tile_grid(l, h, s, q1, q2))
+    """The tile T_q of a base and an offset pair, read from its cell.
+
+    The cell's rows are the adjugate rows a1 = (h, -s), a2 = (0, l), and
+    L (a1; a2)^-1 has the integer rows (l, s), (0, h).
+    """
+    big_l = l * h
+    rows, inverse = ((h, -s), (0, l)), (big_l, ((l, s), (0, h)))
+    lo, hi = (q1 + math.gcd(h, s), q2 + l), (q1 + big_l, q2 + big_l)
+    return PointSet.from_scaled(tiling._cell_points(rows, inverse, lo, hi))
 
 
 def _exact_filters(pts: PointSet, l: int, h: int, s: int):
-    """Re-derive the three survivor filters with exact rational arithmetic."""
+    """(passes, diagonal width, lattice width) of a tile in exact arithmetic.
+
+    A tile passes the kernel's filters when it is two-dimensional with width
+    < 1 in the direction b1* + b2*; only then is its lattice width taken.
+    """
     hull = pts.hull()
     if hull.dim != 2:
         return False, None, None
@@ -94,14 +107,20 @@ def _exact_filters(pts: PointSet, l: int, h: int, s: int):
     bstar = linalg.dual_basis(base.basis)
     diagonal = tuple(a + b for a, b in zip(bstar[0], bstar[1]))
     diag_width = tiling.width_of(hull, diagonal)
-    lw, _ = tiling.lattice_width(hull, Lattice.standard(2))
-    ok = diag_width < 1 and lw > 1
-    return ok, diag_width, lw
+    if diag_width >= 1:
+        return False, diag_width, None
+    return True, diag_width, tiling.lattice_width(hull, Lattice.standard(2))[0]
 
 
 def search_tiles_with_base(l: int, h: int, s: int) -> dict:
-    """Scan all tile candidates for one base; kernel output is re-verified."""
+    """Scan all tile candidates for one base.
+
+    Each tile the kernel keeps is re-checked in exact arithmetic and kept
+    when its lattice width exceeds 1; the stats are the kernel's, then
+    width_one_rejects.
+    """
     stats, raw_survivors = search_base_raw(l, h, s)
+    stats["width_one_rejects"] = 0
     survivors = []
     for q1, q2 in raw_survivors:
         pts = tile_points(l, h, s, q1, q2)
@@ -111,6 +130,9 @@ def search_tiles_with_base(l: int, h: int, s: int) -> dict:
                 f"kernel survivor fails exact re-check at base ({l},{h},{s}), q=({q1},{q2})",
                 witness={"base": (l, h, s), "q": (q1, q2)},
             )
+        if lattice_w <= 1:
+            stats["width_one_rejects"] += 1
+            continue
         survivors.append(
             {
                 "l": l,
@@ -189,13 +211,6 @@ def unimodular_equivalent(a: PointSet, b: PointSet):
     return True, (u, t)
 
 
-def _search_case(args):
-    det_value, l, h, s = args
-    result = search_tiles_with_base(l, h, s)
-    result["det"] = det_value
-    return result
-
-
 def classify(config: SearchConfig = SearchConfig()) -> dict:
     """Run the full search and group the surviving tiles into classes.
 
@@ -218,20 +233,11 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
     keeps, not that this pruning is complete.  Tiles of lattice width 1, the
     two-row sets {0..k} x {0} ∪ {0..m} x {1}, are left out by design.
     """
-    cases = []
-    for det_value in range(config.det_lo, config.det_hi + 1):
-        for l, h, s in search_bases_with_det(det_value):
-            cases.append((det_value, l, h, s))
-
-    if config.workers > 1:
-        # imported here: it pulls in logging, a cost every import would pay
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            results = list(pool.map(_search_case, cases))
-    else:
-        results = [_search_case(c) for c in cases]
-
+    results = [
+        {"det": det_value, **search_tiles_with_base(l, h, s)}
+        for det_value in range(config.det_lo, config.det_hi + 1)
+        for l, h, s in search_bases_with_det(det_value)
+    ]
     survivors = [surv for res in results for surv in res["survivors"]]
 
     by_key: dict[tuple, TileClass] = {}

@@ -171,11 +171,7 @@ def _tile_class_json(cls: classify2d.TileClass) -> dict:
 def cmd_classify2d(args) -> int:
     lo, _, hi = args.det_range.partition(":")
     try:
-        config = classify2d.SearchConfig(
-            det_lo=int(lo),
-            det_hi=int(hi),
-            workers=args.workers,
-        )
+        config = classify2d.SearchConfig(det_lo=int(lo), det_hi=int(hi))
     except ValueError as exc:
         raise SchemaError("$.det-range", str(exc)) from exc
     report = classify2d.classify(config)
@@ -308,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify2d")
     p.add_argument("--det-range", default="7:18", help="inclusive range, e.g. 7:18")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_classify2d)
 
@@ -353,7 +348,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             report["witness"] = jsonio.exact_out(exc.witness)
         return _emit(report, 2)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _emit(
             {"status": "error", "verb": args.verb, "error": f"cannot read input: {exc}"},
             2,

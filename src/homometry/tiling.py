@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, pointset, polytope
-from ._kernels import box_scan, thin_directions
+from ._kernels import box_scan, hull_ring, thin_directions
 from .errors import (
     InvariantError,
     LowerDimensionalError,
@@ -354,14 +354,7 @@ def affine_covering_test(vertices, lat: Lattice) -> bool:
         if any(c.denominator != 1 for c in xy):
             raise InvariantError("facet vertex is off the integer grid", witness=v)
         poly.append(tuple(int(c) for c in xy))
-    # counterclockwise: the lower chain from the lex-first to the lex-last
-    # vertex, then the upper chain back
-    poly.sort()
-    (x0, y0), (x1, y1) = poly[0], poly[-1]
-    side = [(x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) for x, y in poly]
-    poly = [p for p, s in zip(poly, side) if s <= 0] + [
-        p for p, s in zip(reversed(poly), reversed(side)) if s > 0
-    ]
+    poly = hull_ring(poly)
     cell = [(0, 0), (scale, 0), (scale, scale), (0, scale)]
     xs, ys = [x for x, _ in poly], [y for _, y in poly]
     covered2, pieces = 0, []

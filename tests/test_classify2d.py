@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homometry import classify2d as cl
 from homometry import linalg, tiling as ti
-from homometry._kernels import search_base_raw, thin_directions, tile_grid
+from homometry._kernels import search_base_raw, thin_directions
 from homometry.cli import main
 from homometry.errors import InvariantError
 from homometry.lattice import Lattice, lattice_from_lhs
@@ -68,7 +68,7 @@ def test_kernel_paths_agree():
         assert rejects == len(offsets) - len(exact)
 
 
-# -- the row-scan kernel and the Gauss-reduced width against the point lists ---
+# -- the row-scan kernel and the exact width against the point lists -----------
 
 
 def _is_two_dimensional(pts):
@@ -96,7 +96,7 @@ def point_list_search_base(l, h, s):
     for q1 in range(0, big_l, math.gcd(h, s)):
         for q2 in range(0, big_l, l):
             stats["q_candidates"] += 1
-            pts = tile_grid(l, h, s, q1, q2)
+            pts = cl.tile_points(l, h, s, q1, q2).ints
             if not _is_two_dimensional(pts):
                 stats["dimension_rejects"] += 1
                 continue
@@ -115,10 +115,14 @@ ALL_BASES = [b for d in range(1, 25) for b in cl.shear_normal_bases(d)]
 
 
 def test_kernel_matches_the_point_list_scan():
-    totals = dict.fromkeys(search_base_raw(1, 1, 0)[0], 0)
+    # the kernel's two filters and the exact width check that follows them
+    totals = dict.fromkeys(point_list_search_base(1, 1, 0)[0], 0)
     for base in ALL_BASES:
-        stats, survivors = search_base_raw(*base)
+        result = cl.search_tiles_with_base(*base)
+        stats, survivors = result["stats"], [surv["q"] for surv in result["survivors"]]
         assert (stats, survivors) == point_list_search_base(*base), base
+        # the counters in the order of the filters
+        assert list(stats) == list(totals)
         for key, value in stats.items():
             totals[key] += value
     # every filter rejects somewhere in this range
@@ -325,14 +329,10 @@ def test_classify_det7_slice():
     assert eq
 
 
-def test_classify_workers_deterministic():
-    base = cl.classify(cl.SearchConfig(det_lo=7, det_hi=9, workers=1))
-    multi = cl.classify(cl.SearchConfig(det_lo=7, det_hi=9, workers=2))
-    assert base["cases"] == multi["cases"]
-    assert base["survivor_count"] == multi["survivor_count"]
-    reps1 = [c.representative for c in base["classes"]]
-    reps2 = [c.representative for c in multi["classes"]]
-    assert reps1 == reps2
+@pytest.mark.parametrize("workers", [0, 2])
+def test_search_config_runs_in_one_process(workers):
+    with pytest.raises(ValueError):
+        cl.SearchConfig(workers=workers)
 
 
 def test_two_row_tiles_are_convex_of_lattice_width_one():
@@ -409,7 +409,7 @@ def test_tile_points_matches_kernel_region():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures pulls in logging; only classify with workers > 1 needs it
+    # concurrent.futures pulls in logging, which nothing in the package needs
     code = "import sys, homometry\nprint('concurrent.futures' in sys.modules)\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

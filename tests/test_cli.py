@@ -239,11 +239,6 @@ def test_classify2d_deterministic_output(capsys):
     code2, out2 = run_cli(capsys, ["classify2d", "--det-range", "7:8"])
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3 = run_cli(capsys, ["classify2d", "--det-range", "7:8", "--workers", "2"])
-    assert code3 == 0
-    doc1, doc3 = json.loads(out1), json.loads(out3)
-    assert doc1["payload"]["classes"] == doc3["payload"]["classes"]
-    assert doc1["payload"]["cases"] == doc3["payload"]["cases"]
 
 
 def test_gen_example_planar_roundtrip(tmp_path, capsys):
@@ -338,6 +333,17 @@ def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in
     assert code == 2
     assert doc["status"] == "error" and doc["verb"] == verb
     assert message in doc["error"]
+    assert "Traceback" not in out + err
+
+
+def test_unreadable_input_is_an_error_not_a_violation(tmp_path, capfd):
+    # a directory raises IsADirectoryError, an OSError other than FileNotFoundError
+    code = main(["covariogram", str(tmp_path)])
+    out, err = capfd.readouterr()
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["status"] == "error" and doc["verb"] == "covariogram"
+    assert "cannot read input" in doc["error"]
     assert "Traceback" not in out + err
 
 

@@ -1,15 +1,18 @@
 """The integer kernels against brute-force oracles: the row-sliced box scan,
-the thin-direction search, the planar lattice width and the tile grid."""
+the thin-direction search, the planar lattice width and the T_q cells."""
 
 import itertools
+import math
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homometry import _kernels, linalg
-from homometry._kernels import box_scan, planar_width, thin_directions, tile_grid
+from homometry._kernels import box_scan, planar_width, thin_directions
+from homometry.classify2d import tile_points
 from homometry.errors import LowerDimensionalError
 
 BIG = 2**64
@@ -86,19 +89,22 @@ def test_box_scan_beyond_int64():
     assert box_scan(*args) == brute_force_box_scan(*args) == expected
 
 
-def test_tile_grid_is_the_integer_points_of_the_cell():
-    l, h, s, q1, q2 = 1, 7, 3, 0, 4
-    pts = tile_grid(l, h, s, q1, q2)
-    assert sorted(pts) == brute_force_box_scan(
-        (-20, -20),
-        (20, 20),
-        [],
-        [],
-        [(h, -s), (-h, s), (0, l), (0, -l)],
-        [q1 + l * h, -(q1 + 1), q2 + l * h, -(q2 + l)],
-    )
-    # row by row: y first, then x
-    assert sorted(pts, key=lambda p: (p[1], p[0])) == pts
+def test_tile_points_are_the_integer_points_of_the_cell():
+    for l, h, s, q1, q2 in [(1, 7, 3, 0, 4), (1, 7, 3, 6, 0), (2, 4, 2, 2, 6), (3, 4, 1, 11, 9)]:
+        # q_i + n_i <= <t, a_i> <= q_i + L with a1 = (h, -s), a2 = (0, l)
+        big_l, n1 = l * h, math.gcd(h, s)
+        tile = tile_points(l, h, s, q1, q2)
+        assert tile.den == 1
+        assert list(tile.ints) == brute_force_box_scan(
+            (-20, -20),
+            (20, 20),
+            [],
+            [],
+            [(h, -s), (-h, s), (0, l), (0, -l)],
+            [q1 + big_l, -(q1 + n1), q2 + big_l, -(q2 + l)],
+        )
+        # h rows of l points each, one point in each coset of the lattice
+        assert len(tile) == big_l
 
 
 def spread(m, points):
@@ -133,29 +139,46 @@ def brute_force_thin_directions(points, bound, strict=False):
 
 
 @st.composite
+def skews(draw, d):
+    """A unimodular U = lower times upper unitriangular, entries up to about 20."""
+    if d == 1 or draw(st.booleans()):
+        return [[int(i == j) for j in range(d)] for i in range(d)]
+    off = st.integers(-3, 3)
+    low = [[1 if i == j else draw(off) if j < i else 0 for j in range(d)] for i in range(d)]
+    up = [[1 if i == j else draw(off) if j > i else 0 for j in range(d)] for i in range(d)]
+    return [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+@st.composite
 def thin_inputs(draw):
     d = draw(st.integers(1, 3))
     # a shift beyond 2**63 exercises the exact arithmetic; spreads ignore it
     shift = draw(st.sampled_from([0, BIG, -3 * BIG]))
     coords = st.tuples(*[st.integers(-2, 2)] * d)
     base = draw(st.lists(coords, min_size=1, max_size=5, unique=True))
-    points = [tuple(c + shift for c in p) for p in base]
     bound = draw(st.one_of(st.integers(0, 3), st.builds(F, st.integers(0, 12), st.integers(1, 4))))
-    return points, bound, draw(st.booleans())
+    return base, draw(skews(d)), shift, bound, draw(st.booleans())
 
 
 @given(thin_inputs())
 @settings(max_examples=300, deadline=None)
 def test_thin_directions_match_brute_force(args):
-    points, bound, strict = args
-    d = len(points[0])
-    if linalg.rank_of([tuple(a - b for a, b in zip(p, points[0])) for p in points]) < d:
+    # the points are U p + shift for the small points p: m is thin for them
+    # iff U^T m is thin for p, with the same spread, so the brute-force box
+    # runs on p and its directions map by U^-T
+    base, u, shift, bound, strict = args
+    d = len(base[0])
+    points = [tuple(sum(map(mul, row, p)) + shift for row in u) for p in base]
+    if linalg.rank_of([tuple(a - b for a, b in zip(p, base[0])) for p in base]) < d:
         with pytest.raises(LowerDimensionalError):
             next(thin_directions(points, bound, strict))
         return
-    assert list(thin_directions(points, bound, strict)) == brute_force_thin_directions(
-        points, bound, strict
+    u_inv_t = linalg.transpose(linalg.inverse(u))
+    expected = sorted(
+        (tuple(int(sum(map(mul, row, m))) for row in u_inv_t), w)
+        for m, w in brute_force_thin_directions(base, bound, strict)
     )
+    assert list(thin_directions(points, bound, strict)) == expected
 
 
 @pytest.mark.parametrize(
