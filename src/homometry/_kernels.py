@@ -176,10 +176,20 @@ def planar_width(points):
 #
 #   T_q = {t in Z^2 : q_i + n_i <= <t, a_i> <= q_i + L},    q_i in n_i*Z,
 #
-# with n1 = gcd(h, s) and n2 = l.  The kernel keeps a tile when it is
-# two-dimensional and its width in direction b1*+b2* is < 1 (after clearing
-# denominators: spread of <t, a1+a2> < L); whether its lattice width
-# w(T, Z^2) exceeds 1 is decided once, in exact arithmetic, by the caller.
+# with n1 = gcd(h, s) and n2 = l, over the grid 0 <= q_i < L.  The kernel
+# keeps a tile when it is two-dimensional and its width in direction b1*+b2*
+# is < 1 (after clearing denominators: spread of <t, a1+a2> < L); whether its
+# lattice width w(T, Z^2) exceeds 1 is decided once, in exact arithmetic, by
+# the caller.
+#
+# Translation lemma.  With A the matrix of rows a1, a2, T_{q + A z} = T_q + z
+# for every z in Z^2, and L e_i = A adj(A) e_i lies in A Z^2, so reducing q
+# mod L stays within one class of translates.  Both filters are invariant
+# under translation.  The grid's (L/n1)*h offsets fall into h/n1 classes of
+# exactly L offsets each, represented by (q1, 0) for q1 in range(0, h, n1):
+# (q1, l zy) - A (0, zy) = (q1 + s zy, 0), and a shift by A (zx, 0) moves the
+# first entry by multiples of h.  The class of (q1, 0) holds the offsets
+# ((q1 + h zx - s zy) mod L, l zy) for 0 <= zx < l, 0 <= zy < h.
 #
 # Each of T_q's h rows holds exactly l consecutive points.  The rows are
 # y = q2/l + 1 .. q2/l + h, since q2 is a multiple of l.  On row y the values
@@ -196,11 +206,14 @@ def planar_width(points):
 def search_base_raw(l: int, h: int, s: int):
     """Run the tile scan for one base triple; returns (stats dict, [(q1, q2)]).
 
-    Stats record how many tile candidates were tried and why candidates were
-    rejected, counted in the order of the two filters: a flat tile is a
-    dimension reject whatever its diagonal spread.  The scan walks the rows'
-    left ends and stops once the rows read span the plane and the range of
-    v reaches h.
+    Only the h/n1 class representatives (q1, 0) are scanned (the translation
+    lemma above); each one's fate counts for all L offsets of its class, so
+    the stats count every offset of the grid, and the survivors are every
+    offset of each surviving class, in lexicographic order.  Stats record how
+    many tile candidates were tried and why candidates were rejected, counted
+    in the order of the two filters: a flat tile is a dimension reject
+    whatever its diagonal spread.  The scan walks the rows' left ends and
+    stops once the rows read span the plane and the range of v reaches h.
     """
     big_l = l * h
     n1 = math.gcd(h, s)
@@ -209,34 +222,36 @@ def search_base_raw(l: int, h: int, s: int):
     slope = l - s
     # a row of two points and a second row span the plane
     wide = l > 1 and h > 1
-    for q1 in range(0, big_l, n1):
+    for q1 in range(0, h, n1):
+        stats["q_candidates"] += big_l
+        # the tile at (q1, 0) has the rows y = 1 .. h
         c = q1 + n1
-        for q2 in range(0, big_l, l):
-            stats["q_candidates"] += 1
-            y0 = q2 // l + 1
-            x0 = -((-(c + s * y0)) // h)
-            vmin = vmax = h * x0 + slope * y0
-            spans, dx = wide, None
-            for y in range(y0 + 1, y0 + h):
-                x = -((-(c + s * y)) // h)
-                v = h * x + slope * y
-                if v < vmin:
-                    vmin = v
-                elif v > vmax:
-                    vmax = v
-                if not spans:
-                    # one point a row: they span once one leaves the line
-                    # through the first two
-                    if dx is None:
-                        dx = x - x0
-                    else:
-                        spans = x - x0 != dx * (y - y0)
-                if spans and vmax - vmin >= h:
-                    stats["diagonal_width_rejects"] += 1
-                    break
-            else:
-                if spans:
-                    survivors.append((q1, q2))
+        x0 = -((-(c + s)) // h)
+        vmin = vmax = h * x0 + slope
+        spans, dx = wide, None
+        for y in range(2, h + 1):
+            x = -((-(c + s * y)) // h)
+            v = h * x + slope * y
+            if v < vmin:
+                vmin = v
+            elif v > vmax:
+                vmax = v
+            if not spans:
+                # one point a row: they span once one leaves the line
+                # through the first two
+                if dx is None:
+                    dx = x - x0
                 else:
-                    stats["dimension_rejects"] += 1
+                    spans = x - x0 != dx * (y - 1)
+            if spans and vmax - vmin >= h:
+                stats["diagonal_width_rejects"] += big_l
+                break
+        else:
+            if spans:
+                survivors.extend(
+                    ((q1 + h * zx - s * zy) % big_l, l * zy) for zy in range(h) for zx in range(l)
+                )
+            else:
+                stats["dimension_rejects"] += big_l
+    survivors.sort()
     return stats, survivors

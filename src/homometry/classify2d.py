@@ -5,18 +5,20 @@ b1 = (l, 0), b2 = (s, h); a base is searched only when the triangle
 conv{o, b1, b2} passes the width window (width 3 with determinant 7..18,
 width 4 with determinant 12..16), its lattice width taken by the planar Gauss
 reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
-kernel that walks each candidate tile's rows by their end points and keeps
-the tiles that pass its dimension and diagonal-width filters.  Every tile it
-keeps is rebuilt and re-checked in exact rational arithmetic; its lattice
-width, taken by the thin-direction search, decides once whether it exceeds
-1, and each tile that does is verified to tile.  Tiles with equal unimodular
-normal forms (`normal_form`) form one class.
+kernel that scans one tile of each class of translates, walks its rows by
+their end points, and keeps every offset of the classes whose tile passes its
+dimension and diagonal-width filters.  Every tile it keeps is rebuilt and
+re-checked in exact rational arithmetic; its lattice width, taken by the same
+Gauss reduction `planar_width`, decides once whether it exceeds 1, and each
+tile that does is verified to tile.  Tiles with equal unimodular normal forms
+(`normal_form`) form one class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg, tiling
 from ._kernels import planar_width, search_base_raw
@@ -98,7 +100,8 @@ def _exact_filters(pts: PointSet, l: int, h: int, s: int):
     """(passes, diagonal width, lattice width) of a tile in exact arithmetic.
 
     A tile passes the kernel's filters when it is two-dimensional with width
-    < 1 in the direction b1* + b2*; only then is its lattice width taken.
+    < 1 in the direction b1* + b2*; only then is its lattice width taken, by
+    the planar Gauss reduction `planar_width` on the tile's integer points.
     """
     hull = pts.hull()
     if hull.dim != 2:
@@ -109,7 +112,7 @@ def _exact_filters(pts: PointSet, l: int, h: int, s: int):
     diag_width = tiling.width_of(hull, diagonal)
     if diag_width >= 1:
         return False, diag_width, None
-    return True, diag_width, tiling.lattice_width(hull, Lattice.standard(2))[0]
+    return True, diag_width, Fraction(planar_width(pts.ints)[0], pts.den)
 
 
 def search_tiles_with_base(l: int, h: int, s: int) -> dict:

@@ -17,7 +17,7 @@ from homometry import linalg, tiling as ti
 from homometry._kernels import search_base_raw, thin_directions
 from homometry.cli import main
 from homometry.errors import InvariantError
-from homometry.lattice import Lattice, lattice_from_lhs
+from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from homometry.linalg import mat, mat_vec, vadd, vsub
 from homometry.pointset import PointSet
 
@@ -51,8 +51,18 @@ def test_search_bases_respect_flatness_cap():
 
 
 def test_kernel_paths_agree():
-    # the integer kernel and the exact rational re-check keep the same tiles
-    for l, h, s in [(1, 7, 3), (1, 7, 5), (2, 4, 1), (1, 9, 4), (3, 4, 2)]:
+    # the integer kernel and the exact rational re-check keep the same tiles,
+    # and the kernel counts every offset of the grid
+    for l, h, s in [
+        (1, 7, 3),
+        (1, 7, 5),
+        (2, 4, 1),
+        (1, 9, 4),
+        (3, 4, 2),
+        (1, 5, 2),
+        (2, 3, 1),
+        (3, 2, 0),
+    ]:
         stats, survivors = search_base_raw(l, h, s)
         offsets = [
             (q1, q2)
@@ -66,6 +76,103 @@ def test_kernel_paths_agree():
         assert stats["q_candidates"] == len(offsets)
         rejects = sum(v for k, v in stats.items() if k.endswith("_rejects"))
         assert rejects == len(offsets) - len(exact)
+
+
+# -- the class-representative kernel against the full-grid scan it replaced ---
+
+
+def full_grid_search_base_raw(l: int, h: int, s: int):
+    """The tile scan over every offset of the grid, one T_q at a time."""
+    big_l = l * h
+    n1 = math.gcd(h, s)
+    stats = {"q_candidates": 0, "dimension_rejects": 0, "diagonal_width_rejects": 0}
+    survivors = []
+    slope = l - s
+    # a row of two points and a second row span the plane
+    wide = l > 1 and h > 1
+    for q1 in range(0, big_l, n1):
+        c = q1 + n1
+        for q2 in range(0, big_l, l):
+            stats["q_candidates"] += 1
+            y0 = q2 // l + 1
+            x0 = -((-(c + s * y0)) // h)
+            vmin = vmax = h * x0 + slope * y0
+            spans, dx = wide, None
+            for y in range(y0 + 1, y0 + h):
+                x = -((-(c + s * y)) // h)
+                v = h * x + slope * y
+                if v < vmin:
+                    vmin = v
+                elif v > vmax:
+                    vmax = v
+                if not spans:
+                    # one point a row: they span once one leaves the line
+                    # through the first two
+                    if dx is None:
+                        dx = x - x0
+                    else:
+                        spans = x - x0 != dx * (y - y0)
+                if spans and vmax - vmin >= h:
+                    stats["diagonal_width_rejects"] += 1
+                    break
+            else:
+                if spans:
+                    survivors.append((q1, q2))
+                else:
+                    stats["dimension_rejects"] += 1
+    return stats, survivors
+
+
+def _assert_kernel_matches_full_grid(l, h, s):
+    stats, survivors = search_base_raw(l, h, s)
+    expected_stats, expected_survivors = full_grid_search_base_raw(l, h, s)
+    assert (stats, survivors) == (expected_stats, expected_survivors), (l, h, s)
+    assert list(stats) == list(expected_stats)
+
+
+def test_kernel_matches_the_full_grid_scan():
+    bases = {b for d in range(1, 61) for b in cl.shear_normal_bases(d) + sublattices_of_z2(d)}
+    for base in sorted(bases):
+        _assert_kernel_matches_full_grid(*base)
+
+
+@st.composite
+def sheared_bases(draw):
+    l, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return l, h, draw(st.integers(0, 3 * max(l, h)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sheared_bases())
+def test_kernel_matches_the_full_grid_scan_on_drawn_bases(base):
+    _assert_kernel_matches_full_grid(*base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheared_bases(), st.data())
+def test_cell_scan_translates_tiles_along_the_adjugate_rows(base, data):
+    # T_{q + A z} = T_q + z for the adjugate rows A = ((h, -s), (0, l)), and
+    # L e_i lies in A Z^2, so q + A z reduced mod L gives a translate too
+    l, h, s = base
+    big_l, n1 = l * h, math.gcd(h, s)
+    q1 = n1 * data.draw(st.integers(0, big_l // n1 - 1))
+    q2 = l * data.draw(st.integers(0, h - 1))
+    zx, zy = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
+    moved = ((q1 + h * zx - s * zy) % big_l, (q2 + l * zy) % big_l)
+    tile = cl.tile_points(l, h, s, q1, q2)
+    assert cl.tile_points(l, h, s, *moved).offsets == tile.offsets
+
+
+@pytest.mark.parametrize("base", [(1, 7, 3), (2, 4, 1), (3, 4, 2), (2, 6, 4), (4, 3, 0)])
+def test_grid_offsets_fall_into_few_classes_of_translates(base):
+    l, h, s = base
+    big_l, n1 = l * h, math.gcd(h, s)
+    shapes = {
+        cl.tile_points(l, h, s, q1, q2).offsets
+        for q1 in range(0, big_l, n1)
+        for q2 in range(0, big_l, l)
+    }
+    assert len(shapes) <= h // n1
 
 
 # -- the row-scan kernel and the exact width against the point lists -----------
