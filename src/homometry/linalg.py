@@ -8,12 +8,14 @@ Conventions used throughout the package:
 * a matrix is a tuple of *column* vectors, so ``mat_vec(M, x)`` is the linear
   combination of the columns of M with coefficients x.
 
-Every rational solver (``det`` beyond 2x2, ``solve``, ``inverse``,
-``nullspace``, ``independent_subset``, ``rank_of``) is a thin wrapper
-around one fraction-free, row-incremental Gauss-Jordan pass,
+Every rational solver (``det`` beyond 2x2, ``solve``, ``solve_scaled``,
+``inverse``, ``nullspace``, ``independent_subset``, ``rank_of``) is a
+thin wrapper around one fraction-free, row-incremental Gauss-Jordan pass,
 ``_gauss_jordan``: it runs on integers.  ``det``, ``solve`` and
-``inverse`` return Fractions; ``nullspace`` reads primitive integer
-kernel vectors straight off the pivot rows and makes no Fraction.
+``inverse`` return Fractions; ``solve_scaled`` returns the solutions as
+integers over one positive denominator, and ``nullspace`` reads
+primitive integer kernel vectors straight off the pivot rows; neither
+makes a Fraction.
 ``clear_denominators`` is the one way rational vectors become integer
 data; a ``PointSet`` keeps its points in the form it returns.
 """
@@ -188,8 +190,11 @@ def det(m: Mat) -> Fraction:
     return Fraction(-den if inversions % 2 else den, scale)
 
 
-def _solve_columns(m: Mat, rhs: Sequence[Sequence]) -> Mat:
-    """The columns x_k with m @ x_k = rhs[k], from one elimination of [m | rhs]."""
+def solve_scaled(m: Mat, rhs: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(den, x) from one elimination of [m | rhs]: den > 0, and x[j][k] / den
+    is entry j of the solution of m @ x_k = rhs[k], so x is den times the
+    inverse of m when rhs is the identity.  Raises SingularMatrixError, and
+    ValueError unless m is square and every rhs of its size."""
     d = len(m)
     if any(len(c) != d for c in (*m, *rhs)):
         raise ValueError("solving needs a square matrix and right-hand sides of its size")
@@ -198,21 +203,24 @@ def _solve_columns(m: Mat, rhs: Sequence[Sequence]) -> Mat:
     if len(pivots) < d:
         raise SingularMatrixError("singular matrix")
     x = [()] * d
+    sign = 1 if den > 0 else -1
     for lead, row in pivots:
-        x[lead] = [Fraction(e, den) for e in row[d:]]
-    return tuple(zip(*x))
+        x[lead] = [sign * e for e in row[d:]]
+    return sign * den, x
 
 
 def solve(m: Mat, v: Vec) -> Vec:
     """Exact solution x of m @ x = v; raises SingularMatrixError, and
     ValueError unless m is square and v of its size."""
-    return _solve_columns(m, [vec(v)])[0]
+    den, x = solve_scaled(m, [vec(v)])
+    return tuple([Fraction(e, den) for (e,) in x])
 
 
 def inverse(m: Mat) -> Mat:
     """Exact inverse; raises SingularMatrixError, and ValueError unless m is
     square."""
-    return _solve_columns(m, identity(len(m)))
+    den, x = solve_scaled(m, identity(len(m)))
+    return tuple(zip(*[[Fraction(e, den) for e in row] for row in x]))
 
 
 def dual_basis(b: Mat) -> Mat:

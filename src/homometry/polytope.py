@@ -3,25 +3,26 @@
 The hull construction is an incremental beneath-beyond on the stored
 form (D, the sorted integer points D p) of the input's `PointSet`.
 Facet normals, visibility tests, the orientation test and the final
-"every input point is inside" sweep are all integer dot products.
+"every input point is inside" sweep are all integer dot products, and
+every normal comes from one rule in every dimension: the first simplex's
+from one inverse, each later one from the pencil of its horizon ridge.
 Facets are kept as oriented boundary simplices with primitive integer
 normals; the final facet inequalities are their deduplicated carrier
 hyperplanes <a, x> <= beta / D.  The vertices are a `PointSet` of input
-points, so sums of hulls add integers.  A ridge -> facet-count map is
-updated on the ridges each insertion touches and checked there, so a
-boundary that stops being a pseudomanifold fails loudly instead of
-silently producing a wrong hull.  Lower-dimensional input of rank r is
-projected onto r coordinates that map its affine hull one to one onto
-R^r; the full-dimensional hull there is lifted back by point index and
-by placing each facet row at those coordinates.  Every polytope keeps
-one constraint system, equalities and inequalities with primitive
-integer rows and rational right-hand sides.
+points, so sums of hulls add integers.  A map from each ridge to the
+facets through it gives the horizon, and is checked to hold two facets
+wherever an insertion changes it, so a boundary that stops being a
+pseudomanifold fails loudly instead of silently producing a wrong hull.
+Lower-dimensional input of rank r is projected onto r coordinates that
+map its affine hull one to one onto R^r; the full-dimensional hull there
+is lifted back by point index and by placing each facet row at those
+coordinates.  Every polytope keeps one constraint system, equalities and
+inequalities with primitive integer rows and rational right-hand sides.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
@@ -42,89 +43,81 @@ def _idot(u: IntVec, v: IntVec) -> int:
     return sum(map(mul, u, v))
 
 
-def _primitive_normal(pts: list[IntVec]) -> IntVec | None:
-    """Primitive normal of the hyperplane through d integer points of Z^d.
+def _primitive(n) -> IntVec:
+    """An int vector over the gcd of its entries (unchanged when zero)."""
+    g = math.gcd(*n) or 1
+    return tuple([c // g for c in n])
 
-    Closed-form cofactors of the d-1 edge vectors from pts[0] in d = 2 and
-    d = 3, (1,) in d = 1, else the kernel of the (d-1) x d edge matrix from
-    one exact elimination.  None when the points are affinely dependent.
-    """
-    p0 = pts[0]
-    rows = [tuple(x - y for x, y in zip(q, p0)) for q in pts[1:]]
-    d = len(p0)
-    if d == 2:
-        ((x, y),) = rows
-        normal = (y, -x)
-    elif d == 3:
-        (a1, a2, a3), (b1, b2, b3) = rows
-        normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    elif d == 1:  # no edges: the hyperplane is the point itself
-        normal = (1,)
-    else:
-        kernel = linalg.nullspace(rows)
-        if len(kernel) != 1:
-            return None
-        return kernel[0]
-    g = math.gcd(*normal)
-    return tuple(c // g for c in normal) if g else None
+
+def _simplex_normals(pts: list[IntVec]) -> list[IntVec]:
+    """Outward primitive normals of a d-simplex in Z^d, the k-th on the facet
+    opposite pts[k].  Row k of the inverse of the edge matrix (columns
+    p_k - p_0) is 1 on edge k and 0 on the others, so minus row k is outward
+    opposite p_k, and the sum of the rows outward opposite p_0."""
+    p0, d = pts[0], len(pts[0])
+    edges = [tuple(map(sub, q, p0)) for q in pts[1:]]
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    _, rows = linalg.solve_scaled(edges, units)  # the rows of den * inverse, den > 0
+    return [_primitive(n) for n in [list(map(sum, zip(*rows)))] + [vneg(r) for r in rows]]
 
 
 def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     """Beneath-beyond hull of a full-dimensional set, on its integer points.
 
-    The boundary simplices (d integer points each) tile the boundary
-    exactly, which later gives exact volumes for free.
+    The first simplex, on the points `init`, takes its d + 1 normals from
+    one inverse.  Every later facet passes through a horizon ridge r and
+    the new point p.  With v the visible and u the kept facet through r,
+    and e_v = <a_v, p> - b_v > 0 >= e_u = <a_u, p> - b_u, the pencil normal
+    (-e_u) a_v + e_v a_u takes one value on r, as a_v and a_u do, and the
+    same at p; it is a_u when e_u = 0.  It points outward: at a point c
+    inside the hull <a_v, c> - b_v and <a_u, c> - b_u are negative, so its
+    excess -e_u (<a_v, c> - b_v) + e_v (<a_u, c> - b_u) is too, and an
+    orientation is only checked, never repaired.  The boundary simplices
+    (d integer points each) tile the boundary, which gives exact volumes.
     """
     den, ipts, d = k.den, k.ints, k.dim
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
     # compared with (d + 1) * beta
     inner = tuple(map(sum, zip(*[ipts[i] for i in init])))
-
-    def make_facet(idx):
-        a = _primitive_normal([ipts[i] for i in idx])
-        if a is None:
-            raise InvariantError(
-                "degenerate facet simplex", witness=[k.points[i] for i in idx]
-            )
-        beta = _idot(a, ipts[idx[0]])
-        if any(_idot(a, ipts[i]) != beta for i in idx[1:]):
-            raise InvariantError(
-                "facet simplex is off its hyperplane", witness=[k.points[i] for i in idx]
-            )
-        side = _idot(a, inner) - (d + 1) * beta
-        if side > 0:
-            a, beta = tuple(-c for c in a), -beta
-        elif side == 0:
-            raise InvariantError(
-                "interior point on facet hyperplane", witness=[k.points[i] for i in idx]
-            )
-        return a, beta
-
     # facet vertex set -> (normal, beta) with <normal, D x> <= beta on the hull
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
-    # ridge (d - 1 vertex indices) -> number of facets through it; 2 on a
+    # ridge (d - 1 vertex indices) -> the facets through it; two on a
     # pseudomanifold, so it is checked wherever an insertion changes it
-    ridges: dict[frozenset[int], int] = {}
+    ridges: dict[frozenset[int], list[frozenset[int]]] = {}
 
-    def add_facets(vertex_lists, touched):
-        for idx in vertex_lists:
-            verts = frozenset(idx)
-            facets[verts] = make_facet(idx)
-            for v in verts:
-                r = verts - {v}
-                ridges[r] = ridges.get(r, 0) + 1
-                touched.append(r)
+    def add_facet(idx, a, touched):
+        beta = _idot(a, ipts[idx[0]])
+        off = any(_idot(a, ipts[i]) != beta for i in idx[1:])
+        side = _idot(a, inner) - (d + 1) * beta
+        for bad, msg in (
+            (not any(a), "degenerate facet simplex"),
+            (off, "facet simplex is off its hyperplane"),
+            (side == 0, "interior point on facet hyperplane"),
+            (side > 0, "facet normal points inward"),
+        ):
+            if bad:
+                raise InvariantError(msg, witness=[k.points[i] for i in idx])
+        verts = frozenset(idx)
+        facets[verts] = a, beta
+        for v in verts:
+            r = verts - {v}
+            ridges.setdefault(r, []).append(verts)
+            touched.append(r)
+
+    def check_ridges(touched):
         for r in dict.fromkeys(touched):  # each ridge once, in order
-            c = ridges[r]
-            if c == 0:
+            if not ridges[r]:
                 del ridges[r]
-            elif c != 2:
+            elif len(ridges[r]) != 2:
                 raise InvariantError(
                     "boundary is not a pseudomanifold at a ridge",
                     witness=[k.points[i] for i in sorted(r)],
                 )
 
-    add_facets([[i for i in init if i != leave_out] for leave_out in init], [])
+    touched = []
+    for i, a in zip(init, _simplex_normals([ipts[i] for i in init])):
+        add_facet([j for j in init if j != i], a, touched)
+    check_ridges(touched)
 
     init_set = set(init)
     # farthest-first insertion: interior points then cost one visibility scan
@@ -135,24 +128,29 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     )
     for idx in order:
         p = ipts[idx]
-        visible = [verts for verts, (a, b) in facets.items() if _idot(a, p) > b]
-        if not visible:
-            continue
-        crossed = Counter(verts - {v} for verts in visible for v in verts)
-        for verts in visible:
+        visible = {verts: f for verts, f in facets.items() if _idot(f[0], p) > f[1]}
+        touched, new = [], []
+        for verts, (a_v, b_v) in visible.items():
             del facets[verts]
-        for r, c in crossed.items():
-            ridges[r] -= c
-        # the horizon: ridges of exactly one visible facet, counted apart
-        # from `ridges` so that the check below tests the bookkeeping
-        horizon = [r for r, c in crossed.items() if c == 1]
-        add_facets([[*r, idx] for r in horizon], list(crossed))
+            e_v = _idot(a_v, p) - b_v
+            for v in verts:
+                r = verts - {v}
+                through = ridges[r]
+                through.remove(verts)
+                touched.append(r)
+                if through and through[0] not in visible:  # r is on the horizon
+                    a_u, b_u = facets[through[0]]
+                    e_u = _idot(a_u, p) - b_u
+                    pencil = [e_v * y - e_u * x for x, y in zip(a_v, a_u)]
+                    new.append(([*r, idx], _primitive(pencil)))
+        for f, a in new:
+            add_facet(f, a, touched)
+        check_ridges(touched)
 
+    planes = sorted(set(facets.values()))  # one row for coplanar simplices
     for i, q in enumerate(ipts):
-        if any(_idot(a, q) > b for a, b in facets.values()):
+        if any(_idot(a, q) > b for a, b in planes):
             raise InvariantError("hull misses an input point", witness=k.points[i])
-
-    planes = sorted(set(facets.values()))
     verts, on_plane = _vertices_from_hyperplanes(ipts, planes, d)
     data = {
         "eqs": (),
@@ -199,7 +197,9 @@ class Polytope:
         # one to one onto R^r, where the projected points D p are full-dimensional
         cols = linalg.independent_subset(tuple(zip(*dirs)))
         projected = [tuple([p[i] for i in cols]) for p in ints]
-        flat = Polytope.hull(pointset.PointSet.from_scaled(projected))
+        flat_k = pointset.PointSet.from_scaled(projected)
+        at = {q: i for i, q in enumerate(flat_k.ints)}
+        flat = _hull_full_dim(flat_k, [at[projected[i]] for i in [0] + frame])
         index = dict(zip(projected, ints))
         verts = pointset.PointSet.from_scaled([index[v] for v in flat.vertex_set.ints], k.den)
         hyps = []

@@ -467,8 +467,14 @@ def parity_check(t: Tiling) -> bool:
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
     """A basis b_1..b_d of L with |<w, b_i>| <= 2 (3/2)^(d-2) (d!)^2 for all w.
 
-    Existence is guaranteed whenever W spans; the search is bounded and
-    returns None when it fails to locate one.
+    Existence is guaranteed whenever W spans, but the search is neither
+    cheap nor complete.  Its box holds every z of spread <= 2 kappa over
+    the given dual frame, and a skewed basis makes it huge: in d = 3
+    (kappa = 108) it has 1,153,574,785 cells for
+    `generalized_family_tiling(3, 2)` with b_3 sheared to b_3 + 5 b_1.
+    Only the 30 shortest candidates are tried as bases, so it returns
+    None whenever no basis is among them, even when one exists.  ROADMAP
+    item 6 replaces the search by a lattice reduction.
     """
     d = lat.dim
     kappa = Fraction(2 * 3 ** (d - 2) * math.factorial(d) ** 2, 2 ** (d - 2))

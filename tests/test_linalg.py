@@ -366,12 +366,16 @@ def test_square_solvers_match_leibniz(m, data):
             lambda: linalg.inverse(m),
             lambda: det_times_inverse(m),
             lambda: solve(m, (1,) * d),
+            lambda: linalg.solve_scaled(m, identity(d)),
         ):
             with pytest.raises(SingularMatrixError):
                 call()
         return
     inv = linalg.inverse(m)
     assert linalg.mat_mul(inv, m) == identity(d) == linalg.mat_mul(m, inv)
+    den, scaled = linalg.solve_scaled(m, identity(d))
+    assert den > 0 and all(type(e) is int for row in scaled for e in row)
+    assert [[F(e, den) for e in row] for row in scaled] == [list(row) for row in zip(*inv)]
     x = tuple(data.draw(ENTRIES) for _ in range(d))
     assert solve(m, linalg.mat_vec(m, x)) == x
     target = tuple(tuple(value * int(i == j) for i in range(d)) for j in range(d))

@@ -23,23 +23,24 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, f"assert is stripped under -O: {found}"
 
 
-# Corrupts the first facet normal made while inserting (the initial
+# Tilts, zeroes ("none") or flips the first facet normal made while
+# inserting, the first one from a horizon ridge's pencil (the initial
 # triangle takes three), then reports what the hull raised.
 CORRUPT_ONE_FACET = """
 import json, sys
 from homometry import polytope
 
-normal = polytope._primitive_normal
+primitive = polytope._primitive
 calls = []
 
-def corrupted(pts):
-    n = normal(pts)
+def corrupted(n):
+    n = primitive(n)
     calls.append(n)
     if len(calls) != 4:
         return n
-    return (3 * n[0] + 1, 3 * n[1]) if sys.argv[1] == "tilted" else None
+    return {"tilted": (3 * n[0] + 1, 3 * n[1]), "flipped": (-n[0], -n[1])}.get(sys.argv[1], (0, 0))
 
-polytope._primitive_normal = corrupted
+polytope._primitive = corrupted
 try:
     polytope.hull([(0, 0), (4, 0), (0, 4), (4, 4), (2, 5)])
     out = {"raised": None}
@@ -56,6 +57,7 @@ print(json.dumps(out))
     [
         ("tilted", "facet simplex is off its hyperplane"),
         ("none", "degenerate facet simplex"),
+        ("flipped", "facet normal points inward"),
     ],
 )
 def test_hull_checks_run_under_optimize(corruption, message):

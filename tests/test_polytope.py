@@ -1,6 +1,7 @@
 """Exact polytopes: hulls, widths, bodies, lattice points, volumes, polars."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from homometry.errors import (
     SingularMatrixError,
 )
 from homometry.lattice import Lattice
-from homometry.polytope import hull
+from homometry.polytope import Polytope, hull
 
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)
@@ -349,21 +350,31 @@ def oracle_hull(points):
     for a, b in facets:
         k = next(i for i, e in enumerate(a) if e)
         face = [p[:k] + p[k + 1 :] for p in verts if linalg.vdot(a, p) == b]
-        volume += (b - linalg.vdot(a, centre)) / abs(a[k]) * oracle_hull(face)[2]
+        volume += (b - linalg.vdot(a, centre)) / abs(a[k]) * oracle_volume(face)
     return verts, sorted(facets), volume / d
 
 
-SIZES = {1: 6, 2: 9, 3: 7, 4: 6}  # points per dimension, to keep the oracle quick
+def oracle_volume(points):
+    """Volume of a full-dimensional conv(points): |det| / d! of the edges
+    for a simplex, else by `oracle_hull`'s cones."""
+    d = len(points[0])
+    if len(points) == d + 1:
+        edges = tuple(linalg.vsub(q, points[0]) for q in points[1:])
+        return abs(linalg.det(edges)) / math.factorial(d)
+    return oracle_hull(points)[2]
+
+
+SIZES = {1: 6, 2: 9, 3: 7, 4: 6, 5: 7}  # points per dimension, to keep the oracle quick
 
 
 @st.composite
 def rational_point_sets(draw):
-    """Rational points in d = 1..4 with mixed denominators.
+    """Rational points in d = 1..5 with mixed denominators.
 
     Coordinates may be shifted past 2**64; one set in five is flat, on the
     hyperplane x_d = <c, x'> + c0 with rational c.
     """
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     dens = draw(st.sampled_from([(1,), (2, 3), (1, 5, 7), (4, 6)]))
     coord = st.builds(F, st.integers(-5, 5), st.sampled_from(dens))
     n = draw(st.integers(d + 1, SIZES[d]))
@@ -413,6 +424,24 @@ def test_hull_matches_brute_force_oracle(points):
             (a, tuple(v for v in verts if linalg.vdot(a, v) == b)) for a, b in facets
         )
         assert p.volume() == volume
+
+
+@pytest.mark.parametrize("shift", [0, 2**64 + 1, -(2**70)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hull_of_a_grid_with_coplanar_points(d, shift):
+    """The grid {0, 1, 2}^d, shifted, with points on its facets added: most
+    points lie on a facet's hyperplane, so most new facets are coplanar
+    with the kept facet of their ridge."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    verts = [tuple(c + shift for c in p) for p in itertools.product((0, 2), repeat=d)]
+    facets = sorted(
+        [(u, sum(u) * (2 + shift)) for u in units] + [(linalg.vneg(u), -shift) for u in units]
+    )
+    grid = [tuple(F(c + shift) for c in p) for p in itertools.product(range(3), repeat=d)]
+    p = hull(grid + boundary_points(verts, facets))
+    assert p.vertices == tuple(sorted(verts))
+    assert list(p.facets()) == facets
+    assert p.volume() == 2**d
 
 
 # -- the integer lattice scan against the former Fraction scan --------------
@@ -572,3 +601,12 @@ def test_flat_hull_matches_fraction_lifting(case, data):
     assert poly.lattice_points(lat) == fraction_lattice_scan(verts, system, lat, strict=False)
     with pytest.raises(LowerDimensionalError):
         poly.interior_lattice_points(lat)
+
+
+def test_a_flat_hull_is_one_hull_call(monkeypatch):
+    calls = []
+    build = Polytope.hull
+    monkeypatch.setattr(Polytope, "hull", staticmethod(lambda k: calls.append(k) or build(k)))
+    p = hull([(0, 0, 0), (1, 2, 1), (3, 6, 3), (1, 0, 2), (2, 2, 3)])
+    assert p.dim == 2 and len(p.vertices) == 4
+    assert len(calls) == 1
