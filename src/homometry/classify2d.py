@@ -8,10 +8,10 @@ reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
 kernel that scans one tile of each class of translates, walks its rows by
 their end points, and keeps every offset of the classes whose tile passes its
 dimension and diagonal-width filters.  Every tile it keeps is rebuilt and
-re-checked in exact rational arithmetic; its lattice width, taken by the same
-Gauss reduction `planar_width`, decides once whether it exceeds 1, and each
-tile that does is verified to tile.  Tiles with equal unimodular normal forms
-(`normal_form`) form one class.
+re-checked exactly, its flatness read from its hull ring `_kernels.hull_ring`;
+its lattice width, by the same planar Gauss reduction, decides once whether
+it exceeds 1, and each tile that does is verified to tile.  Tiles with equal
+unimodular normal forms (`normal_form`, read off the ring's edges) form one class.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, tiling
-from ._kernels import planar_width, search_base_raw
-from .errors import InvariantError, NotATilingError, NotLatticeConvexError
+from ._kernels import hull_ring, planar_width, search_base_raw
+from .errors import InvariantError, LowerDimensionalError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs
-from .linalg import mat, mat_vec, vadd, vneg, vsub
+from .linalg import mat, mat_vec, vadd, vneg, vscale, vsub
 from .pointset import PointSet, centrally_symmetric
 
 
@@ -99,17 +99,15 @@ def tile_points(l: int, h: int, s: int, q1: int, q2: int) -> PointSet:
 def _exact_filters(pts: PointSet, l: int, h: int, s: int):
     """(passes, diagonal width, lattice width) of a tile in exact arithmetic.
 
-    A tile passes the kernel's filters when it is two-dimensional with width
-    < 1 in the direction b1* + b2*; only then is its lattice width taken, by
-    the planar Gauss reduction `planar_width` on the tile's integer points.
+    A tile passes the kernel's filters when it is two-dimensional (it has a
+    hull ring) and its points span < 1 in the direction b1* + b2*; only then
+    is its lattice width taken, by the planar Gauss reduction `planar_width`.
     """
-    hull = pts.hull()
-    if hull.dim != 2:
+    try:
+        hull_ring(pts.ints)
+    except LowerDimensionalError:
         return False, None, None
-    base = lattice_from_lhs(l, h, s)
-    bstar = linalg.dual_basis(base.basis)
-    diagonal = tuple(a + b for a, b in zip(bstar[0], bstar[1]))
-    diag_width = tiling.width_of(hull, diagonal)
+    diag_width = tiling.width_of(pts, vadd(*linalg.dual_basis(lattice_from_lhs(l, h, s).basis)))
     if diag_width >= 1:
         return False, diag_width, None
     return True, diag_width, Fraction(planar_width(pts.ints)[0], pts.den)
@@ -157,20 +155,22 @@ def normal_form(k: PointSet):
     D (U(K) + t)), D the least integer that makes the differences of K
     integral, so two sets are unimodularly equivalent iff their keys agree
     (the PALP normal form idea: Kreuzer-Skarke 2004, arXiv:1301.6641).  Each
-    hull edge and endpoint v give one image: v goes to o and the edge's
-    primitive direction to e1 by a Bezout matrix, y is negated so that the
-    image lies in y >= 0, and a shear x -> x + m y puts the leftmost point of
-    the lowest positive row at 0 <= x < that row's height.
+    edge of the hull ring of the integer offsets D (K - lexmin), walked from
+    either endpoint v, gives one image: v goes to o and the edge's primitive
+    direction to e1 by a Bezout matrix, y is negated so that the image lies
+    in y >= 0, and a shear x -> x + m y puts the leftmost point of the lowest
+    positive row at 0 <= x < that row's height.  U and t come from the least.
     """
-    if k.dim != 2 or k.hull().dim != 2:
-        raise ValueError("the unimodular normal form needs a two-dimensional planar set")
     den, ipts = k.offsets
-    index = dict(zip(k.points, ipts))
+    try:
+        ring = hull_ring(ipts if k.dim == 2 else ())
+    except LowerDimensionalError:
+        raise ValueError("the unimodular normal form needs a two-dimensional planar set") from None
     best = None
-    for _, edge in k.hull().facet_vertex_sets():
-        for v, w in (edge, edge[::-1]):
-            (vx, vy), (wx, wy) = index[v], index[w]
-            dx, dy = linalg.primitive_integer_direction((wx - vx, wy - vy))
+    for edge in zip(ring, ring[1:] + ring[:1]):
+        for (vx, vy), (wx, wy) in (edge, edge[::-1]):
+            g = math.gcd(wx - vx, wy - vy)
+            dx, dy = (wx - vx) // g, (wy - vy) // g
             inv = pow(dx, -1, abs(dy)) if dy else dx
             # the Bezout matrix with rows (u11, u12), (u21, u22) maps (dx, dy) to e1
             u11, u12, u21, u22 = inv, (1 - inv * dx) // dy if dy else 0, -dy, dx
@@ -182,9 +182,10 @@ def normal_form(k: PointSet):
             m = -(x0 // height)
             image = sorted((x + m * y, y) for x, y in image)
             if best is None or image < best[0]:
-                best = image, mat([(u11 + m * u21, u21), (u12 + m * u22, u22)]), v
-    image, u, v = best
-    return (den, tuple(image)), u, vneg(mat_vec(u, v))
+                best = image, (u11 + m * u21, u12 + m * u22, u21, u22), (vx, vy)
+    image, (u11, u12, u21, u22), v = best
+    u = mat([(u11, u21), (u12, u22)])
+    return (den, tuple(image)), u, vneg(mat_vec(u, vadd(k.points[0], vscale(Fraction(1, den), v))))
 
 
 def unimodular_equivalent(a: PointSet, b: PointSet):
@@ -199,9 +200,10 @@ def unimodular_equivalent(a: PointSet, b: PointSet):
     if len(a) != len(b):
         return False, None
     key_a, u_a, t_a = normal_form(a)
-    if b.hull().dim != 2:
+    try:
+        key_b, u_b, t_b = normal_form(b)
+    except ValueError:  # a flat B
         return False, None
-    key_b, u_b, t_b = normal_form(b)
     if key_a != key_b:
         return False, None
     u_b_inv = linalg.inverse(u_b)

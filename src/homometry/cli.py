@@ -3,13 +3,15 @@
 Every verb validates its input, computes with exact arithmetic and prints a
 report object; numeric output is always an integer or a "p/q" string.
 Exit codes: 0 for a computed answer, 1 for a verification that found a
-violation (with a witness), 2 for malformed input or precondition errors.
+violation (with a witness), 2 for malformed or unreadable input, precondition
+errors, or a report that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classify2d, constructions, jsonio, pointset, tiling
@@ -19,11 +21,14 @@ from .pointset import PointSet
 
 
 def _read_document(source: str):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise HomometryError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -334,8 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a report that cannot be written fails here, not at exit
+    except OSError as exc:  # a closed pipe or a full disk: the report is lost
+        # send what is still buffered to the null device, so exit has nothing to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"homometry: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(args) -> int:
+    """The verb's exit code, with refused input reported as an error (code 2)."""
     try:
         return args.func(args)
     except SchemaError as exc:
@@ -348,11 +365,6 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             report["witness"] = jsonio.exact_out(exc.witness)
         return _emit(report, 2)
-    except OSError as exc:
-        return _emit(
-            {"status": "error", "verb": args.verb, "error": f"cannot read input: {exc}"},
-            2,
-        )
     except ValueError as exc:
         # input that parses but the library refuses (mixed dimensions, a
         # basis of the wrong kind): bad input, not a violation

@@ -114,9 +114,13 @@ class Lattice:
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
+    @cached_property
+    def _dual(self) -> "Lattice":
+        return Lattice(transpose(self.inverse_basis))  # the dual basis B^-T
+
     def dual(self) -> "Lattice":
-        """The dual lattice {y : <y, x> in Z for all x here}."""
-        return Lattice(linalg.dual_basis(self.basis))
+        """The dual lattice {y : <y, x> in Z for all x here}, built on the first call."""
+        return self._dual
 
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return all(other.contains(col) for col in self.basis)

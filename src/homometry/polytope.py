@@ -8,11 +8,12 @@ every normal comes from one rule in every dimension: the first simplex's
 from one inverse, each later one from the pencil of its horizon ridge.
 Facets are kept as oriented boundary simplices with primitive integer
 normals; the final facet inequalities are their deduplicated carrier
-hyperplanes <a, x> <= beta / D.  The vertices are a `PointSet` of input
-points, so sums of hulls add integers.  A map from each ridge to the
-facets through it gives the horizon, and is checked to hold two facets
-wherever an insertion changes it, so a boundary that stops being a
-pseudomanifold fails loudly instead of silently producing a wrong hull.
+hyperplanes <a, x> <= beta / D.  The vertices, input points so that sums
+of hulls add integers, and each facet's vertices come from the boundary
+simplices, among whose vertices is every extreme point of every facet.
+A map from each ridge to the facets through it gives the horizon; it is
+checked to hold two facets wherever an insertion changes it, so a
+boundary that stops being a pseudomanifold fails loudly.
 Lower-dimensional input of rank r is projected onto r coordinates that
 map its affine hull one to one onto R^r; the full-dimensional hull there
 is lifted back by point index and by placing each facet row at those
@@ -73,7 +74,11 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     inside the hull <a_v, c> - b_v and <a_u, c> - b_u are negative, so its
     excess -e_u (<a_v, c> - b_v) + e_v (<a_u, c> - b_u) is too, and an
     orientation is only checked, never repaired.  The boundary simplices
-    (d integer points each) tile the boundary, which gives exact volumes.
+    (d integer points each) tile the boundary, which gives exact volumes,
+    and name the vertices: an extreme point p on a facet F is a vertex of
+    a simplex that triangulates F, so the planes of p's simplices are all
+    of p's facets, and p is a vertex iff their normals span R^d; any other
+    point lies on planes of rank < d, and so do its simplices' planes.
     """
     den, ipts, d = k.den, k.ints, k.dim
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
@@ -151,19 +156,28 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     for i, q in enumerate(ipts):
         if any(_idot(a, q) > b for a, b in planes):
             raise InvariantError("hull misses an input point", witness=k.points[i])
-    verts, on_plane = _vertices_from_hyperplanes(ipts, planes, d)
+    tight: dict[int, set] = {}  # a simplex vertex -> its simplices' planes
+    for f, plane in facets.items():
+        for i in f:
+            tight.setdefault(i, set()).add(plane)
+    verts = [i for i in sorted(tight) if len(tight[i]) >= d]  # fewer cannot span R^d
+    verts = [i for i in verts if linalg.rank_of([a for a, _ in tight[i]]) == d]
+    row = {plane: n for n, plane in enumerate(planes)}
+    on_plane = [[] for _ in planes]
+    for pos, i in enumerate(verts):
+        for plane in tight[i]:
+            on_plane[row[plane]].append(pos)
     data = {
         "eqs": (),
         "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
-        "facet_vertices": on_plane,
+        "facet_vertices": tuple(map(tuple, on_plane)),
         # the boundary simplices' points D p, and (d + 1) D times a point inside
         "simplices": tuple(tuple(ipts[i] for i in sorted(f)) for f in facets),
         "inner": inner,
         "scale": (d + 1) * den,
     }
-    return Polytope(
-        _vertices=pointset.PointSet.from_scaled(verts, den), _ambient=d, _dim=d, _internal=data
-    )
+    vset = pointset.PointSet.from_scaled([ipts[i] for i in verts], den)
+    return Polytope(_vertices=vset, _ambient=d, _dim=d, _internal=data)
 
 
 class Polytope:
@@ -359,22 +373,6 @@ class Polytope:
         le_rows, le_rhs = integer_rows(ineqs)
         pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
         return lattice.points(pts)
-
-
-def _vertices_from_hyperplanes(ipts, planes, d):
-    """The extreme points among the sorted integer points `ipts`, those whose
-    tight facet normals span R^d, and the positions in that list of the
-    extreme points on each of the integer facets `planes`.
-    """
-    verts = []
-    on_plane = [[] for _ in planes]
-    for q in ipts:
-        tight = [k for k, (a, b) in enumerate(planes) if _idot(a, q) == b]
-        if len(tight) >= d and linalg.rank_of([planes[k][0] for k in tight]) == d:
-            for k in tight:
-                on_plane[k].append(len(verts))
-            verts.append(q)
-    return verts, tuple(map(tuple, on_plane))
 
 
 def hull(points) -> Polytope:

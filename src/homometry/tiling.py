@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, pointset, polytope
 from ._kernels import box_scan, hull_ring, thin_directions
@@ -65,10 +66,14 @@ class WSetResult:
 
 
 def width_of(obj, u) -> Fraction:
-    """w(K, u) = h(K, u) + h(K, -u) for a PointSet or Polytope."""
-    u, k = vec(u), obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
-    vals = [vdot(u, p) for p in k.ints]
-    return (max(vals) - min(vals)) / k.den
+    """w(K, u) = h(K, u) + h(K, -u) for a PointSet or Polytope, in integers:
+    with q u and D p integral, it is the spread of <q u, D p> over q D."""
+    k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
+    q, (n,) = linalg.clear_denominators([vec(u)])
+    if len(n) != k.dim:
+        raise ValueError(f"expected a direction of dimension {k.dim}, got {len(n)}")
+    vals = [sum(map(mul, n, p)) for p in k.ints]
+    return Fraction(max(vals) - min(vals), q * k.den)
 
 
 def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Tiling:

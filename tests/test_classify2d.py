@@ -419,6 +419,60 @@ def test_unimodular_witness_maps_a_onto_b(a, word, t):
     assert apply(u, shift, a) == b
 
 
+def polytope_normal_form(k):
+    """The normal form as it was read off `Polytope.facet_vertex_sets`, kept
+    as an oracle for the one read off `hull_ring`."""
+    if k.dim != 2 or k.hull().dim != 2:
+        raise ValueError("the unimodular normal form needs a two-dimensional planar set")
+    den, ipts = k.offsets
+    index = dict(zip(k.points, ipts))
+    best = None
+    for _, edge in k.hull().facet_vertex_sets():
+        for v, w in (edge, edge[::-1]):
+            (vx, vy), (wx, wy) = index[v], index[w]
+            dx, dy = linalg.primitive_integer_direction((wx - vx, wy - vy))
+            inv = pow(dx, -1, abs(dy)) if dy else dx
+            u11, u12, u21, u22 = inv, (1 - inv * dx) // dy if dy else 0, -dy, dx
+            rel = [(x - vx, y - vy) for x, y in ipts]
+            image = [(u11 * x + u12 * y, u21 * x + u22 * y) for x, y in rel]
+            if min(y for _, y in image) < 0:
+                u21, u22, image = dy, -dx, [(x, -y) for x, y in image]
+            height, x0 = min((y, x) for x, y in image if y > 0)
+            m = -(x0 // height)
+            image = sorted((x + m * y, y) for x, y in image)
+            if best is None or image < best[0]:
+                best = image, mat([(u11 + m * u21, u21), (u12 + m * u22, u22)]), v
+    image, u, v = best
+    return (den, tuple(image)), u, linalg.vneg(mat_vec(u, v))
+
+
+@st.composite
+def planar_sets_with_edge_points(draw):
+    """Two-dimensional planar sets with collinear points on their hull
+    edges: the lattice points of segments between drawn integer points,
+    scaled by 1/m and shifted by a vector of denominator up to 6, so that
+    the points' denominator often exceeds the offsets' one."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    pts = draw(st.lists(pair, min_size=3, max_size=6, unique=True))
+    for p, q in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=4)):
+        g = math.gcd(q[0] - p[0], q[1] - p[1]) or 1
+        pts += [tuple(a + j * (b - a) // g for a, b in zip(p, q)) for j in range(1, g)]
+    shift = draw(st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 6))] * 2))
+    k = PointSet(vadd((F(x, m), F(y, m)), shift) for x, y in pts)
+    assume(k.hull().dim == 2)
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(planar_sets(), planar_sets_with_edge_points()))
+def test_normal_form_matches_the_polytope_edges(k):
+    key, u, t = cl.normal_form(k)
+    assert key == polytope_normal_form(k)[0]
+    den, image = key
+    assert apply(u, t, k).points == tuple(linalg.vscale(F(1, den), p) for p in image)
+
+
 def test_unimodular_equivalent_flat_second_set():
     flat = PointSet([(x, 0) for x in range(len(CROSS))])
     assert cl.unimodular_equivalent(CROSS, flat) == (False, None)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
+ROOT = Path(__file__).resolve().parents[1]
 TILE_K2 = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]}
 LAT_K2 = {"basis": [[3, -1], [2, 1]]}
 
@@ -322,6 +327,7 @@ def test_lower_dimensional_tile_error(tmp_path, capsys):
             {"S": {"points": [[0, 0], [1, 0]]}, "T": {"points": [[0, 0, 0], [0, 0, 1]]}},
             "cannot add sets of dimensions 2 and 3",
         ),
+        ("width", dict(TILE_K2, direction=[1, 1, 0]), "expected a direction of dimension 2"),
     ],
 )
 def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in, message):
@@ -345,6 +351,40 @@ def test_unreadable_input_is_an_error_not_a_violation(tmp_path, capfd):
     assert doc["status"] == "error" and doc["verb"] == "covariogram"
     assert "cannot read input" in doc["error"]
     assert "Traceback" not in out + err
+
+
+def run_cli_process(argv, stdout):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-m", "homometry.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_closed_pipe_is_an_error_not_a_violation(tmp_path):
+    # the 2 MB report of 3-D tiles is cut after 20 bytes, like `| head -c 20`
+    path = write_doc(tmp_path, "basis.json", {"basis": [[3, 1, 0], [0, 2, 1], [1, 0, 2]]})
+    proc = run_cli_process(["enum-tiles", path], subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 2
+    assert head.startswith("{")
+    assert "cannot write the report" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_disk_is_an_error_not_a_violation():
+    with open("/dev/full", "w") as full:
+        proc = run_cli_process(["classify2d", "--det-range", "1:30"], full)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 2
+    assert "No space left on device" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_rationals_never_serialized_as_floats(capsys):

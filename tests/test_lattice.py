@@ -150,6 +150,15 @@ def test_dual_involution_and_equality():
         assert lat.dual().determinant * lat.determinant == 1
 
 
+def test_dual_is_built_once():
+    lat = Lattice([(3, -1), (2, F(1, 2))])
+    basis = lat.basis
+    dual = lat.dual()
+    assert lat.dual() is dual
+    assert lat.basis == basis
+    assert dual.basis == linalg.dual_basis(basis)
+
+
 def test_json_roundtrip():
     from homometry import jsonio
 

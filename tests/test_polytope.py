@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from homometry.errors import (
     SingularMatrixError,
 )
 from homometry.lattice import Lattice
+from homometry.pointset import PointSet
 from homometry.polytope import Polytope, hull
 
 Z1 = Lattice.standard(1)
@@ -442,6 +444,56 @@ def test_hull_of_a_grid_with_coplanar_points(d, shift):
     assert p.vertices == tuple(sorted(verts))
     assert list(p.facets()) == facets
     assert p.volume() == 2**d
+
+
+# -- vertices and incidences against the former plane scan -----------------
+
+
+def vertices_from_hyperplanes(ipts, planes, d):
+    """The hull's former vertex rule, kept as an oracle: the extreme points
+    among the sorted integer points `ipts`, those whose tight facet normals
+    span R^d, and the positions in that list of the extreme points on each
+    of the integer facets `planes`.
+    """
+    verts = []
+    on_plane = [[] for _ in planes]
+    for q in ipts:
+        tight = [k for k, (a, b) in enumerate(planes) if sum(map(mul, a, q)) == b]
+        if len(tight) >= d and linalg.rank_of([planes[k][0] for k in tight]) == d:
+            for k in tight:
+                on_plane[k].append(len(verts))
+            verts.append(q)
+    return verts, tuple(map(tuple, on_plane))
+
+
+@st.composite
+def boundary_heavy_sets(draw):
+    """Full-dimensional sets in d = 1..5 with most points on the boundary: a
+    grid of 2 or 3 points a side (3 on at most 6 - d sides, so that d = 4, 5
+    have points inside edges) with a rational step, up to four rational
+    points around it, and the hull oracle's shifts."""
+    d = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([1, F(1, 2), F(2, 3)]))
+    sides = [draw(st.integers(1, 2)) if i < 6 - d else 1 for i in range(d)]
+    grid = [tuple(step * c for c in p) for p in itertools.product(*[range(n + 1) for n in sides])]
+    coord = st.builds(F, st.integers(-3, 9), st.sampled_from([1, 2, 3, 5]))
+    extra = draw(st.lists(st.tuples(*[coord] * d), max_size=4))
+    shift = draw(st.sampled_from([0, 2**64 + 1, -(2**70)]))
+    return [tuple(x + shift for x in p) for p in grid + extra]
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_heavy_sets())
+def test_vertices_and_incidences_match_the_plane_scan(points):
+    k = PointSet(points)
+    p = hull(k)
+    planes = [(a, int(b * k.den)) for a, b in p._data["hyps"]]  # <a, D x> <= D b
+    verts, on_plane = vertices_from_hyperplanes(k.ints, planes, k.dim)
+    expected = PointSet.from_scaled(verts, k.den)
+    assert p.vertex_set == expected
+    assert p.facet_vertex_sets() == tuple(
+        (a, tuple(expected.points[j] for j in f)) for (a, _), f in zip(planes, on_plane)
+    )
 
 
 # -- the integer lattice scan against the former Fraction scan --------------

@@ -186,6 +186,29 @@ def test_lattice_width_flat_set_zero():
     assert linalg.vdot(u, (2, 2)) == 0 and any(u)
 
 
+@st.composite
+def rational_sets_and_directions(draw):
+    """A rational set in d = 1..4 and a direction of the same dimension,
+    with mixed denominators in both, sometimes shifted past 2**64."""
+    d = draw(st.integers(1, 4))
+    coord = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 4, 6, 7]))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    shift = draw(st.sampled_from([0, 2**64 + 1]))
+    return [tuple(c + shift for c in p) for p in pts], draw(st.tuples(*[coord] * d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_sets_and_directions())
+def test_width_of_matches_the_fraction_formula(case):
+    pts, u = case
+    values = [linalg.vdot(u, p) for p in pts]
+    k = PointSet(pts)
+    assert ti.width_of(k, u) == max(values) - min(values)
+    assert ti.width_of(k.hull(), u) == max(values) - min(values)
+    with pytest.raises(ValueError):
+        ti.width_of(k, u + (1,))
+
+
 @pytest.mark.parametrize("s", range(7))
 def test_delta_width_det7(s):
     # the half-cell triangles with determinant 7 driving the search filter
