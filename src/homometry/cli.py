@@ -31,7 +31,7 @@ def _read_document(source: str):
         raise HomometryError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the parser's depth
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
 
 

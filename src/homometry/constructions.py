@@ -227,7 +227,7 @@ def parabola_construction(n: int, base: Tiling | None = None) -> HomometricPair:
 
     parabola = [(Fraction(i * i), Fraction(i)) for i in range(-n, n + 1)]
     prism = hull([(e,) + p for e in (0, 1) for p in parabola])
-    s = PointSet(prism.lattice_points(translations))
+    s = prism.lattice_points(translations)
     facets = prism.facets()
     if len(facets) != 2 * n + 3:
         raise InvariantError(

@@ -104,13 +104,6 @@ class Lattice:
         m = e * den
         return all(sum(map(mul, r, p)) % m == 0 for r in rows)
 
-    def points(self, zs) -> list[Vec]:
-        """The lattice points B z of integer coordinate vectors z, sorted."""
-        f, rows = self.integer_basis
-        # (F B) z sorts like B z, and ints sort faster than Fractions
-        scaled = sorted([tuple([sum(map(mul, r, z)) for r in rows]) for z in zs])
-        return [tuple([Fraction(c, f) for c in y]) for y in scaled]
-
     def __contains__(self, v) -> bool:
         return self.contains(v)
 

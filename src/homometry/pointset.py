@@ -264,14 +264,15 @@ def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
     return next((k._point(z) for z in k.ints if not lat.contains_scaled(z, den)), None)
 
 
-def _missing_point(k: PointSet, scanned: list[Vec]) -> Vec | None:
+def _missing_point(k: PointSet, scanned: PointSet) -> Vec | None:
     """The first scanned point not in K, for K inside the scanned set.
 
-    Then equal sizes mean equal sets, and no point needs to be looked up.
+    Then equal sizes mean equal sets, and the scanned points are made
+    Fractions and looked up only when the sizes differ.
     """
     if len(scanned) == len(k):
         return None
-    return next((q for q in scanned if q not in k), None)
+    return next((q for q in scanned.points if q not in k), None)
 
 
 def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:

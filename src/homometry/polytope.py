@@ -335,21 +335,24 @@ class Polytope:
 
     # -- lattice interaction ------------------------------------------------
 
-    def lattice_points(self, lattice) -> list[Vec]:
-        """Exactly lattice ∩ P, via an integer box scan in basis coordinates."""
+    def lattice_points(self, lattice) -> "pointset.PointSet | None":
+        """Exactly lattice ∩ P as a PointSet, or None when it is empty."""
         return self._lattice_scan(lattice, strict=False)
 
-    def interior_lattice_points(self, lattice) -> list[Vec]:
+    def interior_lattice_points(self, lattice) -> "pointset.PointSet | None":
+        """The lattice points of the interior, as `lattice_points`."""
         if not self.is_full_dimensional():
             raise LowerDimensionalError("interior of a lower-dimensional polytope")
         return self._lattice_scan(lattice, strict=True)
 
-    def _lattice_scan(self, lattice, strict: bool) -> list[Vec]:
+    def _lattice_scan(self, lattice, strict: bool) -> "pointset.PointSet | None":
         """Lattice points as integer coordinates z of x = B z, in integers only.
 
         The box comes from the vertices' lattice coordinates, and a
         constraint <r, x> ~ rhs with r integral becomes <r, (F B) z> ~ F rhs,
-        cleared of the denominator of F rhs.
+        cleared of the denominator of F rhs.  The points are kept as the
+        integer vectors (F B) z over F, so none is made a Fraction unless
+        `points` is read.
         """
         m, zverts = lattice.scaled_coordinates(self.vertex_set.ints, self.vertex_set.den)
         # integer coordinates between the vertices' least and greatest
@@ -372,7 +375,11 @@ class Polytope:
         eq_rows, eq_rhs = integer_rows(eqs)
         le_rows, le_rhs = integer_rows(ineqs)
         pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
-        return lattice.points(pts)
+        if not pts:
+            return None
+        return pointset.PointSet.from_scaled(
+            [tuple([_idot(r, z) for r in basis_rows]) for z in pts], f
+        )
 
 
 def hull(points) -> Polytope:

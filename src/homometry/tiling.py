@@ -237,42 +237,38 @@ def _require_verified(t: Tiling):
         raise ValueError("tiling must come from verify_tiling")
 
 
-def _convex_summand_hull(s: PointSet, t: Tiling):
-    """conv(S) when S is L-convex, else None: the prologue of (a) and (c).
-
-    Raises unless t is verified, S lies in L and S is full-dimensional.
-    """
-    _require_verified(t)
-    convex = pointset.is_lattice_convex(s, t.translations)
-    s_hull = s.hull()
-    if not s_hull.is_full_dimensional():
-        raise LowerDimensionalError("S must be full-dimensional")
-    return s_hull if convex else None
-
-
-def _wide_facets(s_hull: polytope.Polytope, t: Tiling):
-    """(u, vertices) of each facet of conv(S) whose primitive normal u in L*
-    has w(T, u) >= 1, in `facet_vertex_sets` order."""
-    dual = t.translations.dual()
-    for a, verts in s_hull.facet_vertex_sets():
-        u = dual.primitive_parallel(a)
-        if width_of(t.tile.hull(), u) >= 1:
-            yield u, verts
-
-
 def _facet_conditions(s: PointSet, t: Tiling, with_c: bool):
     """(a) and (c) as (holds, witness) pairs from one prologue and one scan.
 
-    (a) fails on the first wide facet, (c) on the first wide facet F with
-    aff(F) ⊆ F + L.  Without with_c, (c) is (None, None).
+    The prologue raises unless t is verified, S lies in L and S is
+    full-dimensional; (a) and (c) fail without a witness when S is not
+    L-convex.  A facet's primitive normal a has the coordinates B^T a in
+    the dual basis B^-T, so its primitive dual direction is u = B^-T z with
+    z = F B^T a / gcd, F B^T a being the integers <F b_j, a>.  With the
+    integers c_p = m B^-1 p for the points p of T, <z, c_p> = m <u, p>, so
+    w(T, u) >= 1 iff the <z, c_p> spread by m or more; u is built only for
+    such a wide facet.  (a) fails on the first wide facet, (c) on the first
+    wide facet F with aff(F) ⊆ F + L.  Without with_c, (c) is (None, None).
     """
-    s_hull = _convex_summand_hull(s, t)
-    if s_hull is None:
+    _require_verified(t)
+    lat = t.translations
+    convex = pointset.is_lattice_convex(s, lat)
+    s_hull = s.hull()
+    if not s_hull.is_full_dimensional():
+        raise LowerDimensionalError("S must be full-dimensional")
+    if not convex:
         return (False, None), ((False, None) if with_c else (None, None))
+    basis_cols = list(zip(*lat.integer_basis[1]))  # the columns F b_j
+    m, coords = lat.scaled_coordinates(t.tile.ints, t.tile.den)
     wa = wc = None
-    for u, verts in _wide_facets(s_hull, t):
+    for a, verts in s_hull.facet_vertex_sets():
+        z = polytope._primitive([sum(map(mul, col, a)) for col in basis_cols])
+        vals = [sum(map(mul, z, c)) for c in coords]
+        if max(vals) - min(vals) < m:
+            continue
+        u = mat_vec(lat.dual().basis, z)
         wa = wa or u
-        if not with_c or affine_covering_test(verts, t.translations):
+        if not with_c or affine_covering_test(verts, lat):
             wc = u
             break
     return (wa is None, wa), ((wc is None, wc) if with_c else (None, None))

@@ -352,7 +352,7 @@ def test_criterion_8_oracle_equivalence():
         if oracle is None:
             continue
         checked += 1
-        if k.hull().lattice_points(Lattice.standard(k.dim)) != oracle:
+        if list(k.hull().lattice_points(Lattice.standard(k.dim))) != oracle:
             ok = False
             break
     ok = ok and checked >= 20

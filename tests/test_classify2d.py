@@ -503,7 +503,7 @@ def test_two_row_tiles_are_convex_of_lattice_width_one():
     z2 = Lattice.standard(2)
     for k, l in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)]:
         tile = PointSet([(x, 0) for x in range(k + 1)] + [(x, 1) for x in range(l + 1)])
-        assert tile.hull().lattice_points(z2) == list(tile.points)
+        assert tile.hull().lattice_points(z2) == tile
         widths = {
             u: ti.width_of(tile, u) for u in itertools.product(range(-6, 7), repeat=2) if any(u)
         }

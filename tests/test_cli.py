@@ -297,6 +297,15 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "path" in doc
 
 
+def test_deeply_nested_json_is_refused_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, doc = run_json(capsys, ["covariogram", str(path)])
+    assert code == 2
+    assert doc["status"] == "error" and doc["path"] == "$"
+    assert doc["error"].startswith("$: invalid JSON: ")
+
+
 def test_lower_dimensional_tile_error(tmp_path, capsys):
     path = write_doc(
         tmp_path,

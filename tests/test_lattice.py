@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -242,7 +243,8 @@ def test_integer_views_match_fraction_formulas(case):
 @given(skewed_lattices(), st.lists(st.integers(-(2**70), 2**70), min_size=3, max_size=3))
 def test_integer_basis_maps_coordinates_back(lat, z):
     z = z[: lat.dim]
-    (x,) = lat.points([z])
+    f, rows = lat.integer_basis  # (F B) z / F is B z
+    x = tuple([F(sum(map(mul, r, z)), f) for r in rows])
     assert x == linalg.mat_vec(lat.basis, z)
     den, (p,) = linalg.clear_denominators([x])
     assert lat.contains_scaled(p, den)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg, polytope
+from homometry import lattice, linalg, polytope
 from homometry import pointset as ps
 from homometry.errors import (
     DegenerateDifferencesError,
@@ -176,6 +176,27 @@ def test_is_lattice_convex():
     assert not ps.is_lattice_convex(PointSet([(0,), (2,)]), Z1)
     with pytest.raises(NotInLatticeError):
         ps.is_lattice_convex(PointSet([(F(1, 2), 0)]), Z2)
+
+
+def test_a_convex_set_is_checked_without_fractions(monkeypatch):
+    # the scan keeps its points as (F B) z over F, and equal sizes need no
+    # point looked up, so no Fraction is made once conv(K) is built
+    half_third = Lattice([(F(1, 2), 0), (0, F(1, 3))])
+    cases = [
+        (PointSet([(0, 0), (1, 0), (1, 1)]), Z2),
+        (PointSet([(0, 0), (F(1, 2), 0), (0, F(1, 3)), (F(1, 2), F(1, 3))]), half_third),
+        (PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]), Lattice.standard(3)),
+    ]
+    for k, lat in cases:
+        k.hull(), lat.integer_basis, lat.integer_inverse
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+
+    for module in (ps, polytope, lattice):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    for k, lat in cases:
+        assert ps.is_lattice_convex(k, lat)
 
 
 def test_intrinsic_lattice_convexity():

@@ -44,6 +44,11 @@ def brute_lattice_points(poly, lat):
     return sorted(out)
 
 
+def as_points(scan):
+    """A lattice scan's points as a sorted list, [] for None (no lattice point)."""
+    return [] if scan is None else list(scan)
+
+
 def in_hull_oracle(points, x):
     """x in conv(points): an exact convex combination of at most d + 1 points.
 
@@ -158,12 +163,12 @@ def test_lattice_points_segment_16():
     seg = hull([(0,), (15,)])
     pts = seg.lattice_points(Z1)
     assert len(pts) == 16
-    assert pts[0] == (F(0),) and pts[-1] == (F(15),)
+    assert pts.points[0] == (F(0),) and pts.points[-1] == (F(15),)
 
 
 def test_lattice_points_triangle_matches_oracle():
     tri = hull([(0, 0), (2, -1), (1, 3)])
-    assert tri.lattice_points(Z2) == brute_lattice_points(tri, Z2)
+    assert list(tri.lattice_points(Z2)) == brute_lattice_points(tri, Z2)
 
 
 def test_lattice_points_general_lattice_oracle():
@@ -178,18 +183,18 @@ def test_lattice_points_general_lattice_oracle():
                 break
             except SingularMatrixError:
                 continue
-        assert poly.lattice_points(lat) == brute_lattice_points(poly, lat)
+        assert as_points(poly.lattice_points(lat)) == brute_lattice_points(poly, lat)
 
 
 def test_lattice_points_lower_dimensional():
     seg = hull([(0, 0, 0), (2, 2, 0)])
     pts = seg.lattice_points(Z3)
-    assert pts == [(F(0), F(0), F(0)), (F(1), F(1), F(0)), (F(2), F(2), F(0))]
+    assert list(pts) == [(F(0), F(0), F(0)), (F(1), F(1), F(0)), (F(2), F(2), F(0))]
 
 
 def test_interior_lattice_points():
     sq = hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
-    assert sq.interior_lattice_points(Z2) == [(F(0), F(0))]
+    assert list(sq.interior_lattice_points(Z2)) == [(F(0), F(0))]
     hexagon = hull([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
     doubled = hexagon.scale(2)
     inner = doubled.interior_lattice_points(Z2)
@@ -203,10 +208,44 @@ def test_interior_lattice_points():
         (F(-1), F(-1)),
     }
     simplex = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert simplex.interior_lattice_points(Z3) == []
+    assert simplex.interior_lattice_points(Z3) is None
     seg = hull([(0, 0), (1, 0)])
     with pytest.raises(LowerDimensionalError):
         seg.interior_lattice_points(Z2)
+
+
+def test_an_empty_scan_is_none():
+    # no lattice point at all: a segment and a triangle strictly between
+    # lattice points, and a triangle of points of Z^2 that holds none of 2 Z^2
+    assert hull([(F(1, 3),), (F(2, 3),)]).lattice_points(Z1) is None
+    inside = hull([(F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))])
+    assert inside.lattice_points(Z2) is None
+    assert hull([(1, 0), (0, 1), (1, 1)]).lattice_points(Lattice([(2, 0), (0, 2)])) is None
+    # lattice points on the boundary only: the unit simplex and a unit square
+    assert hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).interior_lattice_points(Z3) is None
+    assert hull([(0, 0), (1, 0), (0, 1), (1, 1)]).interior_lattice_points(Z2) is None
+
+
+def test_a_scan_is_the_point_set_of_its_points():
+    # the PointSet's (den, ints) are those of PointSet(oracle), also for
+    # lattices whose integer basis needs a denominator F > 1
+    rng = random.Random(29)
+    fine = Lattice([(F(1, 2), 0), (F(1, 3), F(1, 5))])
+    assert fine.integer_basis[0] == 30
+    nonempty = 0
+    for lat in [Z2, fine, Lattice([(F(2, 3), F(1, 3)), (0, 2)])]:
+        for _ in range(6):
+            poly = hull([(F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 3)) for _ in range(5)])
+            oracle = brute_lattice_points(poly, lat)
+            scan = poly.lattice_points(lat)
+            if not oracle:
+                assert scan is None
+                continue
+            assert isinstance(scan, PointSet)
+            assert (scan.den, scan.ints) == (PointSet(oracle).den, PointSet(oracle).ints)
+            assert list(scan) == oracle
+            nonempty += 1
+    assert nonempty >= 12
 
 
 def test_volume_cubes():
@@ -603,9 +642,10 @@ def test_lattice_scan_matches_fraction_scan(case):
     poly, lat = case
     full = poly.is_full_dimensional()
     system = poly.constraint_system() if full else fraction_flat_hull(poly.vertices)[1]
-    assert poly.lattice_points(lat) == fraction_lattice_scan(poly.vertices, system, lat, False)
+    scan = as_points(poly.lattice_points(lat))
+    assert scan == fraction_lattice_scan(poly.vertices, system, lat, False)
     if full:
-        inner = poly.interior_lattice_points(lat)
+        inner = as_points(poly.interior_lattice_points(lat))
         assert inner == fraction_lattice_scan(poly.vertices, system, lat, strict=True)
 
 
@@ -650,7 +690,8 @@ def test_flat_hull_matches_fraction_lifting(case, data):
         probes.append(linalg.vadd(p, data.draw(st.tuples(*[small] * len(p)))))
     for x in probes:
         assert poly.contains(x) == satisfies(system, x)
-    assert poly.lattice_points(lat) == fraction_lattice_scan(verts, system, lat, strict=False)
+    scan = as_points(poly.lattice_points(lat))
+    assert scan == fraction_lattice_scan(verts, system, lat, strict=False)
     with pytest.raises(LowerDimensionalError):
         poly.interior_lattice_points(lat)
 

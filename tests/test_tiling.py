@@ -582,6 +582,102 @@ def test_condition_c_hulls_nothing_and_covers_only_wide_facets(monkeypatch):
     assert narrow > 0
 
 
+
+# -- the facet scan on a rational lattice, far from the origin --------------
+
+# Lower-triangular maps with positive diagonals keep the lexicographic order
+# of points, so the first gap point of (b) maps to the first gap point.
+AFFINE_MAPS = {  # the rows of A
+    1: ((F(3, 4),),),
+    2: ((F(3, 2), 0), (F(-1, 3), F(5, 7))),
+    3: ((F(2, 3), 0, 0), (F(1, 2), F(5, 7), 0), (F(-1, 3), F(1, 5), F(3, 2))),
+}
+
+
+def _apply(rows, p):
+    return tuple([sum(r * c for r, c in zip(row, p)) for row in rows])
+
+
+def _mapped_case(s, t):
+    """(A S + l, the verified (A M, A L, A T + v)) for an l in A L and a v in
+    A M with coordinates near 2**64 in their bases.  A L is not integral, so
+    its integer basis needs a denominator F > 1."""
+    a, d = AFFINE_MAPS[s.dim], s.dim
+    ambient = Lattice([_apply(a, b) for b in t.ambient.basis])
+    lat = Lattice([_apply(a, b) for b in t.translations.basis])
+    shift_s = linalg.mat_vec(lat.basis, [2**64 + i for i in range(d)])
+    shift_t = linalg.mat_vec(ambient.basis, [-(2**64) - 3 * i - 1 for i in range(d)])
+    tile = PointSet([linalg.vadd(_apply(a, p), shift_t) for p in t.tile.points])
+    s2 = PointSet([linalg.vadd(_apply(a, p), shift_s) for p in s.points])
+    return s2, ti.verify_tiling(ambient, lat, tile), shift_s, shift_t
+
+
+def _wide_directions(s, t, covering):
+    """The dual directions u in L* of the facets of conv(S) with w(T, u) >= 1,
+    by `primitive_parallel` and `width_of`; only covering ones if asked."""
+    dual = t.translations.dual()
+    out = set()
+    for a, verts in s.hull().facet_vertex_sets():
+        u = dual.primitive_parallel(a)
+        if ti.width_of(t.tile, u) >= 1:
+            if not covering or ti.affine_covering_test(verts, t.translations):
+                out.add(u)
+    return out
+
+
+def test_conditions_are_invariant_under_a_rational_affine_map():
+    dens, single = set(), 0
+    for s, t in _condition_cases():
+        d = s.dim
+        s2, t2, shift_s, shift_t = _mapped_case(s, t)
+        dens.add(t2.translations.integer_basis[0])
+        got, base = ti.check_abc(s2, t2), ti.check_abc(s, t)
+        assert got["a"] == oracle_condition_a(s2, t2)
+        assert got["c"] == oracle_condition_c(s2, t2)
+        # (b): the same answer, and the gap point's image
+        gap = base["b"][1]
+        if gap is not None:
+            gap = linalg.vadd(_apply(AFFINE_MAPS[d], gap), linalg.vadd(shift_s, shift_t))
+        assert got["b"] == (base["b"][0], gap)
+        # (a), (c): the same answers, and witnesses A^-T u for a wide
+        # (covering) facet's direction u; the first such facet may differ,
+        # as A changes the order of the facet normals
+        a_t = tuple(zip(*AFFINE_MAPS[d]))
+        convex = ps.is_lattice_convex(s, t.translations)
+        for key, covering in (("a", False), ("c", True)):
+            holds, witness = got[key]
+            assert holds == base[key][0]
+            assert (witness is None) == (base[key][1] is None)
+            if witness is not None:
+                wide = _wide_directions(s, t, covering)
+                assert _apply(a_t, witness) in wide
+                if len(wide) == 1:
+                    single += 1
+                    assert _apply(a_t, witness) == base[key][1]
+            elif convex:
+                assert holds and not _wide_directions(s, t, covering)
+    assert min(dens) > 1 and single > 10, (dens, single)
+
+
+def test_the_facet_scan_needs_no_dual_vector_width_or_tile_hull(monkeypatch):
+    cases = _condition_cases()
+    cases += [_mapped_case(s, t)[:2] for s, t in cases]
+    expected = [ti.check_abc(s, t) for s, t in cases]
+
+    def refuse(*args):
+        raise AssertionError("the facet scan left its integers")
+
+    monkeypatch.setattr(Lattice, "primitive_parallel", refuse)
+    monkeypatch.setattr(ti, "width_of", refuse)
+    assert [ti.check_abc(s, t) for s, t in cases] == expected
+    hulled = []
+    build = PointSet.hull
+    monkeypatch.setattr(PointSet, "hull", lambda k: hulled.append(k) or build(k))
+    for s, t in cases:
+        ti.condition_a_witness(s, t), ti.condition_c_witness(s, t)
+        assert all(k is not t.tile for k in hulled)
+
+
 def test_affine_covering_segments():
     assert ti.affine_covering_test(((0, 0), (1, 0)), Z2)
     assert not ti.affine_covering_test(((0, 0), (F(1, 2), 0)), Z2)
