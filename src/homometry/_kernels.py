@@ -1,5 +1,5 @@
-"""Integer hot loops: the lattice-point box scan, the thin-direction search
-on it, the planar lattice width and the planar tile search.
+"""Integer hot loops: the lattice-point box scan, the planar lattice width
+and the planar tile search.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.
@@ -11,7 +11,6 @@ import itertools
 import math
 from operator import mul
 
-from . import linalg
 from .errors import LowerDimensionalError
 
 
@@ -53,41 +52,6 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
         else:
             out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
     return out
-
-
-def thin_directions(points, bound, strict=False):
-    """Every nonzero integer m whose spread over the integer points is small.
-
-    The spread is max - min of <m, p> over the points; it must be at most
-    `bound` (below it with strict=True).  Yields (m, spread) with m in
-    lexicographic order.  Any such m has |<m, v_k>| <= spread on d
-    independent differences v_k, the columns of A, so
-    |m_j| <= spread * sum_k |(A^T)^-1_jk|: the box is finite and exact.
-    In it `box_scan` keeps the m with |<m, p - p0>| within the bound for
-    every point p, a superset of the answer, and each kept m's spread is
-    then checked.  The box is scanned one first-coordinate slice at a time,
-    so memory stays that of one slice.  Raises LowerDimensionalError when
-    the points do not span the space.
-    """
-    p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
-    frame = [diffs[i] for i in linalg.independent_subset(diffs)]
-    if len(frame) < len(p0):
-        raise LowerDimensionalError("point set is not full-dimensional")
-    # spreads are integers: <= bound is <= floor(bound), < bound is <= ceil(bound) - 1
-    cap = math.ceil(bound) - 1 if strict else math.floor(bound)
-    # column j of A^-1 is row j of (A^T)^-1
-    tops = [math.floor(cap * sum(map(abs, col))) for col in linalg.inverse(frame)]
-    rows = diffs + [tuple(-e for e in v) for v in diffs]
-    rhs = [cap] * len(rows)
-    lo, hi = [-top for top in tops[1:]], tops[1:]
-    for m0 in range(-tops[0], tops[0] + 1):
-        for m in box_scan([m0, *lo], [m0, *hi], [], [], rows, rhs):
-            if any(m):
-                values = [sum(map(mul, m, v)) for v in diffs]
-                spread = max(0, *values) - min(0, *values)
-                if spread <= cap:
-                    yield m, spread
 
 
 def hull_ring(points):

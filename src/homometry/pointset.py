@@ -267,12 +267,15 @@ def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
 def _missing_point(k: PointSet, scanned: PointSet) -> Vec | None:
     """The first scanned point not in K, for K inside the scanned set.
 
-    Then equal sizes mean equal sets, and the scanned points are made
-    Fractions and looked up only when the sizes differ.
+    Then equal sizes mean equal sets, and D_K divides D_scanned, so the
+    points are compared as integers over D_scanned and only the missing
+    one is made a Fraction.
     """
     if len(scanned) == len(k):
         return None
-    return next((q for q in scanned.points if q not in k), None)
+    a = scanned.den // k.den
+    known = {tuple([a * c for c in p]) for p in k.ints}
+    return next((scanned._point(q) for q in scanned.ints if q not in known), None)
 
 
 def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:

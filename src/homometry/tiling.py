@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg, pointset, polytope
-from ._kernels import box_scan, hull_ring, thin_directions
+from ._kernels import box_scan, hull_ring
 from .errors import (
     InvariantError,
     LowerDimensionalError,
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lattice import Lattice, index
-from .linalg import Vec, mat, mat_vec, transpose, vdot, vec, vec_str, vneg, vsub
+from .linalg import Vec, mat, mat_vec, vdot, vec, vec_str, vneg, vsub
 from .pointset import PointSet
 
 
@@ -113,49 +113,54 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _thin_widths(k: PointSet, lat: Lattice, bound, strict=False):
-    """(u, w(K, u)) for every u in L* \\ {o} of width <= bound (< if strict).
+def _width_body(k: PointSet, bound) -> polytope.Polytope:
+    """bound · D(K)°, the u with w(K, u) <= bound (< bound in its interior).
 
-    For u = B* m, <u, p> = <m, B^-1 p>, so the kernel's spreads over the
-    integer coordinates are the widths times the scale.  Raises
-    LowerDimensionalError when the points do not span the space.
+    w(K, u) = h(D(K), u) for the difference body D(K) = K - K, and the polar
+    is {u : h(D(K), u) <= 1}.  Raises LowerDimensionalError when D(K) is flat.
     """
-    scale, ints = lat.scaled_coordinates(k.ints, k.den)
-    bstar = transpose(lat.inverse_basis)
-    for m, spread in thin_directions(ints, bound * scale, strict):
-        yield mat_vec(bstar, m), Fraction(spread, scale)
+    body = k.hull().difference_body()
+    if not body.is_full_dimensional():
+        raise LowerDimensionalError("point set is not full-dimensional")
+    return body.polar_body().scale(bound)
 
 
 def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
-    """The exact finite set W(T, L) with the width of every member."""
+    """The exact finite set W(T, L) with the width of every member: W(T, L)
+    is L* ∩ int(D(T)°) \\ {o}, read off the interior of `_width_body(T, 1)`."""
     try:
-        found = dict(_thin_widths(tile, lat, 1, strict=True))
+        body = _width_body(tile, 1)
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "W is infinite for tiles that do not span the space"
         ) from None
-    return WSetResult(vectors=tuple(sorted(found)), widths=found)
+    found = body.interior_lattice_points(lat.dual()).points  # sorted
+    widths = {u: width_of(tile, u) for u in found if any(u)}
+    return WSetResult(vectors=tuple(widths), widths=widths)
 
 
 def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     """min of w(K, u) over u in L* \\ {o}, with a witnessing minimizer.
 
-    Among minimizers the smallest u wins.  Flat sets get width 0 together
-    with an orthogonal dual vector (always present for rational data).
+    The candidates are the points of `_width_body(K, w0)` in L*, w0 the
+    least width over the dual basis.  Among minimizers the smallest u wins.
+    Flat sets get width 0 together with an orthogonal dual vector (always
+    present for rational data).
     """
     k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
-    bstar = transpose(lat.inverse_basis)
-    w0 = min(width_of(k, col) for col in bstar)
+    dual = lat.dual()
+    w0 = min(width_of(k, col) for col in dual.basis)
     try:
-        return min((w, u) for u, w in _thin_widths(k, lat, w0))
+        found = _width_body(k, w0).lattice_points(dual).points
+        return min((width_of(k, u), u) for u in found if any(u))
     except LowerDimensionalError:
         pass
     _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
     dirs = [rel[i] for i in linalg.independent_subset(rel)]
     if not dirs:  # single point: any dual vector works
-        return Fraction(0), bstar[0]
-    rows = tuple(tuple(vdot(v, col) for col in bstar) for v in dirs)
-    return Fraction(0), mat_vec(bstar, linalg.nullspace(rows)[0])
+        return Fraction(0), dual.basis[0]
+    rows = tuple(tuple(vdot(v, col) for col in dual.basis) for v in dirs)
+    return Fraction(0), mat_vec(dual.basis, linalg.nullspace(rows)[0])
 
 
 # -- Dirichlet cells and tile enumeration -----------------------------------
@@ -454,41 +459,41 @@ def _convex_difference(poly, cutter):
 
 
 def parity_check(t: Tiling) -> bool:
-    """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* with w(T, u) < 1/2."""
+    """(2 L*) ∩ int(D(T)°) = {o}: o is the only point of L* in the interior
+    of `_width_body(T, 1/2)`, so no nonzero u in L* has w(T, u) < 1/2."""
     _require_verified(t)
     try:
-        thin = _thin_widths(t.tile, t.translations, Fraction(1, 2), strict=True)
-        return next(thin, None) is None
+        half = _width_body(t.tile, Fraction(1, 2))
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "parity check needs a full-dimensional tile"
         ) from None
+    return len(half.interior_lattice_points(t.translations.dual())) == 1
 
 
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
     """A basis b_1..b_d of L with |<w, b_i>| <= 2 (3/2)^(d-2) (d!)^2 for all w.
 
     Existence is guaranteed whenever W spans, but the search is neither
-    cheap nor complete.  Its box holds every z of spread <= 2 kappa over
-    the given dual frame, and a skewed basis makes it huge: in d = 3
-    (kappa = 108) it has 1,153,574,785 cells for
-    `generalized_family_tiling(3, 2)` with b_3 sheared to b_3 + 5 b_1.
-    Only the 30 shortest candidates are tried as bases, so it returns
-    None whenever no basis is among them, even when one exists.  ROADMAP
-    item 6 replaces the search by a lattice reduction.
+    cheap nor complete.  Its candidates are the b in L ∩ kappa conv(±W)°,
+    the points of `_width_body(±W, 2 kappa)` as D(±W) = 2 conv(±W), whose
+    box a skewed basis makes huge.  They are ordered by w(±W, b), that is
+    2 max |<w, b>|, then by b's L-coordinates, and only the 30 first are
+    tried as bases, so it returns None whenever no basis is among them,
+    even when one exists.  ROADMAP item 6 replaces the search by a
+    lattice reduction.
     """
     d = lat.dim
     kappa = Fraction(2 * 3 ** (d - 2) * math.factorial(d) ** 2, 2 ** (d - 2))
     if all(abs(vdot(w, b)) <= kappa for b in lat.basis for w in wset.vectors):
         return lat.basis, kappa
-    # In dual coordinates the points ±w become ±B^T w, over which b = B z
-    # has spread 2 max |<w, b>|; the kernel scans the z with spread <= 2 kappa.
-    signed = [v for w in wset.vectors for v in (w, vneg(w))]
-    scale, pts = lat.dual().integer_coordinates(signed)
+    signed = PointSet([v for w in wset.vectors for v in (w, vneg(w))])
     try:
-        cands = sorted((spread, z) for z, spread in thin_directions(pts, 2 * kappa * scale))
+        found = _width_body(signed, 2 * kappa).lattice_points(lat)
     except LowerDimensionalError:
         return None, kappa
+    _, zs = lat.scaled_coordinates(found.ints, found.den)  # integral: m is 1
+    cands = sorted((width_of(signed, b), z) for b, z in zip(found.points, zs) if any(z))
     shortlist = [z for _, z in cands[:30]]
     for combo in itertools.combinations(shortlist, d):
         if abs(linalg.det(mat(combo))) == 1:

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from homometry import classify2d as cl
 from homometry import linalg, tiling as ti
-from homometry._kernels import search_base_raw, thin_directions
+from homometry._kernels import box_scan, search_base_raw
 from homometry.cli import main
-from homometry.errors import InvariantError
+from homometry.errors import InvariantError, LowerDimensionalError
 from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from homometry.linalg import mat, mat_vec, vadd, vsub
 from homometry.pointset import PointSet
@@ -189,6 +189,31 @@ def _is_two_dimensional(pts):
     return False
 
 
+def frame_thin_directions(points, bound):
+    """(m, spread) for every nonzero integer m of spread <= bound over the
+    integer points, in lexicographic order: the library's former kernel.
+
+    Any such m has |<m, v_k>| <= spread on d independent differences v_k,
+    the columns of A, so |m_j| <= spread * sum_k |(A^T)^-1_jk|.  In that
+    box `box_scan` keeps the m with |<m, p - p0>| <= bound for every point
+    p, and each kept m's spread is then checked.
+    """
+    p0 = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
+    frame = [diffs[i] for i in linalg.independent_subset(diffs)]
+    if len(frame) < len(p0):
+        raise LowerDimensionalError("point set is not full-dimensional")
+    cap = math.floor(bound)
+    # column j of A^-1 is row j of (A^T)^-1
+    tops = [math.floor(cap * sum(map(abs, col))) for col in linalg.inverse(frame)]
+    rows = diffs + [tuple(-e for e in v) for v in diffs]
+    for m in box_scan([-t for t in tops], tops, [], [], rows, [cap] * len(rows)):
+        values = [sum(a * b for a, b in zip(m, v)) for v in diffs]
+        spread = max(0, *values) - min(0, *values)
+        if any(m) and spread <= cap:
+            yield m, spread
+
+
 def point_list_search_base(l, h, s):
     """The tile scan on every candidate's full point list, filter by filter."""
     big_l = l * h
@@ -211,7 +236,7 @@ def point_list_search_base(l, h, s):
             if max(vals) - min(vals) >= big_l:
                 stats["diagonal_width_rejects"] += 1
                 continue
-            if next(thin_directions(pts, 1), None) is not None:
+            if next(frame_thin_directions(pts, 1), None) is not None:
                 stats["width_one_rejects"] += 1
                 continue
             survivors.append((q1, q2))
@@ -240,7 +265,7 @@ def test_delta_width_matches_thin_directions():
     for l, h, s in ALL_BASES:
         triangle = ((0, 0), (l, 0), (s, h))
         # the direction (0, 1) has spread h, so the minimum lies within that bound
-        expected = min(spread for _, spread in thin_directions(triangle, h))
+        expected = min(spread for _, spread in frame_thin_directions(triangle, h))
         assert cl.delta_width(l, h, s) == expected, (l, h, s)
 
 

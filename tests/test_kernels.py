@@ -1,5 +1,6 @@
 """The integer kernels against brute-force oracles: the row-sliced box scan,
-the thin-direction search, the planar lattice width and the T_q cells."""
+the planar lattice width and the T_q cells; and the thin directions read off
+the polar of the difference body."""
 
 import itertools
 import math
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import _kernels, linalg
-from homometry._kernels import box_scan, planar_width, thin_directions
+from homometry import _kernels, linalg, tiling
+from homometry._kernels import box_scan, planar_width
 from homometry.classify2d import tile_points
 from homometry.errors import LowerDimensionalError
+from homometry.lattice import Lattice
+from homometry.pointset import PointSet
 
 BIG = 2**64
 
@@ -113,12 +116,15 @@ def spread(m, points):
 
 
 def brute_force_thin_directions(points, bound, strict=False):
-    """Every nonzero m in a box that holds all of them, with direct spreads.
+    """Every nonzero m of spread <= bound (< if strict), with direct spreads.
 
     Any m of spread <= bound has |<m, v>| <= bound on every difference v, so
     every frame A of d independent differences bounds each |m_j| by
     bound * sum_k |(A^T)^-1_jk|.  The box takes the least of these bounds
-    per coordinate over all frames, and reaches one step beyond it.
+    per coordinate over all frames, and reaches one step beyond it.  Its
+    first d - 1 coordinates are walked cell by cell; for each such prefix
+    |<m, v>| <= bound on every v bounds the last coordinate to an interval,
+    and only that interval is walked.
     """
     d = len(points[0])
     # v and -v give the same bounds, so only the lexicographically positive
@@ -131,11 +137,32 @@ def brute_force_thin_directions(points, bound, strict=False):
         bounds = [int(bound * sum(abs(e) for e in col)) for col in linalg.inverse(frame)]
         radii = bounds if radii is None else list(map(min, radii, bounds))
     out = []
-    for m in itertools.product(*[range(-1 - r, 2 + r) for r in radii]):
-        w = spread(m, points)
-        if any(m) and (w < bound if strict else w <= bound):
-            out.append((m, w))
+    for head in itertools.product(*[range(-1 - r, 2 + r) for r in radii[:-1]]):
+        lo, hi = -1 - radii[-1], 1 + radii[-1]
+        for v in diffs:
+            if v[-1]:
+                # -bound <= rest + m_d v_d <= bound
+                rest = sum(a * b for a, b in zip(head, v))
+                ends = sorted([F(-bound - rest, v[-1]), F(bound - rest, v[-1])])
+                lo, hi = max(lo, math.ceil(ends[0])), min(hi, math.floor(ends[1]))
+        for last in range(lo, hi + 1):
+            m = head + (last,)
+            w = spread(m, points)
+            if any(m) and (w < bound if strict else w <= bound):
+                out.append((m, w))
     return out
+
+
+def thin_directions(points, bound, strict=False):
+    """(m, spread) for the nonzero integer m in `tiling._width_body(K, bound)`,
+    its interior if strict, in lexicographic order: the m of spread <= bound
+    (< bound if strict) over the integer points K."""
+    body = tiling._width_body(PointSet(points), bound)
+    if not body.is_full_dimensional():  # bound 0 leaves {o}: no other point, no interior
+        return []
+    scan = body.interior_lattice_points if strict else body.lattice_points
+    found = scan(Lattice.standard(len(points[0])))
+    return [(m, spread(m, points)) for m in found.ints if any(m)]
 
 
 @st.composite
@@ -171,14 +198,14 @@ def test_thin_directions_match_brute_force(args):
     points = [tuple(sum(map(mul, row, p)) + shift for row in u) for p in base]
     if linalg.rank_of([tuple(a - b for a, b in zip(p, base[0])) for p in base]) < d:
         with pytest.raises(LowerDimensionalError):
-            next(thin_directions(points, bound, strict))
+            thin_directions(points, bound, strict)
         return
     u_inv_t = linalg.transpose(linalg.inverse(u))
     expected = sorted(
         (tuple(int(sum(map(mul, row, m))) for row in u_inv_t), w)
         for m, w in brute_force_thin_directions(base, bound, strict)
     )
-    assert list(thin_directions(points, bound, strict)) == expected
+    assert thin_directions(points, bound, strict) == expected
 
 
 @pytest.mark.parametrize(
@@ -191,23 +218,21 @@ def test_thin_directions_match_brute_force(args):
 )
 def test_thin_directions_flat_input_raises(points):
     with pytest.raises(LowerDimensionalError):
-        next(thin_directions(points, 5))
+        thin_directions(points, 5)
 
 
 def test_thin_directions_unit_square():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert list(thin_directions(square, 1)) == [
+    assert thin_directions(square, 1) == [
         ((-1, 0), 1),
         ((0, -1), 1),
         ((0, 1), 1),
         ((1, 0), 1),
     ]
-    assert list(thin_directions(square, 1, strict=True)) == []
+    assert thin_directions(square, 1, strict=True) == []
     # spreads are integers: < 3/2 and <= 3/2 both mean <= 1
-    assert list(thin_directions(square, F(3, 2))) == list(thin_directions(square, 1))
-    assert list(thin_directions(square, F(3, 2), strict=True)) == list(
-        thin_directions(square, 1)
-    )
+    assert thin_directions(square, F(3, 2)) == thin_directions(square, 1)
+    assert thin_directions(square, F(3, 2), strict=True) == thin_directions(square, 1)
 
 
 # -- the planar lattice width -------------------------------------------------

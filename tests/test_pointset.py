@@ -358,6 +358,27 @@ def test_convexity_witness_matches_fraction_formula(case):
     assert ps.lattice_convexity_witness(k, lat) == expected
 
 
+def test_convexity_witness_builds_only_the_missing_point(monkeypatch):
+    # the scan and K are compared as integers: of the scanned points only
+    # the witness becomes a Fraction, also when the denominators differ
+    built = []
+    point = PointSet._point
+
+    def counted(self, p):
+        built.append(p)
+        return point(self, p)
+
+    monkeypatch.setattr(PointSet, "_point", counted)
+    half = Lattice([(F(1, 2), 0), (0, F(1, 2))])
+    for k, lat, gap in [
+        (PointSet([(0, 0), (2, 0), (0, 2)]), Z2, (0, 1)),
+        (PointSet([(0, 0), (1, 0), (0, 1)]), half, (0, F(1, 2))),
+    ]:
+        built.clear()
+        assert ps.lattice_convexity_witness(k, lat) == gap
+        assert len(built) == 1
+
+
 def test_covariogram_is_translation_invariant_and_sees_scaling():
     k = PointSet([(0, 0), (2, 1), (3, 0), (F(1, 2), 5)])
     shifted = k.translate((F(1, 3), 0))

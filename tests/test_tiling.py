@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg, pointset as ps, polytope, tiling as ti
+from homometry import _kernels, linalg, pointset as ps, polytope, tiling as ti
 from homometry.constructions import (
     counterexample_ab,
     counterexample_bc,
@@ -178,6 +178,35 @@ def test_lattice_width_matches_direction_scan():
             scan = min((ti.width_of(k, u), u) for u in directions)
             assert ti.lattice_width(k, lat) == scan
             assert ti.lattice_width(k.hull(), lat) == scan
+
+
+def test_lattice_width_of_a_skewed_rational_lattice_scans_a_small_box(monkeypatch):
+    # a frame taken from the differences of K, as the former thin-direction
+    # search took it, made this box millions of cells; the polar of D(K)
+    # bounds it by the body itself
+    cells, scan = [0], _kernels.box_scan
+
+    def counted(lo, hi, *rows, **kw):
+        cells[0] += math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+        if cells[0] > 10**5:
+            raise AssertionError(f"box_scan passed {cells[0]} cells")
+        return scan(lo, hi, *rows, **kw)
+
+    for owner in (_kernels, polytope, ti):
+        monkeypatch.setattr(owner, "box_scan", counted)
+    lat = Lattice([(18, 5, F(-1, 3)), (F(-16, 5), -1, F(7, 2)), (F(29, 3), F(7, 3), F(-21, 4))])
+    k = PointSet(
+        [
+            (F(-11, 6), -3, -4),
+            (F(12, 5), 11, F(-3, 4)),
+            (-4, F(-2, 3), 6),
+            (-1, F(-10, 3), F(-3, 2)),
+            (8, F(-4, 3), F(-3, 4)),
+            (F(7, 3), -5, F(4, 3)),
+            (5, F(12, 5), F(11, 5)),
+        ]
+    )
+    assert ti.lattice_width(k, lat) == (F(41401, 17244), (F(-545, 5748), F(-133, 2874), F(89, 479)))
 
 
 def test_lattice_width_flat_set_zero():
