@@ -12,10 +12,8 @@ from .errors import (
     InvalidParametersError,
     InvalidSError,
     InvariantError,
-    NotATilingError,
-    NotLatticeConvexError,
 )
-from .lattice import Lattice, lattice_from_lhs, sublattices_of_z2
+from .lattice import Lattice
 from .linalg import frac, mat, mat_mul, mat_vec, transpose, vdot, vec, vec_str, vsub
 from .pointset import (
     PointSet,
@@ -376,32 +374,3 @@ def _cut_cube_vertices(d: int, b, rhs):
                 point[j] = v[j] + t * (w[j] - v[j])
                 verts.append(tuple(point))
     return verts
-
-
-def find_lattice_with_three_thin_directions(k: int, limit: int | None = None):
-    """Bounded search for sublattices giving the symmetric two-row tile three
-    pairwise nonparallel thin directions; returns (possibly empty) hits."""
-    if k < 1:
-        raise InvalidParametersError("k must be a positive integer")
-    tile = PointSet([(x, y) for x in range(k + 1) for y in (0, 1)])
-    det_value = 2 * (k + 1)
-    ambient = Lattice.standard(2)
-    hits = []
-    for l, h, s in sublattices_of_z2(det_value):
-        base = lattice_from_lhs(l, h, s)
-        try:
-            t = verify_tiling(ambient, base, tile)
-        except (NotATilingError, NotLatticeConvexError):
-            continue
-        wset = w_set(tile, base)
-        directions = {
-            tuple(linalg.primitive_integer_direction(u))
-            for u in wset.vectors
-        }
-        # identify u and -u
-        classes = {max(dirc, tuple(-c for c in dirc)) for dirc in directions}
-        if len(classes) >= 3:
-            hits.append({"base": (l, h, s), "w_count": len(wset), "tiling": t})
-            if limit is not None and len(hits) >= limit:
-                break
-    return hits

@@ -25,10 +25,6 @@ class NotInLatticeError(HomometryError):
     pass
 
 
-class ZeroVectorError(HomometryError):
-    pass
-
-
 class DegenerateDifferencesError(HomometryError):
     """The difference set does not span the ambient space."""
 

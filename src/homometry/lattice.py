@@ -9,13 +9,8 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .errors import (
-    NotASublatticeError,
-    NotInLatticeError,
-    SingularMatrixError,
-    ZeroVectorError,
-)
-from .linalg import Mat, Vec, mat, mat_vec, transpose, vec, vec_str
+from .errors import NotASublatticeError, SingularMatrixError
+from .linalg import Mat, Vec, mat, transpose, vec
 
 IntVec = tuple[int, ...]
 
@@ -132,26 +127,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(basis={[list(map(str, c)) for c in self.basis]})"
-
-    def primitive_part(self, v) -> Vec:
-        """v divided by the gcd of its basis coordinates (primitive vector)."""
-        v = vec(v)
-        if not self.contains(v):
-            raise NotInLatticeError(f"{vec_str(v)} is not a lattice point", witness=v)
-        return self.primitive_parallel(v)
-
-    def primitive_parallel(self, direction) -> Vec:
-        """The primitive lattice vector positively parallel to a rational direction.
-
-        Every rational line through the origin meets a full-rank lattice, so
-        only the zero direction is refused (ZeroVectorError).
-        """
-        direction = vec(direction)
-        if linalg.is_zero(direction):
-            raise ZeroVectorError("no direction")
-        _, (n,) = self.integer_coordinates([direction])
-        g = math.gcd(*n)
-        return mat_vec(self.basis, [c // g for c in n])
 
     def to_json(self):
         from .jsonio import rational_out

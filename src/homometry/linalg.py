@@ -292,24 +292,6 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def hnf(m: Mat) -> tuple[Mat, Mat]:
-    """Column-style Hermite normal form of a nonsingular integer matrix.
-
-    Returns (H, U) with H = m @ U, U unimodular, H lower triangular with
-    nonnegative entries whose diagonal strictly dominates its row.
-    """
-    d = len(m)
-    if not is_integral(m):
-        raise ValueError("hnf requires an integral matrix")
-    if det(m) == 0:
-        raise SingularMatrixError("hnf of a singular matrix")
-    grid = [[int(m[j][i]) for j in range(d)] for i in range(d)]
-    grid, u, _ = _column_hnf(grid, track_u=True)
-    h_cols = mat(tuple(tuple(grid[i][j] for i in range(d)) for j in range(d)))
-    u_cols = mat(tuple(tuple(u[i][j] for i in range(d)) for j in range(d)))
-    return h_cols, u_cols
-
-
 def hnf_basis(vectors: Sequence[Vec]) -> Mat:
     """Lower-triangular basis of the integer span of rational vectors.
 
@@ -339,16 +321,6 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     ncols = len(grid[0])
     _, u, rank = _column_hnf(grid, track_u=True)
     return tuple(tuple(row[j] for row in u) for j in range(rank, ncols))
-
-
-def primitive_integer_direction(v: Vec) -> tuple[int, ...]:
-    """The primitive integer vector positively parallel to a rational v != 0."""
-    v = vec(v)
-    if is_zero(v):
-        raise ValueError("zero vector has no direction")
-    _, (ints,) = clear_denominators([v])
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> list[int]:

@@ -93,9 +93,6 @@ class PointSet:
     def lexmin(self) -> Vec:
         return self._point(self.ints[0])
 
-    def lexmax(self) -> Vec:
-        return self._point(self.ints[-1])
-
     def translate(self, t) -> "PointSet":
         t = vec(t)
         if len(t) != self.dim:
@@ -128,10 +125,6 @@ class PointSet:
         """
         n = self.normalized()
         return n.den, n.ints
-
-    def differences(self) -> list[Vec]:
-        """All pairwise differences (with repetitions collapsed)."""
-        return list(_sum(self, self.negate()).points)
 
     def to_json(self):
         from .jsonio import rational_out
@@ -174,9 +167,6 @@ class Covariogram:
         if not isinstance(other, Covariogram):
             return NotImplemented
         return self.den == other.den and self.counts == other.counts
-
-    def support(self) -> list[Vec]:
-        return sorted(self.entries)
 
     def to_json(self):
         from .jsonio import rational_out
@@ -260,6 +250,9 @@ def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
 
 def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
     """The first point of K outside the lattice, or None."""
+    if k.dim != lat.dim:
+        msg = f"cannot test a set of dimension {k.dim} against a lattice of dimension {lat.dim}"
+        raise ValueError(msg)
     den = k.den
     return next((k._point(z) for z in k.ints if not lat.contains_scaled(z, den)), None)
 

@@ -247,14 +247,6 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.dim == self.ambient
 
-    def support(self, u) -> Fraction:
-        u = vec(u)
-        return max(vdot(u, v) for v in self.vertices)
-
-    def width(self, u) -> Fraction:
-        u = vec(u)
-        return self.support(u) + self.support(vneg(u))
-
     def facets(self) -> tuple[tuple[Vec, Fraction], ...]:
         """Irredundant facet inequalities <a, x> <= b (full-dimensional only)."""
         if not self.is_full_dimensional():
@@ -291,15 +283,9 @@ class Polytope:
 
     # -- geometry ----------------------------------------------------------
 
-    def translate(self, t) -> "Polytope":
-        return Polytope.hull(self.vertex_set.translate(t))
-
     def scale(self, c) -> "Polytope":
         c = frac(c)
         return Polytope.hull([vscale(c, v) for v in self.vertices])
-
-    def negate(self) -> "Polytope":
-        return Polytope.hull(self.vertex_set.negate())
 
     def difference_body(self) -> "Polytope":
         """The origin-symmetric body of pairwise vertex differences."""

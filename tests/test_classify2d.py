@@ -19,7 +19,8 @@ from homometry.cli import main
 from homometry.errors import InvariantError, LowerDimensionalError
 from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from homometry.linalg import mat, mat_vec, vadd, vsub
-from homometry.pointset import PointSet
+from homometry.pointset import PointSet, minkowski_sum
+from test_linalg import primitive_integer_direction
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 
@@ -361,7 +362,7 @@ def oracle_unimodular_equivalent(a, b):
     v1 = diffs_a[0]
     v2 = next(v for v in diffs_a[1:] if v1[0] * v[1] - v1[1] * v[0] != 0)
     vinv = linalg.inverse(mat([v1, v2]))
-    diffs_b = [d for d in b.normalized().differences() if any(d)]
+    diffs_b = [d for d in minkowski_sum(b, b.negate()).points if any(d)]
     for w1 in diffs_b:
         for w2 in diffs_b:
             if w1[0] * w2[1] - w1[1] * w2[0] == 0:
@@ -455,7 +456,7 @@ def polytope_normal_form(k):
     for _, edge in k.hull().facet_vertex_sets():
         for v, w in (edge, edge[::-1]):
             (vx, vy), (wx, wy) = index[v], index[w]
-            dx, dy = linalg.primitive_integer_direction((wx - vx, wy - vy))
+            dx, dy = primitive_integer_direction((wx - vx, wy - vy))
             inv = pow(dx, -1, abs(dy)) if dy else dx
             u11, u12, u21, u22 = inv, (1 - inv * dx) // dy if dy else 0, -dy, dx
             rel = [(x - vx, y - vy) for x, y in ipts]

@@ -337,6 +337,11 @@ def test_lower_dimensional_tile_error(tmp_path, capsys):
             "cannot add sets of dimensions 2 and 3",
         ),
         ("width", dict(TILE_K2, direction=[1, 1, 0]), "expected a direction of dimension 2"),
+        (
+            "lattice-convex",
+            {"points": [[0, 0, 0], [1, 0, 0]], "lattice": {"basis": [[2, 0], [0, 1]]}},
+            "dimension 3 against a lattice of dimension 2",
+        ),
     ],
 )
 def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in, message):
@@ -347,7 +352,7 @@ def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in
     doc = json.loads(out)
     assert code == 2
     assert doc["status"] == "error" and doc["verb"] == verb
-    assert message in doc["error"]
+    assert message in doc["error"] and "witness" not in doc
     assert "Traceback" not in out + err
 
 

@@ -6,9 +6,15 @@ import pytest
 
 from homometry import constructions as con
 from homometry import linalg, pointset as ps, tiling as ti
-from homometry.errors import InvalidParametersError, InvalidSError
-from homometry.lattice import Lattice
+from homometry.errors import (
+    InvalidParametersError,
+    InvalidSError,
+    NotATilingError,
+    NotLatticeConvexError,
+)
+from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
 from homometry.pointset import PointSet
+from test_linalg import primitive_integer_direction
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -238,11 +244,24 @@ def test_truncated_cube_s_builder():
         con.build_truncated_cube_s(t.translations, list(bstar), extra, 5)
 
 
-def test_find_lattice_with_three_thin_directions():
-    hits = con.find_lattice_with_three_thin_directions(1)
-    assert [hit["base"] for hit in hits] == [(2, 2, 1), (4, 1, 2)]
-    assert all(hit["w_count"] >= 6 for hit in hits)
-    # the two-row tile with k + 1 columns has the hit (2(k+1), 1, k+1)
-    for k in (2, 3, 4, 5):
-        hits = con.find_lattice_with_three_thin_directions(k)
-        assert [hit["base"] for hit in hits] == [(2 * (k + 1), 1, k + 1)]
+def test_two_row_tile_has_three_thin_directions():
+    # the symmetric two-row tile {0..k} x {0, 1} tiles Z^2 on these bases
+    # of determinant 2 (k + 1), and on no other, with at least three
+    # pairwise nonparallel thin directions
+    expected = {1: [(2, 2, 1), (4, 1, 2)]}
+    expected |= {k: [(2 * (k + 1), 1, k + 1)] for k in (2, 3, 4, 5)}
+    for k, bases in expected.items():
+        tile = PointSet([(x, y) for x in range(k + 1) for y in (0, 1)])
+        found = []
+        for l, h, s in sublattices_of_z2(2 * (k + 1)):
+            base = lattice_from_lhs(l, h, s)
+            try:
+                ti.verify_tiling(Lattice.standard(2), base, tile)
+            except (NotATilingError, NotLatticeConvexError):
+                continue
+            wset = ti.w_set(tile, base)
+            directions = {primitive_integer_direction(u) for u in wset.vectors}
+            if len({max(u, tuple(-c for c in u)) for u in directions}) >= 3:
+                found.append((l, h, s))
+                assert k > 1 or len(wset) >= 6
+        assert found == bases

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.errors import InvariantError, SingularMatrixError
-from homometry.linalg import det, dual_basis, hnf, identity, mat, solve
+from homometry.linalg import det, dual_basis, identity, mat, solve
 
 
 def det_times_inverse(m):
@@ -154,6 +154,33 @@ def test_dual_basis_involution():
         assert dual_basis(dual_basis(m)) == m
 
 
+def hnf(m):
+    """Column-style Hermite normal form of a nonsingular integer matrix.
+
+    Returns (H, U) with H = m @ U, U unimodular, H lower triangular with
+    nonnegative entries whose diagonal strictly dominates its row.  It is
+    the library's column reduction with its unimodular U kept, the one
+    `integer_kernel` reads its kernel off.
+    """
+    d = len(m)
+    if not linalg.is_integral(m):
+        raise ValueError("hnf requires an integral matrix")
+    if det(m) == 0:
+        raise SingularMatrixError("hnf of a singular matrix")
+    grid = [[int(m[j][i]) for j in range(d)] for i in range(d)]
+    grid, u, _ = linalg._column_hnf(grid, track_u=True)
+    h_cols = mat(tuple(tuple(grid[i][j] for i in range(d)) for j in range(d)))
+    u_cols = mat(tuple(tuple(u[i][j] for i in range(d)) for j in range(d)))
+    return h_cols, u_cols
+
+
+def primitive_integer_direction(v):
+    """The primitive integer vector positively parallel to a rational v != 0."""
+    _, (ints,) = linalg.clear_denominators([linalg.vec(v)])
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 def test_hnf_identity():
     h, u = hnf(identity(3))
     assert h == identity(3) and u == identity(3)
@@ -239,6 +266,35 @@ def test_integer_kernel():
     for z in kernel:
         assert 2 * z[0] + 3 * z[1] + 5 * z[2] == 0
     assert linalg.rank_of([linalg.vec(z) for z in kernel]) == 2
+
+
+def _random_rows(rng, nrows, ncols):
+    while True:
+        rows = [tuple(rng.randint(-3, 3) for _ in range(ncols)) for _ in range(nrows)]
+        if all(math.gcd(*r) == 1 for r in rows):
+            return rows
+
+
+def test_integer_kernel_is_a_lattice_basis():
+    # the kernel vectors span every integer solution, not only a
+    # full-rank sublattice of them: each one in a box has integral
+    # coordinates over the returned basis
+    rng = random.Random(41)
+    tested = 0
+    for nrows, ncols, box in [(1, 3, 3)] * 12 + [(2, 4, 2)] * 12:
+        rows = _random_rows(rng, nrows, ncols)
+        kernel = [linalg.vec(z) for z in linalg.integer_kernel(rows)]
+        assert len(kernel) == ncols - linalg.rank_of(rows)
+        sols = [
+            linalg.vec(z)
+            for z in itertools.product(range(-box, box + 1), repeat=ncols)
+            if any(z) and all(sum(a * b for a, b in zip(r, z)) == 0 for r in rows)
+        ]
+        if sols:
+            _, _, coords = linalg.span_coordinates(kernel, sols)
+            assert all(c.denominator == 1 for lam in coords for c in lam), rows
+        tested += len(sols)
+    assert tested > 200
 
 
 def test_nullspace():

@@ -59,7 +59,7 @@ def test_covariogram_matches_naive_oracle():
         }
         k = PointSet(pts)
         cov = ps.covariogram(k)
-        for u in cov.support():
+        for u in sorted(cov.entries):
             assert cov[u] == naive_covariogram_value(k, u)
 
 
@@ -261,7 +261,7 @@ def fraction_trivially_homometric(k: PointSet, m: PointSet) -> bool:
 
 
 def fraction_centrally_symmetric(k: PointSet) -> bool:
-    c = linalg.vadd(k.lexmin(), k.lexmax())
+    c = linalg.vadd(k.points[0], k.points[-1])
     return all(linalg.vsub(c, p) in k for p in k.points)
 
 
@@ -469,6 +469,19 @@ def test_integer_pointset_matches_fraction_oracle(data):
         assert (a == b) == (a.points == b.points)
         if a == b:
             assert hash(a) == hash(b)
+
+
+def test_a_lattice_of_another_dimension_is_refused_before_any_point():
+    # cut to two coordinates, (1, 0, 0) is off 2Z x Z and (2, 0, 0) is on
+    # it; neither set is tested point by point against the lattice
+    lat = Lattice([(2, 0), (0, 1)])
+    message = "dimension 3 against a lattice of dimension 2"
+    for pts in ([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2, 0, 0)]):
+        k = PointSet(pts)
+        with pytest.raises(ValueError, match=message):
+            ps.is_lattice_convex(k, lat)
+        with pytest.raises(ValueError, match=message):
+            ps.sum_convexity_witness(k, k, ps.minkowski_sum(k, k), lat)
 
 
 def test_translate_checks_the_dimension():

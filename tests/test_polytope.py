@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg
+from homometry import linalg, tiling as ti
 from homometry._kernels import box_scan
 from homometry.errors import (
     LowerDimensionalError,
@@ -20,6 +20,7 @@ from homometry.errors import (
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import Polytope, hull
+from test_linalg import primitive_integer_direction
 
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)
@@ -114,21 +115,13 @@ def test_hull_two_row_tile():
     }
 
 
-def test_support():
-    assert hull([(2, 5)]).support((3, 1)) == 11
-    cube = hull(list(itertools.product((-1, 1), repeat=3)))
-    assert cube.support((2, -3, 1)) == 6
-    tile = hull([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-    assert tile.support((1, 1)) == 2
-
-
 def test_width():
     sq = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert sq.width((1, 1)) == 2
+    assert ti.width_of(sq, (1, 1)) == 2
     tile = hull([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-    assert tile.width((F(1, 5), F(-2, 5))) == F(4, 5)  # dual vector, < 1
+    assert ti.width_of(tile, (F(1, 5), F(-2, 5))) == F(4, 5)  # dual vector, < 1
     seg = hull([(0, 0), (1, 0)])
-    assert seg.width((0, 1)) == 0
+    assert ti.width_of(seg, (0, 1)) == 0
 
 
 def test_difference_body():
@@ -150,7 +143,7 @@ def test_difference_body_translation_invariant():
     for _ in range(5):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
         p = hull(pts)
-        q = p.translate((rng.randint(-3, 3), rng.randint(-3, 3)))
+        q = hull(p.vertex_set.translate((rng.randint(-3, 3), rng.randint(-3, 3))))
         assert p.difference_body() == q.difference_body()
 
 
@@ -269,7 +262,7 @@ def test_volume_translation_and_scaling():
         pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 3)]
         p = hull(pts)
         t = tuple(rng.randint(-5, 5) for _ in range(d))
-        assert p.translate(t).volume() == p.volume()
+        assert hull(p.vertex_set.translate(t)).volume() == p.volume()
         assert p.scale(3).volume() == 3**d * p.volume()
 
 
@@ -307,7 +300,7 @@ def test_width_equals_support_of_difference_body():
         diff = p.difference_body()
         for _ in range(8):
             u = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
-            assert p.width(u) == diff.support(u)
+            assert ti.width_of(p, u) == max(linalg.vdot(u, v) for v in diff.vertices)
 
 
 def test_facets_of_flat_polytope_raise():
@@ -381,7 +374,7 @@ def oracle_hull(points):
         if linalg.is_zero(normal):
             continue
         for signed in (normal, linalg.vneg(normal)):
-            a = linalg.primitive_integer_direction(signed)
+            a = primitive_integer_direction(signed)
             b = max(linalg.vdot(a, p) for p in pts)
             if linalg.vdot(a, combo[0]) == b:
                 facets.add((a, b))

@@ -29,7 +29,8 @@ from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import hull
 from test_acceptance import _abc_pool
-from test_linalg import leibniz_det
+from test_lattice import fraction_primitive_parallel
+from test_linalg import leibniz_det, primitive_integer_direction
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -464,7 +465,7 @@ def oracle_condition_a(s, t):
         return False, None
     dual = t.translations.dual()
     for a, _ in s_hull.facets():
-        u = dual.primitive_parallel(a)
+        u = fraction_primitive_parallel(dual, a)
         if ti.width_of(t.tile, u) >= 1:
             return False, u
     return True, None
@@ -481,7 +482,7 @@ def oracle_condition_c(s, t):
         facet = polytope.hull(verts)
         if not ti.affine_covering_test(facet.vertices, t.translations):
             continue
-        u = dual.primitive_parallel(a)
+        u = fraction_primitive_parallel(dual, a)
         if ti.width_of(t.tile, u) >= 1:
             return False, u
     return True, None
@@ -545,7 +546,7 @@ def test_condition_c_scans_past_the_first_wide_facet():
         dual = t.translations.dual()
         wide = []  # (u, whether F covers aff(F)) in facet order
         for a, verts in s.hull().facet_vertex_sets():
-            u = dual.primitive_parallel(a)
+            u = fraction_primitive_parallel(dual, a)
             if ti.width_of(t.tile, u) >= 1:
                 wide.append((u, oracle_affine_covering(verts, t.translations)))
         covering = [u for u, covers in wide if covers]
@@ -599,7 +600,7 @@ def test_condition_c_hulls_nothing_and_covers_only_wide_facets(monkeypatch):
         dual = t.translations.dual()
         wide = []
         for a, verts in s.hull().facet_vertex_sets():
-            if ti.width_of(t.tile, dual.primitive_parallel(a)) >= 1:
+            if ti.width_of(t.tile, fraction_primitive_parallel(dual, a)) >= 1:
                 wide.append(verts)
             else:
                 narrow += 1
@@ -643,11 +644,11 @@ def _mapped_case(s, t):
 
 def _wide_directions(s, t, covering):
     """The dual directions u in L* of the facets of conv(S) with w(T, u) >= 1,
-    by `primitive_parallel` and `width_of`; only covering ones if asked."""
+    by `fraction_primitive_parallel` and `width_of`; only covering ones if asked."""
     dual = t.translations.dual()
     out = set()
     for a, verts in s.hull().facet_vertex_sets():
-        u = dual.primitive_parallel(a)
+        u = fraction_primitive_parallel(dual, a)
         if ti.width_of(t.tile, u) >= 1:
             if not covering or ti.affine_covering_test(verts, t.translations):
                 out.add(u)
@@ -696,7 +697,6 @@ def test_the_facet_scan_needs_no_dual_vector_width_or_tile_hull(monkeypatch):
     def refuse(*args):
         raise AssertionError("the facet scan left its integers")
 
-    monkeypatch.setattr(Lattice, "primitive_parallel", refuse)
     monkeypatch.setattr(ti, "width_of", refuse)
     assert [ti.check_abc(s, t) for s, t in cases] == expected
     hulled = []
@@ -843,7 +843,7 @@ def oracle_affine_covering(vertices, lat):
     """The covering test in a rational frame on the facet's own plane."""
     if lat.dim == 2:
         v = linalg.vsub(vertices[-1], vertices[0])
-        prim = lat.primitive_parallel(v)
+        prim = fraction_primitive_parallel(lat, v)
         k = next(i for i, e in enumerate(prim) if e != 0)
         return abs(v[k] / prim[k]) >= 1
     f0 = vertices[0]
@@ -851,7 +851,7 @@ def oracle_affine_covering(vertices, lat):
     dirs = [diffs[i] for i in linalg.independent_subset(diffs)]
     normal = linalg.nullspace(dirs)[0]
     w_row = tuple(linalg.vdot(normal, col) for col in lat.basis)
-    kernel = linalg.integer_kernel([linalg.primitive_integer_direction(w_row)])
+    kernel = linalg.integer_kernel([primitive_integer_direction(w_row)])
     c1 = linalg.mat_vec(lat.basis, kernel[0])
     c2 = linalg.mat_vec(lat.basis, kernel[1])
     _, _, coords = linalg.span_coordinates(
