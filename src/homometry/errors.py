@@ -45,10 +45,6 @@ class LowerDimensionalTileError(LowerDimensionalError):
     """Thin-direction sets of flat tiles are infinite."""
 
 
-class OriginNotInteriorError(HomometryError):
-    pass
-
-
 class NotLatticeConvexError(HomometryError):
     pass
 

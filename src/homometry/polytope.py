@@ -30,12 +30,8 @@ from operator import mul, sub
 
 from . import linalg, pointset
 from ._kernels import box_scan
-from .errors import (
-    InvariantError,
-    LowerDimensionalError,
-    OriginNotInteriorError,
-)
-from .linalg import Vec, frac, vdot, vec, vneg, vscale
+from .errors import InvariantError, LowerDimensionalError
+from .linalg import Vec, vdot, vec, vneg
 
 IntVec = tuple[int, ...]
 
@@ -283,15 +279,6 @@ class Polytope:
 
     # -- geometry ----------------------------------------------------------
 
-    def scale(self, c) -> "Polytope":
-        c = frac(c)
-        return Polytope.hull([vscale(c, v) for v in self.vertices])
-
-    def difference_body(self) -> "Polytope":
-        """The origin-symmetric body of pairwise vertex differences."""
-        vs = self.vertex_set
-        return Polytope.hull(pointset.minkowski_sum(vs, vs.negate()))
-
     @cached_property
     def _volume(self) -> Fraction:
         if self.dim < self.ambient:
@@ -307,17 +294,6 @@ class Polytope:
     def volume(self) -> Fraction:
         """Exact ambient-dimensional volume (0 for flat polytopes)."""
         return self._volume
-
-    def polar_body(self) -> "Polytope":
-        """The polar {x : <x, y> <= 1 for all y in P}; needs o interior."""
-        if not self.is_full_dimensional():
-            raise OriginNotInteriorError("polar of a lower-dimensional polytope")
-        verts = []
-        for a, b in self._data["hyps"]:
-            if b <= 0:
-                raise OriginNotInteriorError("origin is not interior")
-            verts.append(vscale(Fraction(1) / b, vec(a)))
-        return Polytope.hull(verts)
 
     # -- lattice interaction ------------------------------------------------
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import linalg, pointset, polytope
 from ._kernels import box_scan, hull_ring
@@ -113,54 +113,74 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _width_body(k: PointSet, bound) -> polytope.Polytope:
-    """bound · D(K)°, the u with w(K, u) <= bound (< bound in its interior).
+def _thin_scan(k: PointSet, lat: Lattice, bound, strict=False):
+    """(m, the pairs (spread, z) in lexicographic order of z) for the u = B^-T z
+    in L* with w(K, u) <= bound (< bound if strict), o included when it counts.
 
-    w(K, u) = h(D(K), u) for the difference body D(K) = K - K, and the polar
-    is {u : h(D(K), u) <= 1}.  Raises LowerDimensionalError when D(K) is flat.
+    With the integers c = m B^-1 v over the vertices v of K, <z, c> = m <u, v>,
+    so m w(K, u) is the spread of <z, c>, the support of D(C) = C - C in
+    direction z.  The z are the integer points of m bound D(C)°: a row
+    <v, z> <= m bound for each vertex v of D(C), in the box of that polar's
+    vertices m bound a / beta over the facets <a, x> <= beta of D(C), which
+    is symmetric as D(C) is.  Raises LowerDimensionalError when K is flat,
+    and so D(C).
     """
-    body = k.hull().difference_body()
-    if not body.is_full_dimensional():
+    if k.dim != lat.dim:
+        dims = f"a set of dimension {k.dim} against a lattice of dimension {lat.dim}"
+        raise ValueError(f"cannot take the widths of {dims}")
+    k_hull = k.hull()
+    if not k_hull.is_full_dimensional():
         raise LowerDimensionalError("point set is not full-dimensional")
-    return body.polar_body().scale(bound)
+    vs = k_hull.vertex_set
+    m, cs = lat.scaled_coordinates(vs.ints, vs.den)
+    body = polytope.hull(PointSet.from_scaled([tuple(map(sub, p, q)) for p in cs for q in cs]))
+    mb = m * Fraction(bound)
+    facets = body.facets()
+    hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(k.dim)]
+    rows = body.vertex_set.ints
+    rhs = math.ceil(mb) if strict else math.floor(mb)  # <v, z> is an integer
+    zs = box_scan([-h for h in hi], hi, [], [], rows, [rhs] * len(rows), strict=strict)
+    return m, [(max([sum(map(mul, v, z)) for v in rows]), z) for z in zs]
 
 
 def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
     """The exact finite set W(T, L) with the width of every member: W(T, L)
-    is L* ∩ int(D(T)°) \\ {o}, read off the interior of `_width_body(T, 1)`."""
+    is L* ∩ int(D(T)°) \\ {o}, the nonzero z of `_thin_scan(T, L, 1,
+    strict=True)` mapped to u = B^-T z, sorted by u."""
     try:
-        body = _width_body(tile, 1)
+        m, found = _thin_scan(tile, lat, 1, strict=True)
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "W is infinite for tiles that do not span the space"
         ) from None
-    found = body.interior_lattice_points(lat.dual()).points  # sorted
-    widths = {u: width_of(tile, u) for u in found if any(u)}
+    dual = lat.dual().basis
+    widths = dict(sorted((mat_vec(dual, z), Fraction(w, m)) for w, z in found if any(z)))
     return WSetResult(vectors=tuple(widths), widths=widths)
 
 
 def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     """min of w(K, u) over u in L* \\ {o}, with a witnessing minimizer.
 
-    The candidates are the points of `_width_body(K, w0)` in L*, w0 the
-    least width over the dual basis.  Among minimizers the smallest u wins.
-    Flat sets get width 0 together with an orthogonal dual vector (always
-    present for rational data).
+    The candidates are the nonzero z of `_thin_scan(K, L, w0)`, w0 the
+    least width over the dual basis, with u = B^-T z.  Among minimizers the
+    smallest u wins, and the order of z is not the order of u.  Flat sets
+    get width 0 together with an orthogonal dual vector (always present for
+    rational data).
     """
     k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
     dual = lat.dual()
     w0 = min(width_of(k, col) for col in dual.basis)
     try:
-        found = _width_body(k, w0).lattice_points(dual).points
-        return min((width_of(k, u), u) for u in found if any(u))
+        m, found = _thin_scan(k, lat, w0)
     except LowerDimensionalError:
-        pass
-    _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
-    dirs = [rel[i] for i in linalg.independent_subset(rel)]
-    if not dirs:  # single point: any dual vector works
-        return Fraction(0), dual.basis[0]
-    rows = tuple(tuple(vdot(v, col) for col in dual.basis) for v in dirs)
-    return Fraction(0), mat_vec(dual.basis, linalg.nullspace(rows)[0])
+        _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
+        dirs = [rel[i] for i in linalg.independent_subset(rel)]
+        if not dirs:  # single point: any dual vector works
+            return Fraction(0), dual.basis[0]
+        rows = tuple(tuple(vdot(v, col) for col in dual.basis) for v in dirs)
+        return Fraction(0), mat_vec(dual.basis, linalg.nullspace(rows)[0])
+    least = min(w for w, z in found if any(z))
+    return Fraction(least, m), min(mat_vec(dual.basis, z) for w, z in found if w == least)
 
 
 # -- Dirichlet cells and tile enumeration -----------------------------------
@@ -459,16 +479,16 @@ def _convex_difference(poly, cutter):
 
 
 def parity_check(t: Tiling) -> bool:
-    """(2 L*) ∩ int(D(T)°) = {o}: o is the only point of L* in the interior
-    of `_width_body(T, 1/2)`, so no nonzero u in L* has w(T, u) < 1/2."""
+    """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* has w(T, u) < 1/2, so
+    `_thin_scan(T, L, 1/2, strict=True)` finds z = o alone."""
     _require_verified(t)
     try:
-        half = _width_body(t.tile, Fraction(1, 2))
+        _, found = _thin_scan(t.tile, t.translations, Fraction(1, 2), strict=True)
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "parity check needs a full-dimensional tile"
         ) from None
-    return len(half.interior_lattice_points(t.translations.dual())) == 1
+    return not any(any(z) for _, z in found)
 
 
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
@@ -476,12 +496,12 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
 
     Existence is guaranteed whenever W spans, but the search is neither
     cheap nor complete.  Its candidates are the b in L ∩ kappa conv(±W)°,
-    the points of `_width_body(±W, 2 kappa)` as D(±W) = 2 conv(±W), whose
-    box a skewed basis makes huge.  They are ordered by w(±W, b), that is
-    2 max |<w, b>|, then by b's L-coordinates, and only the 30 first are
-    tried as bases, so it returns None whenever no basis is among them,
-    even when one exists.  ROADMAP item 6 replaces the search by a
-    lattice reduction.
+    the u = B z of `_thin_scan(±W, L*, 2 kappa)` as D(±W) = 2 conv(±W),
+    the dual of L* being L, whose box a skewed basis makes huge.  They are
+    ordered by w(±W, b), that is 2 max |<w, b>|, then by b's L-coordinates
+    z, and only the 30 first are tried as bases, so it returns None
+    whenever no basis is among them, even when one exists.  ROADMAP item 6
+    replaces the search by a lattice reduction.
     """
     d = lat.dim
     kappa = Fraction(2 * 3 ** (d - 2) * math.factorial(d) ** 2, 2 ** (d - 2))
@@ -489,12 +509,10 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
         return lat.basis, kappa
     signed = PointSet([v for w in wset.vectors for v in (w, vneg(w))])
     try:
-        found = _width_body(signed, 2 * kappa).lattice_points(lat)
+        _, found = _thin_scan(signed, lat.dual(), 2 * kappa)
     except LowerDimensionalError:
         return None, kappa
-    _, zs = lat.scaled_coordinates(found.ints, found.den)  # integral: m is 1
-    cands = sorted((width_of(signed, b), z) for b, z in zip(found.points, zs) if any(z))
-    shortlist = [z for _, z in cands[:30]]
+    shortlist = [z for _, z in sorted(found) if any(z)][:30]
     for combo in itertools.combinations(shortlist, d):
         if abs(linalg.det(mat(combo))) == 1:
             return tuple(mat_vec(lat.basis, z) for z in combo), kappa

@@ -19,6 +19,7 @@ from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.errors import HomometryError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
+from test_polytope import difference_body, polar
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 
@@ -211,7 +212,7 @@ def _finiteness_bounds_hold(t: ti.Tiling) -> bool:
         return False
     origin = tuple([F(0)] * d)
     vol_w = polytope.hull(list(wset.vectors) + [origin]).volume()
-    vol_polar = hull_t.difference_body().polar_body().volume()
+    vol_polar = polar(difference_body(hull_t)).volume()
     det_l = t.translations.determinant
     return vol_w < vol_polar and vol_polar <= F(4**d) / det_l
 

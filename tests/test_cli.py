@@ -342,6 +342,14 @@ def test_lower_dimensional_tile_error(tmp_path, capsys):
             {"points": [[0, 0, 0], [1, 0, 0]], "lattice": {"basis": [[2, 0], [0, 1]]}},
             "dimension 3 against a lattice of dimension 2",
         ),
+        (
+            "wset",
+            {
+                "T": {"points": [[0, 0], [1, 0], [0, 1]]},
+                "L": {"basis": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            },
+            "a set of dimension 2 against a lattice of dimension 3",
+        ),
     ],
 )
 def test_refused_input_is_an_error_not_a_violation(tmp_path, capfd, verb, doc_in, message):

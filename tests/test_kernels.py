@@ -154,15 +154,14 @@ def brute_force_thin_directions(points, bound, strict=False):
 
 
 def thin_directions(points, bound, strict=False):
-    """(m, spread) for the nonzero integer m in `tiling._width_body(K, bound)`,
-    its interior if strict, in lexicographic order: the m of spread <= bound
-    (< bound if strict) over the integer points K."""
-    body = tiling._width_body(PointSet(points), bound)
-    if not body.is_full_dimensional():  # bound 0 leaves {o}: no other point, no interior
-        return []
-    scan = body.interior_lattice_points if strict else body.lattice_points
-    found = scan(Lattice.standard(len(points[0])))
-    return [(m, spread(m, points)) for m in found.ints if any(m)]
+    """(m, spread) for the nonzero m of `tiling._thin_scan(K, Z^d, bound,
+    strict)`, in lexicographic order: the integer m of spread <= bound
+    (< bound if strict) over the integer points K, read off one hull of
+    D(K) in the frame of Z^d, where the scan's scale is 1."""
+    lat = Lattice.standard(len(points[0]))
+    scale, found = tiling._thin_scan(PointSet(points), lat, bound, strict)
+    assert scale == 1
+    return [(m, w) for w, m in found if any(m)]
 
 
 @st.composite

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from homometry import linalg, tiling as ti
 from homometry._kernels import box_scan
-from homometry.errors import (
-    LowerDimensionalError,
-    OriginNotInteriorError,
-    SingularMatrixError,
-)
+from homometry.errors import LowerDimensionalError, SingularMatrixError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import Polytope, hull
@@ -25,6 +21,18 @@ from test_linalg import primitive_integer_direction
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
+
+
+def difference_body(p):
+    """D(P) = P - P, the hull of the pairwise differences of P's vertices."""
+    vs = p.vertex_set
+    return hull([linalg.vsub(u, v) for u in vs.points for v in vs.points])
+
+
+def polar(p, c=1):
+    """c P° = {x : <x, y> <= c for all y in P}, for P full-dimensional with o
+    inside: the hull of c a / b over the facets <a, x> <= b of P."""
+    return hull([linalg.vscale(F(c) / b, a) for a, b in p.facets()])
 
 
 def brute_lattice_points(poly, lat):
@@ -125,9 +133,9 @@ def test_width():
 
 
 def test_difference_body():
-    assert hull([(5, -1)]).difference_body().vertices == ((F(0), F(0)),)
+    assert difference_body(hull([(5, -1)])).vertices == ((F(0), F(0)),)
     delta = hull([(0, 0), (1, 0), (0, 1)])
-    diff = delta.difference_body()
+    diff = difference_body(delta)
     assert set(diff.vertices) == {
         (F(1), F(0)),
         (F(-1), F(0)),
@@ -144,7 +152,7 @@ def test_difference_body_translation_invariant():
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
         p = hull(pts)
         q = hull(p.vertex_set.translate((rng.randint(-3, 3), rng.randint(-3, 3))))
-        assert p.difference_body() == q.difference_body()
+        assert difference_body(p) == difference_body(q)
 
 
 def test_lattice_points_unit_square():
@@ -189,7 +197,7 @@ def test_interior_lattice_points():
     sq = hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
     assert list(sq.interior_lattice_points(Z2)) == [(F(0), F(0))]
     hexagon = hull([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
-    doubled = hexagon.scale(2)
+    doubled = hull([linalg.vscale(2, v) for v in hexagon.vertices])
     inner = doubled.interior_lattice_points(Z2)
     assert set(inner) == {
         (F(0), F(0)),
@@ -252,8 +260,7 @@ def test_volume_hexagon_and_polar_12():
     assert hexagon.volume() == 3
     # D(K) for K = half the unit triangle; its polar has volume 12
     delta = hull([(0, 0), (F(1, 2), 0), (0, F(1, 2))])
-    dk = delta.difference_body()
-    assert dk.polar_body().volume() == 12
+    assert polar(difference_body(delta)).volume() == 12
 
 
 def test_volume_translation_and_scaling():
@@ -263,7 +270,7 @@ def test_volume_translation_and_scaling():
         p = hull(pts)
         t = tuple(rng.randint(-5, 5) for _ in range(d))
         assert hull(p.vertex_set.translate(t)).volume() == p.volume()
-        assert p.scale(3).volume() == 3**d * p.volume()
+        assert hull([linalg.vscale(3, v) for v in p.vertices]).volume() == 3**d * p.volume()
 
 
 def test_volume_lower_dimensional_is_zero():
@@ -273,7 +280,7 @@ def test_volume_lower_dimensional_is_zero():
 
 def test_polar_cube_cross():
     cube = hull(list(itertools.product((-1, 1), repeat=3)))
-    cross = cube.polar_body()
+    cross = polar(cube)
     assert set(cross.vertices) == {
         tuple(F(s * int(i == j)) for i in range(3)) for j in range(3) for s in (1, -1)
     }
@@ -284,12 +291,7 @@ def test_polar_bipolar_identity():
     for _ in range(6):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(8)]
         p = hull(pts + [(1, 0), (-1, 0), (0, 1), (0, -1)])  # force o interior
-        assert p.polar_body().polar_body() == p
-
-
-def test_polar_requires_interior_origin():
-    with pytest.raises(OriginNotInteriorError):
-        hull([(0, 0), (1, 0), (0, 1)]).polar_body()
+        assert polar(polar(p)) == p
 
 
 def test_width_equals_support_of_difference_body():
@@ -297,7 +299,7 @@ def test_width_equals_support_of_difference_body():
     for d in (2, 3):
         pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(6)]
         p = hull(pts)
-        diff = p.difference_body()
+        diff = difference_body(p)
         for _ in range(8):
             u = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
             assert ti.width_of(p, u) == max(linalg.vdot(u, v) for v in diff.vertices)

@@ -23,6 +23,7 @@ from homometry.errors import (
     LowerDimensionalTileError,
     NotATilingError,
     NotLatticeConvexError,
+    SingularMatrixError,
     UnsupportedDimensionError,
 )
 from homometry.lattice import Lattice
@@ -31,6 +32,7 @@ from homometry.polytope import hull
 from test_acceptance import _abc_pool
 from test_lattice import fraction_primitive_parallel
 from test_linalg import leibniz_det, primitive_integer_direction
+from test_polytope import difference_body, polar
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -214,6 +216,67 @@ def test_lattice_width_flat_set_zero():
     value, u = ti.lattice_width(PointSet([(0, 0), (2, 2)]), Z2)
     assert value == 0
     assert linalg.vdot(u, (2, 2)) == 0 and any(u)
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0)]])
+def test_wset_names_both_dimensions_on_a_lattice_of_another(points):
+    # a flat tile too: the dimensions are compared before W is found infinite
+    lat = Lattice([(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="dimension 2 against a lattice of dimension 3"):
+        ti.w_set(PointSet(points), lat)
+
+
+def test_a_thin_direction_query_is_one_hull_call(monkeypatch):
+    # with K's hull built, the scan hulls D(C) and nothing else
+    tilings = [planar_family_tiling(3), generalized_family_tiling(3, 1)]
+    for t in tilings:
+        t.tile.hull()
+    calls = []
+    build = polytope.Polytope.hull
+    monkeypatch.setattr(
+        polytope.Polytope, "hull", staticmethod(lambda k: calls.append(k) or build(k))
+    )
+    for t in tilings:
+        for query in (
+            lambda: ti.w_set(t.tile, t.translations),
+            lambda: ti.parity_check(t),
+            lambda: ti.lattice_width(t.tile, t.translations),
+        ):
+            calls.clear()
+            query()
+            assert len(calls) == 1
+
+
+def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
+    # the u = B^-T z of the scan are the nonzero points of L* in bound D(K)°
+    # (its interior when strict), the polar taken of the hull of K - K in
+    # the standard frame; bound 0 leaves o alone, with no interior
+    rng = random.Random(43)
+    cases = 0
+    while cases < 18:
+        d = rng.randint(1, 3)
+        cols = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)] for _ in range(d)]
+        pts = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)] for _ in range(d + 2)]
+        try:
+            lat = Lattice(cols)
+        except SingularMatrixError:
+            continue
+        k = PointSet(pts)
+        if not k.hull().is_full_dimensional():
+            continue
+        cases += 1
+        dual, body = lat.dual(), difference_body(k.hull())
+        for bound, strict in itertools.product((0, F(1, 2), 1, 2), (False, True)):
+            m, found = ti._thin_scan(k, lat, bound, strict)
+            assert [z for _, z in found] == sorted(z for _, z in found)
+            got = {linalg.mat_vec(dual.basis, z): F(w, m) for w, z in found if any(z)}
+            expected = set()
+            if bound:
+                region = polar(body, bound)
+                scan = region.interior_lattice_points if strict else region.lattice_points
+                expected = {u for u in scan(dual) or () if any(u)}
+            assert set(got) == expected
+            assert all(w == ti.width_of(k, u) for u, w in got.items())
 
 
 @st.composite
