@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import linalg, polytope
 from .errors import (
@@ -144,21 +144,36 @@ def _sum(s: PointSet, t: PointSet) -> PointSet:
 class Covariogram:
     """The multiplicity map u -> |K ∩ (K + u)| of a finite set K.
 
-    It is kept as (D, counts): counts maps the integer vector D u to the
-    multiplicity of u, with D the least integer that makes the differences
-    of K integral (`PointSet.offsets`).  D depends only on the support, so
-    two maps are equal iff their pairs are.
+    It is kept as (D, weights, n, half).  D is the least integer that makes
+    the differences of K integral (`PointSet.offsets`), and an integer
+    difference z = D u is packed into the one integer enc(z) = sum z_i W_i.
+    The weights are W_{d-1} = 1 and W_i = W_{i+1} (2 s_{i+1} + 1), with s_i
+    the spread max - min of coordinate i over K.  Every difference has
+    |z_i| <= s_i, so the z_i are the balanced digits of enc(z): enc is
+    additive and one to one on differences, and keeps their lexicographic
+    order.  The map is symmetric and its value at o is n = |K|, so `half`
+    counts only the lexicographically positive differences, by code.  D and
+    the spreads depend only on the support, so two maps are equal iff their
+    tuples are.  The rational map is decoded on first read.
     """
 
-    def __init__(self, den: int, counts: Counter):
-        self.den = den
-        self.counts = counts
+    def __init__(self, den: int, weights: tuple[int, ...], n: int, half: Counter):
+        self.den, self.weights, self.n, self.half = den, weights, n, half
 
     @cached_property
     def entries(self) -> dict[Vec, int]:
         """The map itself, u -> |K ∩ (K + u)|, with rational keys."""
-        den = self.den
-        return {tuple([Fraction(c, den) for c in u]): m for u, m in self.counts.items()}
+        den, weights = self.den, self.weights
+        out = {(Fraction(0),) * len(weights): self.n}
+        for code, m in self.half.items():
+            z = []
+            for w in weights:  # w is odd: z_i is code / w rounded to the nearest
+                c = (code + w // 2) // w
+                z.append(c)
+                code -= c * w
+            out[tuple([Fraction(c, den) for c in z])] = m
+            out[tuple([Fraction(-c, den) for c in z])] = m
+        return out
 
     def __getitem__(self, u) -> int:
         return self.entries.get(vec(u), 0)
@@ -166,7 +181,9 @@ class Covariogram:
     def __eq__(self, other):
         if not isinstance(other, Covariogram):
             return NotImplemented
-        return self.den == other.den and self.counts == other.counts
+        return (self.den, self.weights, self.n, self.half) == (
+            other.den, other.weights, other.n, other.half
+        )
 
     def to_json(self):
         from .jsonio import rational_out
@@ -180,16 +197,26 @@ class Covariogram:
 
 
 def covariogram(k: PointSet) -> Covariogram:
-    """Counts ordered pairs with a fixed difference, which equals |K ∩ (K+u)|.
+    """The covariogram of K, each unordered pair of points counted once.
 
-    The pairs are counted on the integer offsets, where a - b is D (a - b).
+    The offsets D (p - lexmin) are sorted, so their codes, packed as in
+    `Covariogram`, increase: for each pair of points the larger code minus
+    the smaller is the code of their lexicographically positive difference.
     """
     den, ints = k.offsets
-    return Covariogram(den, Counter(tuple(map(sub, a, b)) for a in ints for b in ints))
+    spreads = [max(col) - min(col) for col in zip(*ints)]
+    weights = [1] * k.dim
+    for i in reversed(range(k.dim - 1)):
+        weights[i] = weights[i + 1] * (2 * spreads[i + 1] + 1)
+    codes = [sum(map(mul, p, weights)) for p in reversed(ints)]  # larger first in a pair
+    half = Counter(itertools.starmap(sub, itertools.combinations(codes, 2)))
+    return Covariogram(den, tuple(weights), len(ints), half)
 
 
 def homometric(k: PointSet, m: PointSet) -> bool:
-    if k.dim != m.dim:
+    """Whether K and M have equal covariograms; g(o) = |K|, so sets of
+    different sizes are told apart before any pair is counted."""
+    if k.dim != m.dim or len(k) != len(m):
         return False
     return covariogram(k) == covariogram(m)
 

@@ -113,9 +113,10 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _thin_scan(k: PointSet, lat: Lattice, bound, strict=False):
+def _thin_scan(obj, lat: Lattice, bound, strict=False):
     """(m, the pairs (spread, z) in lexicographic order of z) for the u = B^-T z
-    in L* with w(K, u) <= bound (< bound if strict), o included when it counts.
+    in L* with w(K, u) <= bound (< bound if strict), o included when it counts;
+    K is a PointSet or a Polytope, whose hull is then K itself.
 
     With the integers c = m B^-1 v over the vertices v of K, <z, c> = m <u, v>,
     so m w(K, u) is the spread of <z, c>, the support of D(C) = C - C in
@@ -125,10 +126,12 @@ def _thin_scan(k: PointSet, lat: Lattice, bound, strict=False):
     is symmetric as D(C) is.  Raises LowerDimensionalError when K is flat,
     and so D(C).
     """
-    if k.dim != lat.dim:
-        dims = f"a set of dimension {k.dim} against a lattice of dimension {lat.dim}"
+    given = isinstance(obj, polytope.Polytope)
+    dim = obj.ambient if given else obj.dim
+    if dim != lat.dim:
+        dims = f"a set of dimension {dim} against a lattice of dimension {lat.dim}"
         raise ValueError(f"cannot take the widths of {dims}")
-    k_hull = k.hull()
+    k_hull = obj if given else obj.hull()
     if not k_hull.is_full_dimensional():
         raise LowerDimensionalError("point set is not full-dimensional")
     vs = k_hull.vertex_set
@@ -136,7 +139,7 @@ def _thin_scan(k: PointSet, lat: Lattice, bound, strict=False):
     body = polytope.hull(PointSet.from_scaled([tuple(map(sub, p, q)) for p in cs for q in cs]))
     mb = m * Fraction(bound)
     facets = body.facets()
-    hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(k.dim)]
+    hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(dim)]
     rows = body.vertex_set.ints
     rhs = math.ceil(mb) if strict else math.floor(mb)  # <v, z> is an integer
     zs = box_scan([-h for h in hi], hi, [], [], rows, [rhs] * len(rows), strict=strict)
@@ -171,7 +174,7 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     dual = lat.dual()
     w0 = min(width_of(k, col) for col in dual.basis)
     try:
-        m, found = _thin_scan(k, lat, w0)
+        m, found = _thin_scan(obj, lat, w0)
     except LowerDimensionalError:
         _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
         dirs = [rel[i] for i in linalg.independent_subset(rel)]
@@ -504,7 +507,7 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
     replaces the search by a lattice reduction.
     """
     d = lat.dim
-    kappa = Fraction(2 * 3 ** (d - 2) * math.factorial(d) ** 2, 2 ** (d - 2))
+    kappa = 2 * math.factorial(d) ** 2 * Fraction(3, 2) ** (d - 2)
     if all(abs(vdot(w, b)) <= kappa for b in lat.basis for w in wset.vectors):
         return lat.basis, kappa
     signed = PointSet([v for w in wset.vectors for v in (w, vneg(w))])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from homometry import lattice, linalg, polytope
 from homometry import pointset as ps
+from homometry.constructions import generalized_family
 from homometry.errors import (
     DegenerateDifferencesError,
     EmptySetError,
@@ -386,6 +387,88 @@ def test_covariogram_is_translation_invariant_and_sees_scaling():
     assert ps.covariogram(shifted).to_json() == ps.covariogram(k).to_json()
     doubled = PointSet([linalg.vscale(2, p) for p in k.points])
     assert ps.covariogram(k) != ps.covariogram(doubled)
+
+
+# -- the packed covariogram against the Fraction pair counts ----------------
+
+FAR = 2**64 + 7
+
+
+@st.composite
+def wide_sets(draw):
+    """Sets in d = 1..5 that hold o and FAR (1, ..., 1) / D, so every
+    coordinate of the offsets spreads past 2**64: the codes pass 2**64, and
+    from d = 2 on so does the weight product."""
+    d = draw(st.integers(1, 5))
+    den = draw(st.sampled_from([1, 3, 2**65 + 1]))
+    coord = st.builds(lambda c, far: F(c + far * FAR, den), st.integers(-3, 3), st.booleans())
+    pts = draw(st.lists(st.tuples(*[coord] * d), max_size=6))
+    return PointSet(pts + [(0,) * d, (F(FAR, den),) * d])
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sets(), st.integers(-5, 5))
+def test_packed_covariogram_matches_the_fraction_pairs(k, shift):
+    cov = ps.covariogram(k)
+    if k.dim > 1:
+        assert math.prod(cov.weights) > 2**64
+    assert cov.entries == fraction_covariogram(k)
+    assert cov == ps.covariogram(k.negate().translate((F(shift, 7),) * k.dim))
+    moved = PointSet(k.points[1:] + (linalg.vadd(k.points[0], (F(1, 3),) * k.dim),))
+    assert (cov == ps.covariogram(moved)) == (
+        fraction_covariogram(k) == fraction_covariogram(moved)
+    )
+
+
+@pytest.mark.parametrize(
+    "k, m",
+    [
+        # {0, 1, 2, 4} and {0, 1, 3, 4} share the differences -4..4, with
+        # multiplicities (1, 1, 2, 2, 4, 2, 2, 1, 1) and (1, 2, 1, 2, 4, 2, 1, 2, 1)
+        (PointSet([(0,), (1,), (2,), (4,)]), PointSet([(0,), (1,), (3,), (4,)])),
+        (
+            PointSet([(F(x, 2), y, x - y) for x in (0, 1, 2, 4) for y in (0, 5)]),
+            PointSet([(F(x, 2), y, x - y) for x in (0, 1, 3, 4) for y in (0, 5)]),
+        ),
+    ],
+)
+def test_equal_supports_differ_in_the_counts_alone(k, m):
+    a, b = ps.covariogram(k), ps.covariogram(m)
+    assert (a.den, a.weights, a.n) == (b.den, b.weights, b.n)
+    assert a.entries.keys() == b.entries.keys()
+    assert a.entries == fraction_covariogram(k) != fraction_covariogram(m) == b.entries
+    assert a != b and not ps.homometric(k, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_generalized_families_are_nontrivially_homometric(d, k):
+    pair = generalized_family(d, k)
+    plus, minus = pair.sum_plus, pair.sum_minus
+    assert ps.covariogram(plus).entries == fraction_covariogram(plus)
+    assert fraction_covariogram(plus) == fraction_covariogram(minus)
+    assert ps.homometric(plus, minus)
+    assert not ps.trivially_homometric(plus, minus)
+
+
+def test_sets_of_different_sizes_are_told_apart_before_any_pair(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        k, m = (
+            PointSet([tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(size)])
+            for size in (rng.randint(1, 8), rng.randint(1, 8))
+        )
+        cases.append((k, m, fraction_covariogram(k) == fraction_covariogram(m)))
+    counted = []
+    count = ps.covariogram
+    monkeypatch.setattr(ps, "covariogram", lambda k: counted.append(k) or count(k))
+    for k, m, expected in cases:
+        counted.clear()
+        assert ps.homometric(k, m) == expected
+        assert len(counted) == (2 if len(k) == len(m) else 0)
+    assert any(len(k) != len(m) for k, m, _ in cases)
 
 
 # -- the integer PointSet against the former Fraction implementation --------

@@ -247,6 +247,22 @@ def test_a_thin_direction_query_is_one_hull_call(monkeypatch):
             assert len(calls) == 1
 
 
+def test_the_width_of_a_polytope_is_one_hull_call(monkeypatch):
+    # the polytope is the hull of its own vertices: the scan hulls D(C) alone
+    t = planar_family_tiling(3)
+    tile_hull = hull(t.tile)
+    expected = ti.lattice_width(t.tile, t.translations)
+    calls = []
+    build = polytope.Polytope.hull
+    monkeypatch.setattr(
+        polytope.Polytope, "hull", staticmethod(lambda k: calls.append(k) or build(k))
+    )
+    assert ti.lattice_width(tile_hull, t.translations) == expected
+    vs = tile_hull.vertex_set
+    _, cs = t.translations.scaled_coordinates(vs.ints, vs.den)
+    assert calls == [PointSet.from_scaled([linalg.vsub(p, q) for p in cs for q in cs])]
+
+
 def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
     # the u = B^-T z of the scan are the nonzero points of L* in bound D(K)°
     # (its interior when strict), the polar taken of the hull of K - K in
@@ -1022,3 +1038,14 @@ def test_thin_cover_basis_families():
     wset = ti.w_set(t.tile, t.translations)
     basis, kappa = ti.thin_cover_basis(wset, t.translations)
     assert basis is not None and kappa == 108
+
+
+def test_thin_cover_basis_in_one_dimension():
+    # kappa = 2 (1!)^2 (3/2)^-1 = 4/3, and W(T, 3Z) = {±1/3} with T = {0, 1, 2}
+    lat = Lattice([(3,)])
+    t = ti.verify_tiling(Lattice.standard(1), lat, PointSet([(0,), (1,), (2,)]))
+    wset = ti.w_set(t.tile, t.translations)
+    assert wset.vectors == ((F(-1, 3),), (F(1, 3),))
+    basis, kappa = ti.thin_cover_basis(wset, lat)
+    assert (basis, kappa) == (((3,),), F(4, 3))
+    assert type(kappa) is F
