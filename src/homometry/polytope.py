@@ -31,7 +31,7 @@ from operator import mul, sub
 from . import linalg, pointset
 from ._kernels import box_scan
 from .errors import InvariantError, LowerDimensionalError
-from .linalg import Vec, vdot, vec, vneg
+from .linalg import Vec, vec, vneg
 
 IntVec = tuple[int, ...]
 
@@ -255,13 +255,6 @@ class Polytope:
             raise LowerDimensionalError("facets of a lower-dimensional polytope")
         verts, hyps, on = self.vertices, self._data["hyps"], self._data["facet_vertices"]
         return tuple([(a, tuple([verts[j] for j in f])) for (a, _), f in zip(hyps, on)])
-
-    def contains(self, x) -> bool:
-        x = vec(x)
-        eqs, ineqs = self.constraint_system()
-        return all(vdot(r, x) == rhs for r, rhs in eqs) and all(
-            vdot(r, x) <= rhs for r, rhs in ineqs
-        )
 
     def constraint_system(self):
         """Ambient description: (equalities, inequalities) as (row, rhs) pairs.

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul, sub
 
 from . import linalg, pointset, polytope
-from ._kernels import box_scan, hull_ring
+from ._kernels import box_scan, planar_width
 from .errors import (
     InvariantError,
     LowerDimensionalError,
@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedDimensionError,
 )
-from .lattice import Lattice, index
+from .lattice import Lattice
 from .linalg import Vec, mat, mat_vec, vdot, vec, vec_str, vneg, vsub
 from .pointset import PointSet
 
@@ -89,7 +89,7 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     p = pointset._first_outside(ambient, tile)
     if p is not None:
         raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
-    idx = index(translations, ambient)
+    idx = translations.determinant / ambient.determinant  # [M:L], an integer as L ⊆ M
     if len(tile) != idx:
         raise NotATilingError(
             f"tile has {len(tile)} points but the index [M:L] is {idx}"
@@ -104,7 +104,7 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
                 f"tile points {pair} lie in the same coset of L", witness=(seen[r], p)
             )
         seen[r] = p
-    gap = pointset.lattice_convexity_witness(tile, ambient)
+    gap = pointset._missing_point(tile, tile.hull().lattice_points(ambient))
     if gap is not None:
         raise NotLatticeConvexError(f"tile misses the M-point {vec_str(gap)}", witness=gap)
     return Tiling(ambient, translations, tile, verified=True)
@@ -113,19 +113,10 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _thin_scan(obj, lat: Lattice, bound, strict=False):
-    """(m, the pairs (spread, z) in lexicographic order of z) for the u = B^-T z
-    in L* with w(K, u) <= bound (< bound if strict), o included when it counts;
-    K is a PointSet or a Polytope, whose hull is then K itself.
-
-    With the integers c = m B^-1 v over the vertices v of K, <z, c> = m <u, v>,
-    so m w(K, u) is the spread of <z, c>, the support of D(C) = C - C in
-    direction z.  The z are the integer points of m bound D(C)°: a row
-    <v, z> <= m bound for each vertex v of D(C), in the box of that polar's
-    vertices m bound a / beta over the facets <a, x> <= beta of D(C), which
-    is symmetric as D(C) is.  Raises LowerDimensionalError when K is flat,
-    and so D(C).
-    """
+def _thin_body(obj, lat: Lattice):
+    """(m, D(C)) for `_thin_scan`: C holds the integers c = m B^-1 v over the
+    vertices v of K, a PointSet or a Polytope, whose hull is then K itself.
+    Raises LowerDimensionalError when K is flat, and so D(C)."""
     given = isinstance(obj, polytope.Polytope)
     dim = obj.ambient if given else obj.dim
     if dim != lat.dim:
@@ -136,27 +127,41 @@ def _thin_scan(obj, lat: Lattice, bound, strict=False):
         raise LowerDimensionalError("point set is not full-dimensional")
     vs = k_hull.vertex_set
     m, cs = lat.scaled_coordinates(vs.ints, vs.den)
-    body = polytope.hull(PointSet.from_scaled([tuple(map(sub, p, q)) for p in cs for q in cs]))
-    mb = m * Fraction(bound)
+    return m, polytope.hull(PointSet.from_scaled([tuple(map(sub, p, q)) for p in cs for q in cs]))
+
+
+def _thin_scan(body, mb, strict=False):
+    """The pairs (spread, z), in lexicographic order of z, for the u = B^-T z
+    in L* with w(K, u) <= bound (< bound if strict), o included when it
+    counts, given (m, D(C)) = `_thin_body(K, L)` and mb = m bound.
+
+    With the integers c = m B^-1 v over the vertices v of K, <z, c> = m <u, v>,
+    so m w(K, u) is the spread of <z, c>, the support of D(C) = C - C in
+    direction z.  The z are the integer points of m bound D(C)°: a row
+    <v, z> <= m bound for each vertex v of D(C), in the box of that polar's
+    vertices m bound a / beta over the facets <a, x> <= beta of D(C), which
+    is symmetric as D(C) is.
+    """
     facets = body.facets()
-    hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(dim)]
+    hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(body.ambient)]
     rows = body.vertex_set.ints
     rhs = math.ceil(mb) if strict else math.floor(mb)  # <v, z> is an integer
     zs = box_scan([-h for h in hi], hi, [], [], rows, [rhs] * len(rows), strict=strict)
-    return m, [(max([sum(map(mul, v, z)) for v in rows]), z) for z in zs]
+    return [(max([sum(map(mul, v, z)) for v in rows]), z) for z in zs]
 
 
 def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
     """The exact finite set W(T, L) with the width of every member: W(T, L)
-    is L* ∩ int(D(T)°) \\ {o}, the nonzero z of `_thin_scan(T, L, 1,
-    strict=True)` mapped to u = B^-T z, sorted by u."""
+    is L* ∩ int(D(T)°) \\ {o}, the nonzero z of `_thin_scan` at bound 1,
+    strictly, mapped to u = B^-T z, sorted by u."""
     try:
-        m, found = _thin_scan(tile, lat, 1, strict=True)
+        m, body = _thin_body(tile, lat)
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "W is infinite for tiles that do not span the space"
         ) from None
     dual = lat.dual().basis
+    found = _thin_scan(body, m, strict=True)
     widths = dict(sorted((mat_vec(dual, z), Fraction(w, m)) for w, z in found if any(z)))
     return WSetResult(vectors=tuple(widths), widths=widths)
 
@@ -164,25 +169,33 @@ def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
 def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     """min of w(K, u) over u in L* \\ {o}, with a witnessing minimizer.
 
-    The candidates are the nonzero z of `_thin_scan(K, L, w0)`, w0 the
-    least width over the dual basis, with u = B^-T z.  Among minimizers the
-    smallest u wins, and the order of z is not the order of u.  Flat sets
-    get width 0 together with an orthogonal dual vector (always present for
-    rational data).
+    The candidates are the nonzero z of a `_thin_scan`, with u = B^-T z.
+    Its bound starts at min beta / (m a_i) over the facets <a, x> <= beta
+    of D(C) with a_i > 0, below which the box holds no nonzero cell, and
+    doubles until a scan finds a nonzero z, never past the least width over
+    the dual basis, where a basis vector is found.  That scan holds every z
+    whose width is at most its bound, so every minimizer.  Among minimizers
+    the smallest u wins, and the order of z is not the order of u.  Flat
+    sets get width 0 together with an orthogonal dual vector (always
+    present for rational data).
     """
-    k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
     dual = lat.dual()
-    w0 = min(width_of(k, col) for col in dual.basis)
     try:
-        m, found = _thin_scan(obj, lat, w0)
+        m, body = _thin_body(obj, lat)
     except LowerDimensionalError:
+        k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
         _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
         dirs = [rel[i] for i in linalg.independent_subset(rel)]
         if not dirs:  # single point: any dual vector works
             return Fraction(0), dual.basis[0]
         rows = tuple(tuple(vdot(v, col) for col in dual.basis) for v in dirs)
         return Fraction(0), mat_vec(dual.basis, linalg.nullspace(rows)[0])
-    least = min(w for w, z in found if any(z))
+    rows, d = body.vertex_set.ints, body.ambient
+    w0 = min(max(v[i] for v in rows) for i in range(d))  # m w(K, u) for u = B^-T e_i
+    mb = min(beta / a[i] for a, beta in body.facets() for i in range(d) if a[i] > 0)
+    while not (found := [(w, z) for w, z in _thin_scan(body, mb) if any(z)]):
+        mb = min(2 * mb, w0)
+    least = min(w for w, _ in found)
     return Fraction(least, m), min(mat_vec(dual.basis, z) for w, z in found if w == least)
 
 
@@ -348,23 +361,30 @@ def check_abc(s: PointSet, t: Tiling):
 
 
 def affine_covering_test(vertices, lat: Lattice) -> bool:
-    """Whether the affine hull of a facet is covered by its L-translates.
+    """Whether the affine hull of a lattice facet is covered by its L-translates.
 
-    The facet is given by its extreme points, and every dimension works in
-    one frame: their L-coordinates relative to the first, scaled by their
-    least common denominator D (a ValueError unless of rank d - 1).  There
-    the facet is an integer polytope Q through the origin and L is D Z^d, so
-    the question is whether Q + D Z^d covers the linear span of Q.
+    The facet is given by its extreme points, whose L-coordinates relative
+    to the first must be integers of rank d - 1, else a ValueError; the
+    facets of conv(S) for an S in L, as in condition (c), are such.
 
-    - d = 1: a facet is a point, which is its own affine hull.
-    - d = 2: Q is a segment [0, z]; the translations along its line are the
-      multiples of D z / gcd(z), so it covers iff gcd(z) >= D.
-    - d = 3: the span meets Z^3 in the lattice spanned by the integer kernel
-      of the primitive normal w, and on that basis Q has integer vertices
-      and D Z^3 becomes D Z^2.  The uncovered set is open and periodic, so
-      Q covers iff its translates clipped to the closed cell [0, D]^2 fill
-      the cell's area.  The clipped pieces are kept disjoint, so the covered
-      area only grows and the test returns as soon as it reaches the cell's.
+    - d = 1: the facet is a point, its own affine hull.
+    - d = 2: the Z-translates of a lattice segment cover its line.
+    - d = 3: on a basis of the integer kernel of the primitive normal, the
+      facet is a lattice polygon Q, translated by Z^2.  With
+      (w, m) = `planar_width(Q)`, Q covers iff w >= 2, or w = 1 and each
+      lattice line <m, x> = c, c + 1 holds at least two vertices of Q.
+
+    For w = 1, a line strictly between those two meets Q in a chord of
+    length (1 - t) l0 + t l1, l0 and l1 the lattice lengths of Q on them;
+    only the translates along the line reach it, and they cover it iff the
+    chord has length >= 1.  The uncovered set is open, so Q covers iff
+    l0 >= 1 and l1 >= 1.  For w >= 2: a lattice polygon with no interior
+    lattice point has width <= 1 or is unimodularly equivalent to 2Δ
+    (Arkinstall, "Minimal requirements for Minkowski's theorem in the plane
+    I", 1980), which holds a unit square; one with an interior lattice
+    point has covering radius <= 1, so Q + Z^2 is the plane (the d = 2 case
+    in Codenotti, Santos and Schymura, "The covering radius and a discrete
+    surface area for non-hollow simplices", DCG 2022).
     """
     d = lat.dim
     if d > 3:
@@ -373,109 +393,19 @@ def affine_covering_test(vertices, lat: Lattice) -> bool:
     normals = linalg.nullspace(ints)
     if len(normals) != 1:
         raise ValueError("expected the vertices of a facet, spanning a (d-1)-flat")
-    if d == 1:
+    if scale != 1:
+        raise ValueError("expected a lattice facet, whose vertices differ by vectors of L")
+    if d < 3:
         return True
-    if d == 2:
-        return math.gcd(*ints[-1]) >= scale
     _, _, coords = linalg.span_coordinates(linalg.integer_kernel([normals[0]]), ints)
-    poly = []
+    poly = set()
     for v, xy in zip(vertices, coords):
         if any(c.denominator != 1 for c in xy):
             raise InvariantError("facet vertex is off the integer grid", witness=v)
-        poly.append(tuple(int(c) for c in xy))
-    poly = hull_ring(poly)
-    cell = [(0, 0), (scale, 0), (scale, scale), (0, scale)]
-    xs, ys = [x for x, _ in poly], [y for _, y in poly]
-    covered2, pieces = 0, []
-    # the translates (a D, b D) that meet the cell
-    for a in range(-(max(xs) // scale), (scale - min(xs)) // scale + 1):
-        for b in range(-(max(ys) // scale), (scale - min(ys)) // scale + 1):
-            moved = [(x + a * scale, y + b * scale) for x, y in poly]
-            parts = [p for p in [_clip_to_convex(moved, cell)] if _polygon_area2(p)]
-            for prev in pieces:
-                if not parts:
-                    break
-                parts = [q for part in parts for q in _convex_difference(part, prev)]
-            covered2 += sum(_polygon_area2(part) for part in parts)
-            pieces.extend(parts)
-            if covered2 == 2 * scale * scale:
-                return True
-    return False
-
-
-# exact 2D polygon helpers ---------------------------------------------------
-
-
-def _polygon_area2(poly) -> Fraction:
-    """Twice the signed shoelace area (positive for ccw polygons)."""
-    total = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total
-
-
-def _clip(poly, a, b, rhs):
-    """Clip a convex ccw polygon to the halfplane a*x + b*y <= rhs.
-
-    New vertices are exact Fractions, also on int input.
-    """
-    if not poly:
-        return []
-    out = []
-    n = len(poly)
-    vals = [a * p[0] + b * p[1] - rhs for p in poly]
-    for i in range(n):
-        p, vp = poly[i], vals[i]
-        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
-        if vp <= 0:
-            out.append(p)
-        if (vp < 0 < vq) or (vq < 0 < vp):
-            t = Fraction(vp) / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    dedup = []
-    for p in out:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _edge_halfplane(p1, p2):
-    """(a, b, rhs) with the left side of p1->p2 given by a*x + b*y >= rhs."""
-    a = -(p2[1] - p1[1])
-    b = p2[0] - p1[0]
-    return a, b, a * p1[0] + b * p1[1]
-
-
-def _clip_to_convex(poly, convex_ccw):
-    cur = poly
-    n = len(convex_ccw)
-    for i in range(n):
-        a, b, rhs = _edge_halfplane(convex_ccw[i], convex_ccw[(i + 1) % n])
-        cur = _clip(cur, -a, -b, -rhs)  # keep the inside (>= rhs)
-        if not cur:
-            return []
-    return cur
-
-
-def _convex_difference(poly, cutter):
-    """Disjoint convex pieces of poly minus cutter (both convex, ccw)."""
-    pieces = []
-    current = poly
-    n = len(cutter)
-    for i in range(n):
-        a, b, rhs = _edge_halfplane(cutter[i], cutter[(i + 1) % n])
-        outside = _clip(current, a, b, rhs)  # beyond this edge (<= rhs)
-        if len(outside) >= 3 and _polygon_area2(outside) != 0:
-            pieces.append(outside)
-        current = _clip(current, -a, -b, -rhs)
-        if not current:
-            break
-    return pieces
+        poly.add(tuple(int(c) for c in xy))
+    w, m = planar_width(poly)
+    heights = sorted([m[0] * x + m[1] * y for x, y in poly])  # two values when w = 1
+    return w > 1 or (heights[0] == heights[1] and heights[-2] == heights[-1])
 
 
 # -- parity and finiteness helpers -------------------------------------------
@@ -483,15 +413,15 @@ def _convex_difference(poly, cutter):
 
 def parity_check(t: Tiling) -> bool:
     """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* has w(T, u) < 1/2, so
-    `_thin_scan(T, L, 1/2, strict=True)` finds z = o alone."""
+    `_thin_scan` at bound 1/2, strictly, finds z = o alone."""
     _require_verified(t)
     try:
-        _, found = _thin_scan(t.tile, t.translations, Fraction(1, 2), strict=True)
+        m, body = _thin_body(t.tile, t.translations)
     except LowerDimensionalError:
         raise LowerDimensionalTileError(
             "parity check needs a full-dimensional tile"
         ) from None
-    return not any(any(z) for _, z in found)
+    return not any(any(z) for _, z in _thin_scan(body, Fraction(m, 2), strict=True))
 
 
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
@@ -499,12 +429,12 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
 
     Existence is guaranteed whenever W spans, but the search is neither
     cheap nor complete.  Its candidates are the b in L ∩ kappa conv(±W)°,
-    the u = B z of `_thin_scan(±W, L*, 2 kappa)` as D(±W) = 2 conv(±W),
-    the dual of L* being L, whose box a skewed basis makes huge.  They are
-    ordered by w(±W, b), that is 2 max |<w, b>|, then by b's L-coordinates
-    z, and only the 30 first are tried as bases, so it returns None
-    whenever no basis is among them, even when one exists.  ROADMAP item 6
-    replaces the search by a lattice reduction.
+    the u = B z of `_thin_scan` of ±W on L* at bound 2 kappa, as
+    D(±W) = 2 conv(±W), the dual of L* being L, whose box a skewed basis
+    makes huge.  They are ordered by w(±W, b), that is 2 max |<w, b>|, then
+    by b's L-coordinates z, and only the 30 first are tried as bases, so it
+    returns None whenever no basis is among them, even when one exists.
+    ROADMAP item 6 replaces the search by a lattice reduction.
     """
     d = lat.dim
     kappa = 2 * math.factorial(d) ** 2 * Fraction(3, 2) ** (d - 2)
@@ -512,10 +442,10 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
         return lat.basis, kappa
     signed = PointSet([v for w in wset.vectors for v in (w, vneg(w))])
     try:
-        _, found = _thin_scan(signed, lat.dual(), 2 * kappa)
+        m, body = _thin_body(signed, lat.dual())
     except LowerDimensionalError:
         return None, kappa
-    shortlist = [z for _, z in sorted(found) if any(z)][:30]
+    shortlist = [z for _, z in sorted(_thin_scan(body, 2 * kappa * m)) if any(z)][:30]
     for combo in itertools.combinations(shortlist, d):
         if abs(linalg.det(mat(combo))) == 1:
             return tuple(mat_vec(lat.basis, z) for z in combo), kappa

@@ -154,14 +154,14 @@ def brute_force_thin_directions(points, bound, strict=False):
 
 
 def thin_directions(points, bound, strict=False):
-    """(m, spread) for the nonzero m of `tiling._thin_scan(K, Z^d, bound,
-    strict)`, in lexicographic order: the integer m of spread <= bound
-    (< bound if strict) over the integer points K, read off one hull of
-    D(K) in the frame of Z^d, where the scan's scale is 1."""
+    """(m, spread) for the nonzero m of `tiling._thin_scan` of K on Z^d, in
+    lexicographic order: the integer m of spread <= bound (< bound if
+    strict) over the integer points K, read off one hull of D(K) in the
+    frame of Z^d, where the scan's scale is 1."""
     lat = Lattice.standard(len(points[0]))
-    scale, found = tiling._thin_scan(PointSet(points), lat, bound, strict)
+    scale, body = tiling._thin_body(PointSet(points), lat)
     assert scale == 1
-    return [(m, w) for w, m in found if any(m)]
+    return [(m, w) for w, m in tiling._thin_scan(body, bound, strict) if any(m)]
 
 
 @st.composite

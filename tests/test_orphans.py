@@ -23,6 +23,19 @@ EXEMPT = {
     "polytope.Polytope.interior_lattice_points",
 }
 
+# Public method names that more than one library class defines.  A call
+# names no class, so the caller test above cannot tell these definitions
+# apart: each one is listed with a library line that calls it.
+SHARED = {
+    "constructions.HomometricPair.to_json": 'return _ok("gen-example", pair.to_json())',
+    "lattice.Lattice.to_json": '"M": self.ambient.to_json(),',
+    "pointset.Covariogram.to_json": 'return _ok("covariogram", cov.to_json())',
+    "pointset.PointSet.hull": "s_hull = s.hull()",
+    "pointset.PointSet.to_json": '"T": self.tile.to_json(),',
+    "polytope.Polytope.hull": "return Polytope.hull(points)",
+    "tiling.Tiling.to_json": '"tiling": self.tiling.to_json(),',
+}
+
 
 def _referenced(node):
     """The names and the attribute names read anywhere under node."""
@@ -77,3 +90,21 @@ def test_every_public_function_has_a_caller():
         )
     )
     assert defined and not orphans, f"public functions and methods only the tests call: {orphans}"
+
+
+def test_a_method_name_shared_by_two_classes_lists_a_caller_of_each():
+    methods = {}  # name -> the qualified names of its definitions
+    lines = set()
+    for path in LIBRARY:
+        text = path.read_text(encoding="utf-8")
+        lines |= {line.strip() for line in text.splitlines()}
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, ast.ClassDef):
+                for m in stmt.body:
+                    if _public(m):
+                        methods.setdefault(m.name, []).append(f"{path.stem}.{stmt.name}.{m.name}")
+    shared = sorted(q for qs in methods.values() if len(qs) > 1 for q in qs)
+    assert shared == sorted(SHARED), "list each definition of a shared method name in SHARED"
+    for qualified, line in SHARED.items():
+        name = qualified.rsplit(".", 1)[1]
+        assert f"{name}(" in line and line in lines, (qualified, line)

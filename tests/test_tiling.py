@@ -32,7 +32,7 @@ from homometry.polytope import hull
 from test_acceptance import _abc_pool
 from test_lattice import fraction_primitive_parallel
 from test_linalg import leibniz_det, primitive_integer_direction
-from test_polytope import difference_body, polar
+from test_polytope import contains, difference_body, polar
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -183,20 +183,25 @@ def test_lattice_width_matches_direction_scan():
             assert ti.lattice_width(k.hull(), lat) == scan
 
 
-def test_lattice_width_of_a_skewed_rational_lattice_scans_a_small_box(monkeypatch):
-    # a frame taken from the differences of K, as the former thin-direction
-    # search took it, made this box millions of cells; the polar of D(K)
-    # bounds it by the body itself
+def _cap_box_scan(monkeypatch, cap):
+    """Make every box_scan fail once the boxes passed hold more than cap cells."""
     cells, scan = [0], _kernels.box_scan
 
     def counted(lo, hi, *rows, **kw):
         cells[0] += math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
-        if cells[0] > 10**5:
+        if cells[0] > cap:
             raise AssertionError(f"box_scan passed {cells[0]} cells")
         return scan(lo, hi, *rows, **kw)
 
     for owner in (_kernels, polytope, ti):
         monkeypatch.setattr(owner, "box_scan", counted)
+
+
+def test_lattice_width_of_a_skewed_rational_lattice_scans_a_small_box(monkeypatch):
+    # a frame taken from the differences of K, as the former thin-direction
+    # search took it, made this box millions of cells; the polar of D(K)
+    # bounds it by the body itself
+    _cap_box_scan(monkeypatch, 10**5)
     lat = Lattice([(18, 5, F(-1, 3)), (F(-16, 5), -1, F(7, 2)), (F(29, 3), F(7, 3), F(-21, 4))])
     k = PointSet(
         [
@@ -210,6 +215,25 @@ def test_lattice_width_of_a_skewed_rational_lattice_scans_a_small_box(monkeypatc
         ]
     )
     assert ti.lattice_width(k, lat) == (F(41401, 17244), (F(-545, 5748), F(-133, 2874), F(89, 479)))
+
+
+def test_lattice_width_of_a_thin_set_starts_below_the_dual_basis(monkeypatch):
+    # the least width over this dual basis is 6097/12, and the box of the
+    # scan up to it holds 1.3 * 10**11 cells; doubling up from the least
+    # bound whose box holds a nonzero cell stops at a bound of about 4.4
+    _cap_box_scan(monkeypatch, 10**6)
+    lat = Lattice([(-12, 5, F(-1, 2)), (F(-23, 2), F(9, 4), F(3, 2)), (F(-10, 3), 5, -3)])
+    k = PointSet(
+        [
+            (-2, -12, -1),
+            (F(-2, 3), -12, 5),
+            (F(5, 2), -3, F(-5, 3)),
+            (F(8, 3), F(7, 6), F(4, 3)),
+            (3, 8, 7),
+        ]
+    )
+    assert min(ti.width_of(k, u) for u in lat.dual().basis) == F(6097, 12)
+    assert ti.lattice_width(k, lat) == (F(605, 216), (F(-17, 12), F(7, 18), F(-1, 9)))
 
 
 def test_lattice_width_flat_set_zero():
@@ -282,8 +306,9 @@ def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
             continue
         cases += 1
         dual, body = lat.dual(), difference_body(k.hull())
+        m, scanned = ti._thin_body(k, lat)
         for bound, strict in itertools.product((0, F(1, 2), 1, 2), (False, True)):
-            m, found = ti._thin_scan(k, lat, bound, strict)
+            found = ti._thin_scan(scanned, m * bound, strict)
             assert [z for _, z in found] == sorted(z for _, z in found)
             got = {linalg.mat_vec(dual.basis, z): F(w, m) for w, z in found if any(z)}
             expected = set()
@@ -500,7 +525,7 @@ def test_condition_bc_counterexample():
     # the documented gap point lies in the hull but not in the sum
     total = ps.minkowski_sum(s, t.tile)
     gap = (3, 3, 3)
-    assert total.hull().contains(gap)
+    assert contains(total.hull(), gap)
     assert gap not in total
 
 
@@ -787,9 +812,13 @@ def test_the_facet_scan_needs_no_dual_vector_width_or_tile_hull(monkeypatch):
 
 
 def test_affine_covering_segments():
+    # every lattice segment covers its line, on any lattice
     assert ti.affine_covering_test(((0, 0), (1, 0)), Z2)
-    assert not ti.affine_covering_test(((0, 0), (F(1, 2), 0)), Z2)
     assert ti.affine_covering_test(((3, 0), (0, 0)), Z2)
+    for lat in RATIONAL_LATTICES:
+        b1, b2 = lat.basis
+        p0 = (F(2**64, 3), F(-5, 7))
+        assert ti.affine_covering_test((p0, linalg.vadd(p0, linalg.vsub(b1, b2))), lat)
 
 
 def test_affine_covering_3d():
@@ -824,6 +853,31 @@ def test_affine_covering_refuses_vertices_off_a_hyperplane(vertices):
         ti.affine_covering_test(vertices, lat)
 
 
+@pytest.mark.parametrize(
+    "vertices, lat",
+    [
+        (((0, 0), (F(1, 2), 0)), Z2),  # a half-length segment
+        (((7, 0), (7, 2)), Lattice([(1, 0), (0, 3)])),  # 2/3 of a step of L on its line
+        (((0, 0, 0), (F(1, 2), 0, 0), (0, 1, 0)), Z3),  # a triangle with a half edge
+    ],
+)
+def test_affine_covering_refuses_a_facet_off_the_lattice(vertices, lat):
+    with pytest.raises(ValueError, match="lattice facet"):
+        ti.affine_covering_test(vertices, lat)
+
+
+def test_condition_c_is_condition_a_in_the_plane():
+    # every lattice segment covers its line, so (c) fails on the first wide
+    # facet, as (a) does
+    planar = [(s, t) for s, t in _condition_cases() if s.dim == 2]
+    outcomes = set()
+    for s, t in planar:
+        c = ti.condition_c_witness(s, t)
+        assert c == ti.condition_a_witness(s, t)
+        outcomes.add(c[0])
+    assert len(planar) > 15 and outcomes == {True, False}
+
+
 def test_conditions_in_dimension_one():
     # a facet is a point, its own affine hull
     assert ti.affine_covering_test(((5,),), Lattice.standard(1))
@@ -836,19 +890,91 @@ def test_conditions_in_dimension_one():
     assert ti.check_abc(s, t) == {"a": holds, "b": holds, "c": holds}
 
 
+# -- the covering test against the polygon clipping of the former routine ---
+
+
+def _polygon_area2(poly) -> F:
+    """Twice the signed shoelace area (positive for ccw polygons)."""
+    total = F(0)
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def _clip(poly, a, b, rhs):
+    """Clip a convex ccw polygon to the halfplane a*x + b*y <= rhs.
+
+    New vertices are exact Fractions, also on int input.
+    """
+    if not poly:
+        return []
+    out = []
+    n = len(poly)
+    vals = [a * p[0] + b * p[1] - rhs for p in poly]
+    for i in range(n):
+        p, vp = poly[i], vals[i]
+        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
+        if vp <= 0:
+            out.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            t = F(vp) / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    dedup = []
+    for p in out:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def _edge_halfplane(p1, p2):
+    """(a, b, rhs) with the left side of p1->p2 given by a*x + b*y >= rhs."""
+    a = -(p2[1] - p1[1])
+    b = p2[0] - p1[0]
+    return a, b, a * p1[0] + b * p1[1]
+
+
+def _clip_to_convex(poly, convex_ccw):
+    cur = poly
+    n = len(convex_ccw)
+    for i in range(n):
+        a, b, rhs = _edge_halfplane(convex_ccw[i], convex_ccw[(i + 1) % n])
+        cur = _clip(cur, -a, -b, -rhs)  # keep the inside (>= rhs)
+        if not cur:
+            return []
+    return cur
+
+
+def _convex_difference(poly, cutter):
+    """Disjoint convex pieces of poly minus cutter (both convex, ccw)."""
+    pieces = []
+    current = poly
+    n = len(cutter)
+    for i in range(n):
+        a, b, rhs = _edge_halfplane(cutter[i], cutter[(i + 1) % n])
+        outside = _clip(current, a, b, rhs)  # beyond this edge (<= rhs)
+        if len(outside) >= 3 and _polygon_area2(outside) != 0:
+            pieces.append(outside)
+        current = _clip(current, -a, -b, -rhs)
+        if not current:
+            break
+    return pieces
+
+
 def test_clip_keeps_int_input_exact():
     square = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    cut = ti._clip(square, 1, 1, 1)  # x + y <= 1
+    cut = _clip(square, 1, 1, 1)  # x + y <= 1
     assert cut == [(0, 0), (1, 0), (0, 1)]
     assert not any(isinstance(c, float) for p in cut for c in p)
     assert [type(c) for p in cut[1:] for c in p] == [F] * 4
     # a cut through no vertex: x <= 1/2 on the scaled square
-    cut = ti._clip([(0, 0), (3, 0), (3, 3), (0, 3)], 2, 0, 1)
+    cut = _clip([(0, 0), (3, 0), (3, 3), (0, 3)], 2, 0, 1)
     assert cut == [(0, 0), (F(1, 2), 0), (F(1, 2), 3), (0, 3)]
     assert not any(isinstance(c, float) for p in cut for c in p)
-
-
-# -- the covering test against the former rational-frame routine ------------
 
 
 def _oracle_ccw_order(points):
@@ -884,9 +1010,9 @@ def _oracle_translates_cover_cell(poly, c1, c2):
         c1, c2 = c2, c1
         det = -det
     cell = [(F(0), F(0)), c1, linalg.vadd(c1, c2), c2]
-    cell_area2 = ti._polygon_area2(cell)
+    cell_area2 = _polygon_area2(cell)
     poly = _oracle_ccw_order(poly)
-    if ti._polygon_area2(poly) == 0:
+    if _polygon_area2(poly) == 0:
         return False
     alphas, betas = [], []
     for x, y in poly:
@@ -901,21 +1027,23 @@ def _oracle_translates_cover_cell(poly, c1, c2):
             sx = a * c1[0] + b * c2[0]
             sy = a * c1[1] + b * c2[1]
             moved = [(x + sx, y + sy) for x, y in poly]
-            parts = [ti._clip_to_convex(moved, cell)]
-            parts = [p for p in parts if len(p) >= 3 and ti._polygon_area2(p) != 0]
+            parts = [_clip_to_convex(moved, cell)]
+            parts = [p for p in parts if len(p) >= 3 and _polygon_area2(p) != 0]
             for prev in pieces:
                 nxt = []
                 for part in parts:
-                    nxt.extend(ti._convex_difference(part, prev))
+                    nxt.extend(_convex_difference(part, prev))
                 parts = nxt
                 if not parts:
                     break
             for part in parts:
-                area2 = ti._polygon_area2(part)
+                area2 = _polygon_area2(part)
                 if area2:
                     covered2 += abs(area2)
                     pieces.append(part)
-    return covered2 == cell_area2
+            if covered2 == cell_area2:  # the pieces are disjoint
+                return True
+    return False
 
 
 def oracle_affine_covering(vertices, lat):
@@ -939,20 +1067,84 @@ def oracle_affine_covering(vertices, lat):
     return _oracle_translates_cover_cell(coords[:-2], *coords[-2:])
 
 
+# a sheared rational lattice, the primitive pair b1 + 2 b3, b2 - b3 of its
+# vectors, and a base point far from the origin: Z^2 placed on a plane of L
+SHEARED = Lattice([(F(2, 3), 0, F(1, 5)), (F(7, 2), F(1, 3), -1), (5, F(-4, 3), F(3, 2))])
+FAR = (2**64 + F(1, 3), -(2**65) + F(2, 7), F(3**40, 11))
+
+
+def _on_sheared_plane(poly):
+    b1, b2, b3 = SHEARED.basis
+    e1, e2 = linalg.vadd(b1, linalg.vscale(2, b3)), linalg.vsub(b2, b3)
+    return [
+        linalg.vadd(FAR, linalg.vadd(linalg.vscale(x, e1), linalg.vscale(y, e2)))
+        for x, y in poly
+    ]
+
+
+@pytest.mark.parametrize(
+    "poly, covers",
+    [
+        (((0, 0), (1, 0), (0, 1)), False),  # the unimodular triangle
+        (((0, 0), (1, 0), (1, 1), (0, 1)), True),  # the unit square
+        (((0, 0), (2, 0), (0, 2)), True),  # 2Δ, hollow of width 2
+        (((1, 0), (0, 1), (-1, -1)), True),  # one interior point
+        (((1, 0), (0, 1), (-1, 0), (0, -1)), True),  # conv{±e1, ±e2}
+        (((0, 0), (3, 0), (1, 1)), False),  # width 1, one vertex on a row
+        (((0, 0), (3, 0), (2, 1), (1, 1)), True),  # width 1, two on each row
+    ],
+)
+def test_affine_covering_of_named_lattice_polygons(poly, covers):
+    vertices = _on_sheared_plane(poly)
+    assert ti.affine_covering_test(vertices, SHEARED) == covers
+    assert oracle_affine_covering(vertices, SHEARED) == covers
+
+
+def _lattice_polygons(nx, ny):
+    """Every lattice polygon with its vertices in {0..nx} x {0..ny}, up to
+    translation, as its sorted vertices: the hulls of three grid points,
+    grown one grid point at a time."""
+    grid = list(itertools.product(range(nx + 1), range(ny + 1)))
+    seen, grown = set(), list(itertools.combinations(grid, 3))
+    while grown:
+        try:
+            ring = tuple(_kernels.hull_ring(grown.pop()))
+        except LowerDimensionalError:  # three points on a line
+            continue
+        if ring not in seen:
+            seen.add(ring)
+            grown += [ring + (p,) for p in grid]
+    moved = set()
+    for ring in seen:
+        x0, y0 = min(x for x, _ in ring), min(y for _, y in ring)
+        moved.add(tuple(sorted((x - x0, y - y0) for x, y in ring)))
+    return sorted(moved)
+
+
+def test_affine_covering_matches_the_clipping_on_every_polygon_in_a_box():
+    polygons = _lattice_polygons(3, 2)
+    unit = ((F(1), F(0)), (F(0), F(1)))
+    covering = 0
+    for poly in polygons:
+        covers = _oracle_translates_cover_cell([tuple(map(F, p)) for p in poly], *unit)
+        assert ti.affine_covering_test(_on_sheared_plane(poly), SHEARED) == covers, poly
+        covering += covers
+    assert (len(polygons), covering) == (402, 346)
+
+
 SMALL_RATIONALS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
-NON_INTEGRAL = st.sampled_from([F(1, 2), F(1, 3), F(2, 3)])
 
 
 @st.composite
 def covering_inputs(draw):
-    """(facet vertices, lattice) on a random skewed rational lattice, d = 2 or 3.
+    """(facet vertices, lattice): a lattice facet on a random skewed rational
+    lattice, d = 2 or 3.
 
-    The facet is spanned by lattice vectors e_i and placed at a rational
-    point, mostly off the lattice.  Its vertices have coefficients with denominators 1, 2 and 3 on
-    the e_i, in one of three shapes: a tile (a unit segment, or the
-    parallelogram spanned by (1, r) and (0, 1), a fundamental domain of Z^2
-    for every r, here never an integer), a nudged tile that just covers or
-    just fails, or random points.
+    The facet is spanned by lattice vectors e_i, not always primitive ones,
+    and placed at a rational point, mostly off the lattice.  Its vertices
+    have integer coefficients on the e_i, the last one 0 or 1 for points on
+    two rows, which often just cover or just fail, or in 0..4 for random
+    points.
     """
     d = draw(st.sampled_from([3, 2]))
     cols = [list(draw(st.tuples(*[SMALL_RATIONALS] * d))) for _ in range(d)]
@@ -963,23 +1155,9 @@ def covering_inputs(draw):
     small_ints = st.tuples(*[st.integers(-2, 2)] * d)
     spans = [linalg.mat_vec(lat.basis, draw(small_ints)) for _ in range(d - 1)]
     assume(linalg.rank_of(spans) == d - 1)
-    shape = draw(st.sampled_from(["tile", "nudged", "random"]))
-    if shape == "random":
-        coeffs = draw(
-            st.lists(st.tuples(*[SMALL_RATIONALS] * (d - 1)), min_size=d, max_size=5)
-        )
-    elif d == 2:
-        length = 1 if shape == "tile" else draw(st.sampled_from([F(2, 3), F(4, 3), 2]))
-        coeffs = [(0,), (length,)]
-    else:
-        r = draw(st.integers(-2, 2)) + draw(NON_INTEGRAL)
-        coeffs = [(0, 0), (1, r), (1, r + 1), (0, 1)]
-        if draw(st.booleans()):
-            coeffs = [(y, x) for x, y in coeffs]
-        if shape == "nudged":
-            i = draw(st.integers(0, 3))
-            nudge = draw(st.tuples(*[st.sampled_from([F(-1, 3), 0, F(1, 2)])] * 2))
-            coeffs[i] = linalg.vadd(coeffs[i], nudge)
+    top = draw(st.sampled_from([1, 4]))
+    coeff = st.tuples(*[st.integers(-3, 3)] * (d - 2), st.integers(0, top))
+    coeffs = draw(st.lists(coeff, min_size=d, max_size=6))
     p0 = draw(st.tuples(*[SMALL_RATIONALS] * d))
     points = [
         tuple(p0[j] + sum(c * e[j] for c, e in zip(cs, spans)) for j in range(d))
@@ -995,6 +1173,19 @@ def covering_inputs(draw):
 def test_affine_covering_matches_rational_frame_oracle(case):
     vertices, lat = case
     assert ti.affine_covering_test(vertices, lat) == oracle_affine_covering(vertices, lat)
+
+
+@given(covering_inputs(), st.sampled_from([2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_affine_covering_refuses_a_shrunk_lattice_facet(case, q):
+    # p0 + (v - p0) / q: a rational facet whose vertices need not differ by
+    # vectors of L, like those the former oracle comparison drew
+    vertices, lat = case
+    p0 = vertices[0]
+    shrunk = [linalg.vadd(p0, linalg.vscale(F(1, q), linalg.vsub(v, p0))) for v in vertices]
+    assume(lat.integer_coordinates([linalg.vsub(v, p0) for v in shrunk])[0] > 1)
+    with pytest.raises(ValueError, match="lattice facet"):
+        ti.affine_covering_test(shrunk, lat)
 
 
 def test_parity_check_families():
