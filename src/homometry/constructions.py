@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg, pointset, tiling
+from ._kernels import box_scan
 from .errors import (
     InvalidBaseError,
     InvalidParametersError,
@@ -97,7 +100,8 @@ def _validate_planar_s(s: PointSet, t: Tiling, allowed_edges):
         edge = vsub(verts[-1], verts[0])
         if all(edge[0] * w[1] - edge[1] * w[0] != 0 for w in allowed_edges):
             raise InvalidSError(
-                f"edge {verts[0]}..{verts[-1]} is parallel to no allowed direction",
+                f"edge {vec_str(verts[0])}..{vec_str(verts[-1])}"
+                " is parallel to no allowed direction",
                 witness=edge,
             )
 
@@ -313,25 +317,24 @@ def irregular_examples() -> dict:
     return out
 
 
-def build_truncated_cube_s(
-    lat: Lattice,
-    u_basis,
-    u_extra,
-    eps,
-    k: int | None = None,
-) -> PointSet:
+def build_truncated_cube_s(lat: Lattice, u_basis, u_extra, eps) -> PointSet:
     """S from the truncated-cube construction over a thin-direction basis.
 
-    In the coordinates of the dual basis u_1..u_d, the polytope is the cube
-    [-1,1]^d cut by <b, y> <= h(C, b) - eps with b the (integer) coordinate
-    vector of u_extra.  The result is dilated until integral (times the
-    optional extra factor k) and intersected with the lattice.
+    In the coordinates y of the basis of L dual to u_1..u_d, P is the cube
+    [-1,1]^d cut by <b, y> <= rhs = h(C, b) - eps, with b the (integer)
+    coordinate vector of u_extra.  S is L ∩ D P, for D the least common
+    denominator of P's vertices: the integer y of the box [-D, D]^d on the
+    one row <b, y> <= floor(D rhs).  The cube's vertices in P are integral;
+    every other vertex of P lies on an edge from a cube vertex v with
+    <b, v> > rhs to its flip in a coordinate j with b_j != 0 that is in P,
+    and differs from v only in y_j = v_j - (<b, v> - rhs) / b_j.
     """
     d = lat.dim
     u_basis = [vec(u) for u in u_basis]
     dual = lat.dual()
     coords = [dual.coordinates(u) for u in u_basis]
-    if abs(linalg.det(mat(coords))) != 1:
+    integral = all(c.denominator == 1 for z in coords for c in z)
+    if not integral or abs(linalg.det(mat(coords))) != 1:
         raise InvalidParametersError("u_basis is not a basis of the dual lattice")
     b = linalg.solve(mat(u_basis), vec(u_extra))
     if any(c.denominator != 1 for c in b):
@@ -343,34 +346,15 @@ def build_truncated_cube_s(
     height = sum(abs(c) for c in b)
     if not (0 < eps < height):
         raise InvalidParametersError("eps must lie strictly between 0 and h(C, b)")
-    verts = _cut_cube_vertices(d, b, height - eps)
-    _, cut_pts = linalg.clear_denominators(verts)
-    if k is not None:
-        if k < 1:
-            raise InvalidParametersError("k must be positive")
-        cut_pts = [tuple(k * c for c in p) for p in cut_pts]
-    cut = hull(cut_pts)
-    # y-coordinates correspond to the basis dual to u_1..u_d, a basis of L
-    basis_cols = transpose(linalg.inverse(mat(u_basis)))
-    pts = [mat_vec(basis_cols, y) for y in cut.lattice_points(Lattice.standard(d))]
-    return PointSet(pts)
-
-
-def _cut_cube_vertices(d: int, b, rhs):
-    """Vertices of [-1,1]^d intersected with <b, y> <= rhs."""
-    cube = list(itertools.product((-1, 1), repeat=d))
-    verts = [vec(v) for v in cube if vdot(vec(b), vec(v)) <= rhs]
-    for v in cube:
-        val = vdot(vec(b), vec(v))
-        if val <= rhs:
-            continue
-        for j in range(d):
-            w = list(v)
-            w[j] = -w[j]
-            wval = vdot(vec(b), vec(w))
-            if wval <= rhs and wval != val:
-                t = (val - rhs) / (val - wval)
-                point = list(vec(v))
-                point[j] = v[j] + t * (w[j] - v[j])
-                verts.append(tuple(point))
-    return verts
+    rhs = height - eps
+    den = 1
+    for v in itertools.product((-1, 1), repeat=d):
+        val = sum(map(mul, b, v))
+        if val > rhs:
+            cuts = [(val - rhs) / c for c, vj in zip(b, v) if c and val - 2 * c * vj <= rhs]
+            den = math.lcm(den, *[t.denominator for t in cuts])
+    ys = box_scan([-den] * d, [den] * d, [], [], [b], [math.floor(den * rhs)])
+    # y-coordinates correspond to the basis dual to u_1..u_d, a basis of L,
+    # the rows of the inverse of [u_1 .. u_d]: x_i is y dotted with its column i
+    f, rows = linalg.clear_denominators(linalg.inverse(mat(u_basis)))
+    return PointSet.from_scaled([tuple([sum(map(mul, r, y)) for r in rows]) for y in ys], f)

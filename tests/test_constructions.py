@@ -1,19 +1,25 @@
 """Generators: families, products, parabola prisms, counterexamples, catalog."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from homometry import constructions as con
-from homometry import linalg, pointset as ps, tiling as ti
+from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.errors import (
+    HomometryError,
     InvalidParametersError,
     InvalidSError,
     NotATilingError,
     NotLatticeConvexError,
 )
 from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
+from homometry.linalg import frac, mat, mat_vec, transpose, vdot, vec
 from homometry.pointset import PointSet
+from homometry.polytope import hull
+from test_acceptance import _random_tilings
 from test_linalg import primitive_integer_direction
 from test_polytope import contains
 
@@ -54,6 +60,11 @@ def test_planar_family_rejects_bad_s():
         con.planar_family(2, bad2)
     with pytest.raises(InvalidSError, match=r"S point \(1/2, 0\) is outside L"):
         con.planar_family(2, PointSet([(0, 0), ("1/2", 0)]))
+    bad3 = PointSet([(0, 0), linalg.vadd(b1, b2), b1])
+    with pytest.raises(
+        InvalidSError, match=r"^edge \(0, 0\)\.\.\(5, 0\) is parallel to no allowed direction$"
+    ):
+        con.planar_family(2, bad3)
 
 
 def test_planar_family_condition_a_holds():
@@ -243,6 +254,110 @@ def test_truncated_cube_s_builder():
         con.build_truncated_cube_s(t.translations, list(bstar), bstar[0], F(1, 2))
     with pytest.raises(InvalidParametersError):
         con.build_truncated_cube_s(t.translations, list(bstar), extra, 5)
+
+
+def test_truncated_cube_s_refuses_a_u_basis_outside_the_dual_lattice():
+    # the coordinates in Z^2 have determinant 1 but are not integers, and
+    # the S it would give holds (0, 1/2), which is not in L
+    with pytest.raises(InvalidParametersError, match="u_basis is not a basis of the dual lattice"):
+        con.build_truncated_cube_s(
+            Lattice.standard(2), [(F(1, 2), 0), (0, 2)], (F(1, 2), 2), F(1, 2)
+        )
+
+
+def oracle_truncated_cube_s(lat, u_basis, u_extra, eps):
+    """S from P's vertices clipped in Fractions, cleared of denominators,
+    hulled, and scanned for lattice points."""
+    d = lat.dim
+    u_basis = [vec(u) for u in u_basis]
+    dual = lat.dual()
+    coords = [dual.coordinates(u) for u in u_basis]
+    if abs(linalg.det(mat(coords))) != 1:
+        raise InvalidParametersError("u_basis is not a basis of the dual lattice")
+    b = linalg.solve(mat(u_basis), vec(u_extra))
+    if any(c.denominator != 1 for c in b):
+        raise InvalidParametersError("u_extra is not an integer combination of u_basis")
+    b = tuple(int(c) for c in b)
+    if sum(1 for c in b if c) < 2:
+        raise InvalidParametersError("u_extra must not be parallel to a basis vector")
+    eps = frac(eps)
+    height = sum(abs(c) for c in b)
+    if not (0 < eps < height):
+        raise InvalidParametersError("eps must lie strictly between 0 and h(C, b)")
+    verts = _cut_cube_vertices(d, b, height - eps)
+    _, cut_pts = linalg.clear_denominators(verts)
+    cut = hull(cut_pts)
+    # y-coordinates correspond to the basis dual to u_1..u_d, a basis of L
+    basis_cols = transpose(linalg.inverse(mat(u_basis)))
+    pts = [mat_vec(basis_cols, y) for y in cut.lattice_points(Lattice.standard(d))]
+    return PointSet(pts)
+
+
+def _cut_cube_vertices(d: int, b, rhs):
+    """Vertices of [-1,1]^d intersected with <b, y> <= rhs."""
+    cube = list(itertools.product((-1, 1), repeat=d))
+    verts = [vec(v) for v in cube if vdot(vec(b), vec(v)) <= rhs]
+    for v in cube:
+        val = vdot(vec(b), vec(v))
+        if val <= rhs:
+            continue
+        for j in range(d):
+            w = list(v)
+            w[j] = -w[j]
+            wval = vdot(vec(b), vec(w))
+            if wval <= rhs and wval != val:
+                t = (val - rhs) / (val - wval)
+                point = list(vec(v))
+                point[j] = v[j] + t * (w[j] - v[j])
+                verts.append(tuple(point))
+    return verts
+
+
+def _truncated_cube_draw(rng, lat, coef, eps_pool):
+    """(lat, u_basis, u_extra, eps): a sheared, sign-flipped dual basis of L
+    and u_extra with coordinates in -coef..coef."""
+    d = lat.dim
+    u_basis = [linalg.vscale(rng.choice((1, -1)), col) for col in linalg.dual_basis(lat.basis)]
+    u_basis[0] = linalg.vadd(u_basis[0], linalg.vscale(rng.randint(-1, 1), u_basis[1]))
+    b = [rng.randint(-coef, coef) for _ in range(d)]
+    u_extra = tuple(sum(c * u[i] for c, u in zip(b, u_basis)) for i in range(d))
+    return lat, u_basis, u_extra, rng.choice(eps_pool)
+
+
+def _outcome(build, args):
+    try:
+        return build(*args)
+    except HomometryError as e:
+        return type(e)
+
+
+def test_truncated_cube_s_matches_the_clipped_hull_oracle():
+    # S has about (2 D + 1)^d points, and D grows with the coefficients of
+    # u_extra and the denominator of eps, so both are bounded by dimension
+    rng = random.Random(2505)
+    tilings = _random_tilings(rng) + [con.generalized_family_tiling(4, 1)]
+    small = (F(1, 3), F(1, 2), F(1), F(3, 2))
+    draw = {2: (3, small + (F(5, 7),)), 3: (2, small), 4: (1, small)}
+    made = 0
+    for t in tilings:
+        for _ in range(10):
+            args = _truncated_cube_draw(rng, t.translations, *draw[t.translations.dim])
+            expected = _outcome(oracle_truncated_cube_s, args)
+            assert _outcome(con.build_truncated_cube_s, args) == expected, args
+            made += not isinstance(expected, type)
+    assert made > 100
+
+
+def test_truncated_cube_s_builds_no_hull(monkeypatch):
+    t = con.generalized_family_tiling(3, 2)
+    args = _truncated_cube_draw(random.Random(1), t.translations, 2, (F(1, 2),))
+    calls = []
+    build = polytope.Polytope.hull
+    monkeypatch.setattr(
+        polytope.Polytope, "hull", staticmethod(lambda k: calls.append(k) or build(k))
+    )
+    con.build_truncated_cube_s(*args)
+    assert calls == []
 
 
 def test_two_row_tile_has_three_thin_directions():

@@ -1,6 +1,8 @@
-"""Every public function and method of the library has a caller outside the tests."""
+"""Every public function and method of the library has a caller outside the
+tests, and every one of its optional parameters is set by such a caller."""
 
 import ast
+import math
 from pathlib import Path
 
 import homometry
@@ -108,3 +110,72 @@ def test_a_method_name_shared_by_two_classes_lists_a_caller_of_each():
     for qualified, line in SHARED.items():
         name = qualified.rsplit(".", 1)[1]
         assert f"{name}(" in line and line in lines, (qualified, line)
+
+
+# Parameters with a default that no library or benchmark call sets, each with
+# its reason.
+UNSET = {
+    "cli.main(argv)": "the console entry point: the console script passes no "
+    "argv, and the tests drive it with one",
+    "constructions.planar_family(s)": "the paper's planar S other than its "
+    "default {o, b1, b2}: only the tests build one",
+}
+
+
+def _optional_parameters(func, method):
+    """(positional index or None, name) for each parameter with a default;
+    a method's index does not count its self or cls."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+    ):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # a parameter is set by a call to its function's name that passes it by
+    # keyword, or passes enough positional arguments; a *args or **kwargs
+    # may set any
+    optional = []  # (qualified parameter, index, name, function name)
+    passed = {}  # called name -> [(positional count, keyword names)]
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in LIBRARY:
+            defs = [(s, False) for s in tree.body if _public(s)]
+            defs += [
+                (m, True)
+                for s in tree.body
+                if isinstance(s, ast.ClassDef)
+                for m in s.body
+                if _public(m)
+            ]
+            optional += [
+                (f"{path.stem}.{f.name}({name})", i, name, f.name)
+                for f, method in defs
+                for i, name in _optional_parameters(f, method)
+            ]
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            passed.setdefault(called, []).append(
+                (math.inf if starred else len(call.args), {k.arg for k in call.keywords})
+            )
+    assert optional
+    unset = sorted(
+        qualified
+        for qualified, index, name, func in optional
+        if not any(
+            name in keywords or None in keywords or (index is not None and count > index)
+            for count, keywords in passed.get(func, [])
+        )
+    )
+    assert unset == sorted(UNSET), f"optional parameters only the tests set: {unset}"
