@@ -20,7 +20,12 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
     With strict=True the inequalities are evaluated strictly.  Returns a list
     of int tuples in lexicographic order.  The scan runs over the first d-1
     coordinates only: for each prefix every row bounds the last coordinate
-    to an interval, so the work and memory follow the output, not the box.
+    to an interval.  So the memory follows the output, but the work follows
+    the prefix cells, the box over the first d-1 coordinates, whether or
+    not a prefix keeps a point.  A frame skewed against the polytope can
+    make the prefixes outnumber the points kept by orders of magnitude: a
+    unimodular skew of a 3-D set took one thin-direction scan of 1,558
+    points from 361 prefix cells to as many as 2,596,011.
     """
     if any(b < a for a, b in zip(lo, hi)):
         return []

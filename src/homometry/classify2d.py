@@ -102,12 +102,14 @@ def _exact_filters(pts: PointSet, l: int, h: int, s: int):
     A tile passes the kernel's filters when it is two-dimensional (it has a
     hull ring) and its points span < 1 in the direction b1* + b2*; only then
     is its lattice width taken, by the planar Gauss reduction `planar_width`.
+    The dual basis is the adjugate rows (h, -s), (0, l) over l h, so
+    b1* + b2* = (h, l - s) / (l h).
     """
     try:
         hull_ring(pts.ints)
     except LowerDimensionalError:
         return False, None, None
-    diag_width = tiling.width_of(pts, vadd(*linalg.dual_basis(lattice_from_lhs(l, h, s).basis)))
+    diag_width = tiling.width_of(pts, (Fraction(h, l * h), Fraction(l - s, l * h)))
     if diag_width >= 1:
         return False, diag_width, None
     return True, diag_width, Fraction(planar_width(pts.ints)[0], pts.den)
@@ -255,10 +257,13 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
         by_key[key].members.append(surv)
     classes = list(by_key.values())
 
+    plane, bases = Lattice.standard(2), {}  # one Lattice each, so their views are cached
     for surv in survivors:
-        base = lattice_from_lhs(surv["l"], surv["h"], surv["s"])
+        lhs = surv["l"], surv["h"], surv["s"]
+        if lhs not in bases:
+            bases[lhs] = lattice_from_lhs(*lhs)
         try:
-            tiling.verify_tiling(Lattice.standard(2), base, surv["points"])
+            tiling.verify_tiling(plane, bases[lhs], surv["points"])
         except (NotATilingError, NotLatticeConvexError) as exc:
             raise InvariantError(
                 f"survivor does not tile: {exc}",

@@ -275,27 +275,25 @@ def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:
     return lattice_convexity_witness(k, lat) is None
 
 
-def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
-    """The first point of K outside the lattice, or None."""
+def _check_dim(lat: Lattice, k: PointSet) -> None:
     if k.dim != lat.dim:
         msg = f"cannot test a set of dimension {k.dim} against a lattice of dimension {lat.dim}"
         raise ValueError(msg)
+
+
+def _first_outside(lat: Lattice, k: PointSet) -> Vec | None:
+    """The first point of K outside the lattice, or None."""
+    _check_dim(lat, k)
     den = k.den
     return next((k._point(z) for z in k.ints if not lat.contains_scaled(z, den)), None)
 
 
-def _missing_point(k: PointSet, scanned: PointSet) -> Vec | None:
-    """The first scanned point not in K, for K inside the scanned set.
-
-    Then equal sizes mean equal sets, and D_K divides D_scanned, so the
-    points are compared as integers over D_scanned and only the missing
-    one is made a Fraction.
-    """
-    if len(scanned) == len(k):
-        return None
-    a = scanned.den // k.den
-    known = {tuple([a * c for c in p]) for p in k.ints}
-    return next((scanned._point(q) for q in scanned.ints if q not in known), None)
+def _convexity_gap(k: PointSet, conv: polytope.Polytope, lat: Lattice) -> Vec | None:
+    """The first lattice point of conv missing from K, for K a set of lattice
+    points of conv, or None; of the scanned points only that one is made a
+    Fraction."""
+    missing = conv.lattice_points(lat, missing_from=k)
+    return None if missing is None else missing.lexmin()
 
 
 def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
@@ -303,7 +301,7 @@ def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
     p = _first_outside(lat, k)
     if p is not None:
         raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
-    return _missing_point(k, k.hull().lattice_points(lat))
+    return _convexity_gap(k, k.hull(), lat)
 
 
 def sum_convexity_witness(
@@ -315,14 +313,23 @@ def sum_convexity_witness(
     which matters for the larger product-style sums.  S + T lies in the
     lattice iff every s + t0 and s0 + t does, since
     s + t = (s + t0) + (s0 + t) - (s0 + t0); raises NotInLatticeError with
-    the first of those |S| + |T| - 1 points outside it.
+    the first of those |S| + |T| - 1 points outside it.  They are added and
+    tested as integers over lcm(D_S, D_T), the s + t0 first.
     """
-    s0, t0 = s.lexmin(), t.lexmin()
-    p = _first_outside(lat, s.translate(t0)) or _first_outside(lat, t.translate(s0))
+    _check_dim(lat, s)
+    _check_dim(lat, t)
+    den = math.lcm(s.den, t.den)
+    a, b = den // s.den, den // t.den
+    s0, t0 = [a * c for c in s.ints[0]], [b * c for c in t.ints[0]]
+    shifted = itertools.chain(
+        ([a * c + e for c, e in zip(p, t0)] for p in s.ints),
+        ([b * c + e for c, e in zip(q, s0)] for q in t.ints),
+    )
+    p = next((p for p in shifted if not lat.contains_scaled(p, den)), None)
     if p is not None:
+        p = tuple([Fraction(c, den) for c in p])
         raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
-    big = polytope.minkowski_hull(s.hull(), t.hull())
-    return _missing_point(total, big.lattice_points(lat))
+    return _convexity_gap(total, polytope.minkowski_hull(s.hull(), t.hull()), lat)
 
 
 def generated_lattice(k: PointSet) -> Lattice:

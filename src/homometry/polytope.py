@@ -11,6 +11,10 @@ normals; the final facet inequalities are their deduplicated carrier
 hyperplanes <a, x> <= beta / D.  The vertices, input points so that sums
 of hulls add integers, and each facet's vertices come from the boundary
 simplices, among whose vertices is every extreme point of every facet.
+For d <= 3 a simplex vertex on d or more distinct facet planes is a
+vertex: a point inside a face of dimension >= 1 lies on one facet, or on
+two when that face has dimension d - 2.  From d = 4 on a point inside an
+edge can lie on d facets, and the rank of the planes' normals decides.
 A map from each ridge to the facets through it gives the horizon; it is
 checked to hold two facets wherever an insertion changes it, so a
 boundary that stops being a pseudomanifold fails loudly.
@@ -73,8 +77,16 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     (d integer points each) tile the boundary, which gives exact volumes,
     and name the vertices: an extreme point p on a facet F is a vertex of
     a simplex that triangulates F, so the planes of p's simplices are all
-    of p's facets, and p is a vertex iff their normals span R^d; any other
-    point lies on planes of rank < d, and so do its simplices' planes.
+    of p's facets, and p is a vertex iff their normals span R^d.  Any other
+    boundary point lies inside a face G of dimension >= 1 and on exactly
+    the facets through G.  For d <= 3, G is a facet or a (d - 2)-face, and
+    a (d - 2)-face lies on exactly two facets, so such a point is on fewer
+    than d facets (d = 1 has none): there a point on at least d distinct
+    facet planes is a vertex, and no rank is taken.  From d = 4 on, a point
+    inside an edge can lie on d facets: the midpoint of an apex edge of the
+    pyramid with apex (0, 0, 0, 2) over the octahedron ±2 e_i lies on the
+    four facets through that edge, whose normals have rank 3.  There the
+    rank decides.
     """
     den, ipts, d = k.den, k.ints, k.dim
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
@@ -157,7 +169,8 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
         for i in f:
             tight.setdefault(i, set()).add(plane)
     verts = [i for i in sorted(tight) if len(tight[i]) >= d]  # fewer cannot span R^d
-    verts = [i for i in verts if linalg.rank_of([a for a, _ in tight[i]]) == d]
+    if d >= 4:  # only there can a non-vertex lie on d facets
+        verts = [i for i in verts if linalg.rank_of([a for a, _ in tight[i]]) == d]
     row = {plane: n for n, plane in enumerate(planes)}
     on_plane = [[] for _ in planes]
     for pos, i in enumerate(verts):
@@ -290,24 +303,32 @@ class Polytope:
 
     # -- lattice interaction ------------------------------------------------
 
-    def lattice_points(self, lattice) -> "pointset.PointSet | None":
-        """Exactly lattice ∩ P as a PointSet, or None when it is empty."""
-        return self._lattice_scan(lattice, strict=False)
+    def lattice_points(self, lattice, missing_from=None) -> "pointset.PointSet | None":
+        """Exactly lattice ∩ P as a PointSet, or None when it is empty.
+
+        With `missing_from` = K, a set of lattice points of P, only the
+        lattice points of P that K misses, or None when it misses none.  K
+        then misses none iff the scan counts |K| points, so no scanned point
+        is mapped to the ambient space unless one is missing.
+        """
+        zs = self._lattice_scan(lattice, strict=False)
+        if missing_from is not None and len(zs) == len(missing_from):
+            return None
+        return _scanned_set(lattice, zs, missing_from)
 
     def interior_lattice_points(self, lattice) -> "pointset.PointSet | None":
         """The lattice points of the interior, as `lattice_points`."""
         if not self.is_full_dimensional():
             raise LowerDimensionalError("interior of a lower-dimensional polytope")
-        return self._lattice_scan(lattice, strict=True)
+        return _scanned_set(lattice, self._lattice_scan(lattice, strict=True))
 
-    def _lattice_scan(self, lattice, strict: bool) -> "pointset.PointSet | None":
-        """Lattice points as integer coordinates z of x = B z, in integers only.
+    def _lattice_scan(self, lattice, strict: bool) -> list[IntVec]:
+        """The integer coordinates z of the lattice points x = B z, in
+        lexicographic order, found in integers only.
 
         The box comes from the vertices' lattice coordinates, and a
         constraint <r, x> ~ rhs with r integral becomes <r, (F B) z> ~ F rhs,
-        cleared of the denominator of F rhs.  The points are kept as the
-        integer vectors (F B) z over F, so none is made a Fraction unless
-        `points` is read.
+        cleared of the denominator of F rhs.
         """
         m, zverts = lattice.scaled_coordinates(self.vertex_set.ints, self.vertex_set.den)
         # integer coordinates between the vertices' least and greatest
@@ -329,12 +350,22 @@ class Polytope:
         eqs, ineqs = self.constraint_system()
         eq_rows, eq_rhs = integer_rows(eqs)
         le_rows, le_rhs = integer_rows(ineqs)
-        pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
-        if not pts:
-            return None
-        return pointset.PointSet.from_scaled(
-            [tuple([_idot(r, z) for r in basis_rows]) for z in pts], f
-        )
+        return box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
+
+
+def _scanned_set(lattice, zs: list[IntVec], known=None) -> "pointset.PointSet | None":
+    """The lattice points B z of a scan, less those of the PointSet `known`,
+    as the PointSet of the integer vectors (F B) z over F, so none is made a
+    Fraction unless `points` is read; None when none is left.  Every lattice
+    point is an integer vector over F, so D_known divides F when `known`
+    holds lattice points only."""
+    f, rows = lattice.integer_basis
+    pts = [tuple([_idot(r, z) for r in rows]) for z in zs]
+    if known is not None:
+        a = f // known.den
+        drop = {tuple([a * c for c in p]) for p in known.ints}
+        pts = [p for p in pts if p not in drop]
+    return pointset.PointSet.from_scaled(pts, f) if pts else None
 
 
 def hull(points) -> Polytope:

@@ -104,7 +104,7 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
                 f"tile points {pair} lie in the same coset of L", witness=(seen[r], p)
             )
         seen[r] = p
-    gap = pointset._missing_point(tile, tile.hull().lattice_points(ambient))
+    gap = pointset._convexity_gap(tile, tile.hull(), ambient)
     if gap is not None:
         raise NotLatticeConvexError(f"tile misses the M-point {vec_str(gap)}", witness=gap)
     return Tiling(ambient, translations, tile, verified=True)

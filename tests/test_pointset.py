@@ -1,5 +1,6 @@
 """Point sets: covariograms, homometry, symmetry, direct sums, convexity."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import lattice, linalg, polytope
+from homometry import lattice, linalg, polytope, tiling
 from homometry import pointset as ps
 from homometry.constructions import generalized_family
 from homometry.errors import (
@@ -17,9 +18,11 @@ from homometry.errors import (
     EmptySetError,
     NotDirectError,
     NotInLatticeError,
+    NotLatticeConvexError,
 )
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
+from test_polytope import in_hull_oracle
 
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)
@@ -601,3 +604,137 @@ def test_from_scaled_reduces_the_denominator():
     half = PointSet([(F(1, 2),)])
     assert ps.minkowski_sum(half, half) == PointSet([(1,)])
     assert ps.minkowski_sum(half, half).den == 1
+
+
+# -- convexity tests decided by counting the scan ---------------------------
+
+
+def test_a_holding_convexity_test_builds_no_set_from_its_scan(monkeypatch):
+    # K is the whole scan iff the scan counts |K| points, so a test that
+    # holds builds no PointSet once its scan has started; one that fails
+    # builds one, of the missing points
+    events = []
+    store, scan = PointSet._store, polytope.box_scan
+
+    def stored(self, den, ints):
+        events.append("set")
+        store(self, den, ints)
+
+    def scanned(*args, **kwargs):
+        events.append("scan")
+        return scan(*args, **kwargs)
+
+    def sets_after_the_scan(run):
+        events.clear()
+        run()
+        assert events.count("scan") == 1
+        return events[events.index("scan") :].count("set")
+
+    two = Lattice([(2, 0), (0, 1)])
+    three = Lattice([(3, 0), (0, 1)])
+    t = tiling.verify_tiling(Z2, two, PointSet([(0, 0), (1, 0)]))
+    column, gapped = PointSet([(0, 0), (0, 1)]), PointSet([(0, 0), (0, 2)])
+    spread = PointSet([(0, 0), (2, 0), (4, 0)])
+    half_third = Lattice([(F(1, 2), 0), (F(1, 3), F(1, 3))])
+    tri = PointSet([(0, 0), (F(1, 2), 0), (F(1, 3), F(1, 3))])
+    monkeypatch.setattr(PointSet, "_store", stored)
+    monkeypatch.setattr(polytope, "box_scan", scanned)
+    for run in (
+        lambda: ps.is_lattice_convex(PointSet([(0, 0), (1, 0), (0, 1)]), Z2),
+        lambda: ps.is_lattice_convex(tri, half_third),
+        lambda: tiling.check_condition_b(column, t),
+        lambda: tiling.verify_tiling(Z2, two, PointSet([(0, 0), (1, 0)])),
+    ):
+        assert sets_after_the_scan(run) == 0
+
+    def refused():
+        with pytest.raises(NotLatticeConvexError):
+            tiling.verify_tiling(Z2, three, spread)
+
+    for run in (
+        lambda: ps.is_lattice_convex(PointSet([(0, 0), (2, 0)]), Z2),
+        lambda: tiling.check_condition_b(gapped, t),
+        refused,
+    ):
+        assert sets_after_the_scan(run) == 1
+
+
+def first_gap_oracle(points, k: PointSet, lat: Lattice):
+    """The first lattice point of conv(points) missing from K, in ambient
+    lexicographic order: every lattice point of the box over the points'
+    lattice coordinates, tested by an exact convex combination."""
+    zs = [linalg.mat_vec(lat.inverse_basis, p) for p in points]
+    box = [range(math.floor(min(col)), math.ceil(max(col)) + 1) for col in zip(*zs)]
+    inside = [linalg.mat_vec(lat.basis, z) for z in itertools.product(*box)]
+    inside = sorted(x for x in inside if in_hull_oracle(points, x))
+    return next((x for x in inside if x not in k), None)
+
+
+SKEWED = [
+    Lattice.standard(2),
+    Lattice([(F(1, 2), 0), (F(1, 3), F(1, 3))]),
+    Lattice([(2, 1), (F(-1, 3), F(5, 3))]),
+]
+
+
+def lattice_set(rng, lat, n, shift=None, step=1):
+    """n random points of shift + step L, |z_i| <= 2 in the basis of step L."""
+    d = lat.dim
+    shift = shift or (0,) * d
+    zs = [tuple(step * rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]
+    return PointSet([linalg.vadd(linalg.mat_vec(lat.basis, z), shift) for z in zs])
+
+
+def test_convexity_gaps_are_the_first_missing_lattice_points():
+    rng = random.Random(2026)
+    lattices = SKEWED + [Lattice.standard(3), Lattice([(1, 0, 0), (F(1, 2), F(1, 2), 0), (0, 1, 2)])]
+    gaps = 0
+    for _ in range(60):
+        lat = rng.choice(lattices)
+        k = lattice_set(rng, lat, rng.randint(1, 5))
+        gap = ps.lattice_convexity_witness(k, lat)
+        assert gap == first_gap_oracle(k.points, k, lat)
+        gaps += gap is not None
+    assert 10 < gaps < 60
+
+
+def test_sum_convexity_gaps_are_the_first_missing_lattice_points():
+    # S and T off the lattice by opposite shifts, so S + T lies in it; S on
+    # the coarser 2 L, so D_S and D_T differ, and neither is the lattice's
+    rng = random.Random(2027)
+    gaps, mixed = 0, 0
+    for _ in range(40):
+        lat = rng.choice(SKEWED)
+        shift = (F(1, 5), F(rng.randint(1, 6), 7))
+        s = lattice_set(rng, lat, rng.randint(1, 3), shift, step=2)
+        t = lattice_set(rng, lat, rng.randint(1, 3), linalg.vneg(shift))
+        if not ps.is_direct_sum(s, t):
+            continue
+        total = ps.direct_sum(s, t)
+        gap = ps.sum_convexity_witness(s, t, total, lat)
+        assert gap == first_gap_oracle(total.points, total, lat)
+        gaps += gap is not None
+        mixed += s.den != t.den
+    assert gaps > 5 and mixed > 5
+
+
+def test_tile_gaps_are_the_first_missing_lattice_points():
+    # a tile meets each coset of L in M once when its M-coordinates do
+    # modulo L: {0..n-1} b1 for L = n b1 Z + b2 Z and {0, 1}^2 for L = 2 M,
+    # and so do the tiles with points moved by vectors of L, which leave gaps
+    rows = [(3, 1, ((0, 0), (2, 0), (4, 0))), (4, 1, ((0, 0), (1, 0), (2, 0), (7, 0)))]
+    rows += [(4, 1, ((0, 0), (5, 0), (2, 0), (3, 0))), (3, 1, ((0, 0), (1, 0), (2, 0)))]
+    rows += [(2, 2, zs + (last,)) for zs in [((0, 0), (1, 0), (0, 1))] for last in [(1, 1), (-1, 3)]]
+    rows += [(2, 2, ((0, 0), (1, 0), (0, 3), (1, 1)))]
+    for lat in SKEWED:
+        b1, b2 = lat.basis
+        for n1, n2, zs in rows:
+            sub = Lattice([linalg.vscale(n1, b1), linalg.vscale(n2, b2)])
+            tile = PointSet([linalg.mat_vec(lat.basis, z) for z in zs])
+            expected = first_gap_oracle(tile.points, tile, lat)
+            if expected is None:
+                tiling.verify_tiling(lat, sub, tile)
+                continue
+            with pytest.raises(NotLatticeConvexError) as info:
+                tiling.verify_tiling(lat, sub, tile)
+            assert info.value.witness == expected

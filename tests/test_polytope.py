@@ -530,6 +530,58 @@ def test_vertices_and_incidences_match_the_plane_scan(points):
     )
 
 
+def counted_ranks(monkeypatch):
+    """The ranks `linalg.rank_of` returns from now on, in call order."""
+    ranks = []
+    rank_of = linalg.rank_of
+
+    def counted(vectors):
+        ranks.append(rank_of(vectors))
+        return ranks[-1]
+
+    monkeypatch.setattr(linalg, "rank_of", counted)
+    return ranks
+
+
+def test_hulls_in_d_up_to_3_take_no_rank(monkeypatch):
+    # in d <= 3 a point inside a face of dimension >= 1 lies on at most two
+    # facets, so a point on d distinct facet planes is a vertex: grids with
+    # points inside their edges and facets, and rational points around them,
+    # keep the plane scan's vertices and incidences without a rank
+    rng = random.Random(26)
+    ranks = counted_ranks(monkeypatch)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            step = rng.choice([1, F(1, 2), F(2, 3)])
+            grid = [tuple(step * c for c in p) for p in itertools.product(range(3), repeat=d)]
+            extra = [tuple(F(rng.randint(-3, 9), rng.choice([1, 2, 3])) for _ in range(d))]
+            k = PointSet(grid + extra * rng.randint(0, 1))
+            before = len(ranks)
+            p = hull(k)
+            assert len(ranks) == before
+            planes = [(a, int(b * k.den)) for a, b in p._data["hyps"]]
+            verts, on_plane = vertices_from_hyperplanes(k.ints, planes, d)
+            expected = PointSet.from_scaled(verts, k.den)
+            assert p.vertex_set == expected
+            assert p.facet_vertex_sets() == tuple(
+                (a, tuple(expected.points[j] for j in f)) for (a, _), f in zip(planes, on_plane)
+            )
+
+
+def test_a_point_inside_an_edge_of_a_4_polytope_fails_the_rank_test(monkeypatch):
+    # the pyramid with apex (0, 0, 0, 2) over the octahedron ±2 e_i: the
+    # midpoint of an apex edge lies on the four facets through that edge,
+    # d of them, but their normals have rank 3
+    apex = (0, 0, 0, 2)
+    base = [tuple(2 * s * (i == j) for j in range(3)) + (0,) for i in range(3) for s in (1, -1)]
+    mids = [tuple((a + b) // 2 for a, b in zip(apex, q)) for q in base]
+    ranks = counted_ranks(monkeypatch)
+    p = hull(base + [apex] + mids)
+    assert p.vertices == tuple(sorted(linalg.vec(q) for q in base + [apex]))
+    assert sorted(len(vs) for _, vs in p.facet_vertex_sets()) == [4] * 8 + [6]
+    assert 3 in ranks
+
+
 # -- the integer lattice scan against the former Fraction scan --------------
 
 
