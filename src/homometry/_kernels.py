@@ -1,5 +1,10 @@
-"""Integer hot loops: the lattice-point box scan, the planar lattice width
-and the planar tile search.
+"""Integer hot loops: the lattice-point box scan, the planar hull ring, the
+planar lattice width and the planar tile search.
+
+The hull ring, Andrew's monotone chain, is the plane's hull: `polytope`
+reads every two-dimensional hull off it, and beneath-beyond runs only for
+the other dimensions.  `classify2d` reads a tile's flatness and its
+normal form off the same ring.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.

@@ -10,8 +10,10 @@ their end points, and keeps every offset of the classes whose tile passes its
 dimension and diagonal-width filters.  Every tile it keeps is rebuilt and
 re-checked exactly, its flatness read from its hull ring `_kernels.hull_ring`;
 its lattice width, by the same planar Gauss reduction, decides once whether
-it exceeds 1, and each tile that does is verified to tile.  Tiles with equal
-unimodular normal forms (`normal_form`, read off the ring's edges) form one class.
+it exceeds 1, and each tile that does is verified to tile, on its hull from
+the same monotone chain (`Polytope.hull` takes beneath-beyond only for
+d != 2).  Tiles with equal unimodular normal forms (`normal_form`, read off
+the ring's edges) form one class.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def normal_form(k: PointSet):
                 best = image, (u11 + m * u21, u12 + m * u22, u21, u22), (vx, vy)
     image, (u11, u12, u21, u22), v = best
     u = mat([(u11, u21), (u12, u22)])
-    return (den, tuple(image)), u, vneg(mat_vec(u, vadd(k.points[0], vscale(Fraction(1, den), v))))
+    return (den, tuple(image)), u, vneg(mat_vec(u, vadd(k.lexmin(), vscale(Fraction(1, den), v))))
 
 
 def unimodular_equivalent(a: PointSet, b: PointSet):

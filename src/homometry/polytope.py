@@ -1,16 +1,21 @@
 """Exact V-representation polytopes with lazily derived facet structure.
 
-The hull construction is an incremental beneath-beyond on the stored
-form (D, the sorted integer points D p) of the input's `PointSet`.
-Facet normals, visibility tests, the orientation test and the final
-"every input point is inside" sweep are all integer dot products, and
-every normal comes from one rule in every dimension: the first simplex's
-from one inverse, each later one from the pencil of its horizon ridge.
-Facets are kept as oriented boundary simplices with primitive integer
-normals; the final facet inequalities are their deduplicated carrier
-hyperplanes <a, x> <= beta / D.  The vertices, input points so that sums
-of hulls add integers, and each facet's vertices come from the boundary
-simplices, among whose vertices is every extreme point of every facet.
+Hulls are built on the stored form (D, the sorted integer points D p) of
+the input's `PointSet`.  A two-dimensional hull, of a set in the plane or
+of a flat set whose projection has rank 2, is read off Andrew's monotone
+chain (`_kernels.hull_ring`): each ring edge is a facet with the primitive
+outward normal of the edge.  Every other dimension runs an incremental
+beneath-beyond.  Facet normals, visibility tests, the orientation test
+and the final "every input point is inside" sweep are all integer dot
+products, and every facet on either path passes the same checks.
+Beneath-beyond takes every normal by one rule in every dimension: the
+first simplex's from one inverse, each later one from the pencil of its
+horizon ridge.  It keeps facets as oriented boundary simplices with
+primitive integer normals; the final facet inequalities are their
+deduplicated carrier hyperplanes <a, x> <= beta / D.  The vertices,
+input points so that sums of hulls add integers, and each facet's
+vertices come from the boundary simplices (the ring's edges in the
+plane), among whose vertices is every extreme point of every facet.
 For d <= 3 a simplex vertex on d or more distinct facet planes is a
 vertex: a point inside a face of dimension >= 1 lies on one facet, or on
 two when that face has dimension d - 2.  From d = 4 on a point inside an
@@ -33,7 +38,7 @@ from functools import cached_property
 from operator import mul, sub
 
 from . import linalg, pointset
-from ._kernels import box_scan
+from ._kernels import box_scan, hull_ring
 from .errors import InvariantError, LowerDimensionalError
 from .linalg import Vec, vec, vneg
 
@@ -62,8 +67,67 @@ def _simplex_normals(pts: list[IntVec]) -> list[IntVec]:
     return [_primitive(n) for n in [list(map(sum, zip(*rows)))] + [vneg(r) for r in rows]]
 
 
+def _facet_beta(k: pointset.PointSet, pts: list[IntVec], a: IntVec, inner: IntVec) -> int:
+    """beta = <a, p> of the facet through the integer points pts of K with
+    normal a, once a is checked: nonzero, constant on pts, and outward from
+    `inner`, (d + 1) D times a point inside.  The witness is pts."""
+    beta = _idot(a, pts[0])
+    off = any(_idot(a, p) != beta for p in pts[1:])
+    side = _idot(a, inner) - (k.dim + 1) * beta
+    for bad, msg in (
+        (not any(a), "degenerate facet simplex"),
+        (off, "facet simplex is off its hyperplane"),
+        (side == 0, "interior point on facet hyperplane"),
+        (side > 0, "facet normal points inward"),
+    ):
+        if bad:
+            raise InvariantError(msg, witness=[k._point(p) for p in pts])
+    return beta
+
+
+def _check_contains(k: pointset.PointSet, planes) -> None:
+    """Raise unless every integer point of K satisfies <a, q> <= b on each plane."""
+    for q in k.ints:
+        if any(_idot(a, q) > b for a, b in planes):
+            raise InvariantError("hull misses an input point", witness=k._point(q))
+
+
+def _hull_plane(k: pointset.PointSet) -> "Polytope":
+    """Hull of a two-dimensional planar set, off the monotone chain `hull_ring`.
+
+    The ring runs counterclockwise over the vertices, so its edge from p to
+    q has the outward normal (q_y - p_y, p_x - q_x), made primitive, and
+    the facet <a, D x> <= <a, D p>.  Each edge passes beneath-beyond's facet
+    checks, with a point inside from three ring vertices, and the edges are
+    the boundary simplices of the volume.
+    """
+    ring = hull_ring(k.ints)
+    inner = tuple(map(sum, zip(*ring[:3])))  # 3 D times a point inside
+    facets = []
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        a = _primitive((q[1] - p[1], p[0] - q[0]))
+        facets.append(((a, _facet_beta(k, [p, q], a, inner)), (p, q)))
+    facets.sort()  # the normals differ, so by plane
+    planes = [plane for plane, _ in facets]
+    _check_contains(k, planes)
+    verts = sorted(ring)
+    pos = {v: n for n, v in enumerate(verts)}
+    data = {
+        "eqs": (),
+        "hyps": tuple((a, Fraction(b, k.den)) for a, b in planes),
+        "facet_vertices": tuple(tuple(sorted((pos[p], pos[q]))) for _, (p, q) in facets),
+        "simplices": tuple(edge for _, edge in facets),
+        "inner": inner,
+        "scale": 3 * k.den,
+    }
+    vset = pointset.PointSet.from_scaled(verts, k.den)
+    return Polytope(_vertices=vset, _ambient=2, _dim=2, _internal=data)
+
+
 def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
-    """Beneath-beyond hull of a full-dimensional set, on its integer points.
+    """Beneath-beyond hull of a full-dimensional set, on its integer points;
+    `Polytope.hull` takes it in every dimension but 2, which `_hull_plane`
+    reads off the ring.
 
     The first simplex, on the points `init`, takes its d + 1 normals from
     one inverse.  Every later facet passes through a horizon ridge r and
@@ -99,19 +163,8 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     ridges: dict[frozenset[int], list[frozenset[int]]] = {}
 
     def add_facet(idx, a, touched):
-        beta = _idot(a, ipts[idx[0]])
-        off = any(_idot(a, ipts[i]) != beta for i in idx[1:])
-        side = _idot(a, inner) - (d + 1) * beta
-        for bad, msg in (
-            (not any(a), "degenerate facet simplex"),
-            (off, "facet simplex is off its hyperplane"),
-            (side == 0, "interior point on facet hyperplane"),
-            (side > 0, "facet normal points inward"),
-        ):
-            if bad:
-                raise InvariantError(msg, witness=[k.points[i] for i in idx])
         verts = frozenset(idx)
-        facets[verts] = a, beta
+        facets[verts] = a, _facet_beta(k, [ipts[i] for i in idx], a, inner)
         for v in verts:
             r = verts - {v}
             ridges.setdefault(r, []).append(verts)
@@ -124,7 +177,7 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
             elif len(ridges[r]) != 2:
                 raise InvariantError(
                     "boundary is not a pseudomanifold at a ridge",
-                    witness=[k.points[i] for i in sorted(r)],
+                    witness=[k._point(ipts[i]) for i in sorted(r)],
                 )
 
     touched = []
@@ -161,9 +214,7 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
         check_ridges(touched)
 
     planes = sorted(set(facets.values()))  # one row for coplanar simplices
-    for i, q in enumerate(ipts):
-        if any(_idot(a, q) > b for a, b in planes):
-            raise InvariantError("hull misses an input point", witness=k.points[i])
+    _check_contains(k, planes)
     tight: dict[int, set] = {}  # a simplex vertex -> its simplices' planes
     for f, plane in facets.items():
         for i in f:
@@ -214,15 +265,18 @@ class Polytope:
         frame = linalg.independent_subset(diffs)
         dirs = tuple(diffs[i] for i in frame)
         r = len(dirs)
-        if r == ambient:
-            return _hull_full_dim(k, [0] + frame)
+        if r == ambient:  # rank 2 is hulled off the monotone chain, here and when flat
+            return _hull_plane(k) if r == 2 else _hull_full_dim(k, [0] + frame)
         # flat: r coordinates on which the directions are independent map aff(K)
         # one to one onto R^r, where the projected points D p are full-dimensional
         cols = linalg.independent_subset(tuple(zip(*dirs)))
         projected = [tuple([p[i] for i in cols]) for p in ints]
         flat_k = pointset.PointSet.from_scaled(projected)
-        at = {q: i for i, q in enumerate(flat_k.ints)}
-        flat = _hull_full_dim(flat_k, [at[projected[i]] for i in [0] + frame])
+        if r == 2:
+            flat = _hull_plane(flat_k)
+        else:
+            at = {q: i for i, q in enumerate(flat_k.ints)}
+            flat = _hull_full_dim(flat_k, [at[projected[i]] for i in [0] + frame])
         index = dict(zip(projected, ints))
         verts = pointset.PointSet.from_scaled([index[v] for v in flat.vertex_set.ints], k.den)
         hyps = []

@@ -96,12 +96,13 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
         )
     m, zs = translations.scaled_coordinates(tile.ints, tile.den)
     seen = {}
-    for p, z in zip(tile.points, zs):
+    for p, z in zip(tile.ints, zs):
         r = tuple([c % m for c in z])  # the coordinates m B^-1 p mod m name the coset
         if r in seen:
-            pair = f"{vec_str(seen[r])} and {vec_str(p)}"
+            first, p = tile._point(seen[r]), tile._point(p)
             raise NotATilingError(
-                f"tile points {pair} lie in the same coset of L", witness=(seen[r], p)
+                f"tile points {vec_str(first)} and {vec_str(p)} lie in the same coset of L",
+                witness=(first, p),
             )
         seen[r] = p
     gap = pointset._convexity_gap(tile, tile.hull(), ambient)

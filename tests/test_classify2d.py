@@ -297,6 +297,19 @@ def test_survivors_verify_as_tilings():
         assert surv["diag_width"] < 1
 
 
+def test_verifying_and_normalizing_a_tile_builds_no_fraction_view():
+    # the coset loop names points only when a coset repeats, and the normal
+    # form's translation reads the least point alone
+    plane = Lattice.standard(2)
+    for surv in cl.search_tiles_with_base(1, 7, 3)["survivors"]:
+        tile = PointSet.from_scaled(surv["points"].ints, surv["points"].den)
+        base = lattice_from_lhs(surv["l"], surv["h"], surv["s"])
+        assert ti.verify_tiling(plane, base, tile).verified
+        (den, image), u, t = cl.normal_form(tile)
+        assert "points" not in tile.__dict__
+        assert PointSet(vadd(mat_vec(u, p), t) for p in tile) == PointSet.from_scaled(image, den)
+
+
 def test_survivors_obey_width_drop():
     # surviving tiles satisfy w(T, Z^2) <= w(Delta, Z^2) - 1
     for det_value in (7, 8):

@@ -23,47 +23,67 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, f"assert is stripped under -O: {found}"
 
 
-# Tilts, zeroes ("none") or flips the first facet normal made while
-# inserting, the first one from a horizon ridge's pencil (the initial
-# triangle takes three), then reports what the hull raised.
+# Tilts, zeroes ("none") or flips the n-th facet normal that `_primitive`
+# makes, then reports what the hull raised.  In the plane the hull is the
+# monotone chain, which makes one normal per ring edge, so n = 4 is the 4th
+# edge's.  In d = 3 the hull is beneath-beyond, whose first tetrahedron
+# takes four normals, so n = 5 is the first one from a horizon ridge's pencil.
 CORRUPT_ONE_FACET = """
 import json, sys
 from homometry import polytope
 
+points, nth, kind = json.loads(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 primitive = polytope._primitive
 calls = []
 
 def corrupted(n):
     n = primitive(n)
     calls.append(n)
-    if len(calls) != 4:
+    if len(calls) != nth:
         return n
-    return {"tilted": (3 * n[0] + 1, 3 * n[1]), "flipped": (-n[0], -n[1])}.get(sys.argv[1], (0, 0))
+    if kind == "tilted":
+        return (3 * n[0] + 1, *[3 * c for c in n[1:]])
+    return tuple([-c for c in n]) if kind == "flipped" else (0,) * len(n)
 
 polytope._primitive = corrupted
 try:
-    polytope.hull([(0, 0), (4, 0), (0, 4), (4, 4), (2, 5)])
+    polytope.hull([tuple(p) for p in points])
     out = {"raised": None}
 except Exception as exc:
     out = {"raised": type(exc).__name__, "message": str(exc),
-           "witness": [[str(c) for c in p] for p in exc.witness or []]}
+           "witness": [[int(c) for c in p] for p in exc.witness or []]}
 out["debug"] = __debug__
 print(json.dumps(out))
 """
 
+# (points, n, the corrupted facet's points): an edge in the plane, the ring's
+# 4th from the least point counterclockwise; a triangle in d = 3
+HULL_INPUTS = {
+    "plane": ([(0, 0), (4, 0), (0, 4), (4, 4), (2, 5)], 4, [[2, 5], [0, 4]]),
+    "space": (
+        [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (4, 4, 0), (2, 2, 5)],
+        5,
+        [[0, 4, 0], [2, 2, 5], [4, 4, 0]],
+    ),
+}
+
+FAULTS = [
+    ("tilted", "facet simplex is off its hyperplane"),
+    ("none", "degenerate facet simplex"),
+    ("flipped", "facet normal points inward"),
+]
+
 
 @pytest.mark.parametrize(
-    "corruption, message",
-    [
-        ("tilted", "facet simplex is off its hyperplane"),
-        ("none", "degenerate facet simplex"),
-        ("flipped", "facet normal points inward"),
-    ],
+    "hull_input, corruption, message",
+    [pytest.param("plane", c, m, id=f"{c}-{m}") for c, m in FAULTS]
+    + [pytest.param("space", c, m, id=f"space-{c}-{m}") for c, m in FAULTS],
 )
-def test_hull_checks_run_under_optimize(corruption, message):
+def test_hull_checks_run_under_optimize(hull_input, corruption, message):
+    points, nth, witness = HULL_INPUTS[hull_input]
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
-        [sys.executable, "-O", "-c", CORRUPT_ONE_FACET, corruption],
+        [sys.executable, "-O", "-c", CORRUPT_ONE_FACET, json.dumps(points), str(nth), corruption],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -74,4 +94,4 @@ def test_hull_checks_run_under_optimize(corruption, message):
     assert report["debug"] is False
     assert report["raised"] == "InvariantError"
     assert report["message"] == message
-    assert len(report["witness"]) == 2
+    assert report["witness"] == witness

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg, tiling as ti
+from homometry import linalg, polytope, tiling as ti
 from homometry._kernels import box_scan
 from homometry.errors import LowerDimensionalError, SingularMatrixError
 from homometry.lattice import Lattice
@@ -580,6 +580,81 @@ def test_a_point_inside_an_edge_of_a_4_polytope_fails_the_rank_test(monkeypatch)
     assert p.vertices == tuple(sorted(linalg.vec(q) for q in base + [apex]))
     assert sorted(len(vs) for _, vs in p.facet_vertex_sets()) == [4] * 8 + [6]
     assert 3 in ranks
+
+
+# -- the plane's monotone chain against beneath-beyond ----------------------
+
+
+def planar_draws(rng):
+    """A planar set, of rank 2 but for rare draws, and its ambient
+    dimension: rational points with repeats, a grid with points inside its
+    edges and a rational point or two, or such a set mapped into a plane of
+    R^3 by two rational directions; some are shifted past 2**64."""
+    coord = lambda: F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 6]))
+    if rng.random() < 0.5:
+        pts = [(coord(), coord()) for _ in range(rng.randint(3, 12))]
+        pts += rng.sample(pts, rng.randint(0, 3))
+    else:
+        step = rng.choice([1, F(1, 2), F(2, 3)])
+        a, b = rng.randint(1, 4), rng.randint(1, 3)
+        pts = [(step * x, step * y) for x in range(a + 1) for y in range(b + 1)]
+        pts += [(coord(), coord()) for _ in range(rng.randint(0, 2))]
+    shift = rng.choice([0, 0, 2**64 + 1, F(-(2**70), 3)])
+    if rng.random() < 0.4:
+        base = [coord() + shift for _ in range(3)]
+        u, v = [coord() for _ in range(3)], [coord() for _ in range(3)]
+        lifted = [tuple(c + x * e + y * f for c, e, f in zip(base, u, v)) for x, y in pts]
+        return lifted, 3
+    return [(x + shift, y + shift) for x, y in pts], 2
+
+
+def beneath_beyond_plane(k):
+    """`_hull_full_dim` on a two-dimensional planar set, on its first frame."""
+    p0 = k.ints[0]
+    frame = linalg.independent_subset([tuple(c - z for c, z in zip(p, p0)) for p in k.ints])
+    return polytope._hull_full_dim(k, [0] + frame)
+
+
+def test_planar_hulls_match_beneath_beyond(monkeypatch):
+    rng = random.Random(27)
+    checked = {2: 0, 3: 0}
+    for _ in range(400):
+        pts, d = planar_draws(rng)
+        k = PointSet(pts)
+        p = hull(k)
+        if p.dim < 2:
+            continue
+        if d == 2:
+            oracle = beneath_beyond_plane(k)
+            assert p.facet_vertex_sets() == oracle.facet_vertex_sets()
+        else:
+            with monkeypatch.context() as m:  # the flat branch lifts beneath-beyond's hull
+                m.setattr(polytope, "_hull_plane", beneath_beyond_plane)
+                oracle = hull(k)
+        assert p.dim == 2 and p.ambient == d
+        assert p.vertices == oracle.vertices
+        assert p.constraint_system() == oracle.constraint_system()
+        assert p.volume() == oracle.volume()
+        checked[d] += 1
+    assert min(checked.values()) > 100
+
+
+def test_planar_hulls_solve_no_system(monkeypatch):
+    # the ring's edges give every normal; the first simplex's inverse is
+    # taken only off the plane
+    calls = []
+    solve_scaled = linalg.solve_scaled
+    monkeypatch.setattr(
+        linalg, "solve_scaled", lambda m, rhs: calls.append(m) or solve_scaled(m, rhs)
+    )
+    rng = random.Random(5)
+    for _ in range(100):
+        pts, _ = planar_draws(rng)
+        before = len(calls)
+        if hull(pts).dim == 2:
+            assert len(calls) == before, pts
+    hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert calls
 
 
 # -- the integer lattice scan against the former Fraction scan --------------
