@@ -11,14 +11,13 @@ from .constructions import (
     parabola_construction,
     planar_family,
 )
-from .lattice import Lattice, index, sublattices_of_z2
+from .lattice import Lattice
 from .pointset import (
     Covariogram,
     PointSet,
     centrally_symmetric,
     covariogram,
     direct_sum,
-    generated_lattice,
     homometric,
     intrinsically_lattice_convex,
     is_direct_sum,
@@ -36,7 +35,6 @@ from .tiling import (
     dirichlet_tile,
     enumerate_tiles_tq,
     lattice_width,
-    parity_check,
     verify_tiling,
     w_set,
     width_of,
@@ -64,10 +62,8 @@ __all__ = [
     "dirichlet_tile",
     "enumerate_tiles_tq",
     "generalized_family",
-    "generated_lattice",
     "homometric",
     "hull",
-    "index",
     "intrinsically_lattice_convex",
     "irregular_examples",
     "is_direct_sum",
@@ -75,9 +71,7 @@ __all__ = [
     "lattice_width",
     "minkowski_sum",
     "parabola_construction",
-    "parity_check",
     "planar_family",
-    "sublattices_of_z2",
     "trivially_homometric",
     "unimodular_equivalent",
     "verify_tiling",

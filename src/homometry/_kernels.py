@@ -19,15 +19,14 @@ from operator import mul
 from .errors import LowerDimensionalError
 
 
-def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
+def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs):
     """Integer points z in the box with eq_rows@z == eq_rhs, le_rows@z <= le_rhs.
 
-    With strict=True the inequalities are evaluated strictly.  Returns a list
-    of int tuples in lexicographic order.  The scan runs over the first d-1
-    coordinates only: for each prefix every row bounds the last coordinate
-    to an interval.  So the memory follows the output, but the work follows
-    the prefix cells, the box over the first d-1 coordinates, whether or
-    not a prefix keeps a point.  A frame skewed against the polytope can
+    Returns a list of int tuples in lexicographic order.  The scan runs over
+    the first d-1 coordinates only: for each prefix every row bounds the
+    last coordinate to an interval.  So the memory follows the output, but
+    the work follows the prefix cells, the box over the first d-1
+    coordinates, whether or not a prefix keeps a point.  A frame skewed against the polytope can
     make the prefixes outnumber the points kept by orders of magnitude: a
     unimodular skew of a 3-D set took one thin-direction scan of 1,558
     points from 361 prefix cells to as many as 2,596,011.
@@ -35,11 +34,7 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
     if any(b < a for a, b in zip(lo, hi)):
         return []
     rows = [(r[:-1], r[-1], rhs, True) for r, rhs in zip(eq_rows, eq_rhs)]
-    # for integers, v < rhs is v <= rhs - 1
-    rows += [
-        (r[:-1], r[-1], rhs - 1 if strict else rhs, False)
-        for r, rhs in zip(le_rows, le_rhs)
-    ]
+    rows += [(r[:-1], r[-1], rhs, False) for r, rhs in zip(le_rows, le_rhs)]
     out = []
     for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
         t_lo, t_hi = lo[-1], hi[-1]

@@ -25,6 +25,7 @@ from .pointset import (
     direct_sum,
     homometric,
     is_lattice_convex,
+    lattice_convexity_witness,
     trivially_homometric,
 )
 from .polytope import hull
@@ -91,8 +92,10 @@ def _validate_planar_s(s: PointSet, t: Tiling, allowed_edges):
     for p in s.points:
         if not lat.contains(p):
             raise InvalidSError(f"S point {vec_str(p)} is outside L", witness=p)
-    if not is_lattice_convex(s, lat):
-        raise InvalidSError("S is not L-convex")
+    gap = lattice_convexity_witness(s, lat)
+    if gap is not None:
+        msg = f"S is not L-convex: conv(S) holds the L-point {vec_str(gap)}, which S misses"
+        raise InvalidSError(msg, witness=gap)
     s_hull = s.hull()
     if s_hull.dim != 2:
         raise InvalidSError("S must be two-dimensional")

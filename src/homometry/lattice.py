@@ -1,4 +1,4 @@
-"""Full-rank lattices: membership, coordinates, duals, sublattice enumeration."""
+"""Full-rank lattices: membership, coordinates and duals."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .errors import NotASublatticeError, SingularMatrixError
+from .errors import SingularMatrixError
 from .linalg import Mat, Vec, mat, transpose, vec
 
 IntVec = tuple[int, ...]
@@ -132,36 +132,6 @@ class Lattice:
         from .jsonio import rational_out
 
         return {"basis": [[rational_out(e) for e in col] for col in self.basis]}
-
-
-def index(sub: Lattice, sup: Lattice) -> int:
-    """The index [sup : sub] = det(sub)/det(sup), verified to be integral."""
-    if not sub.is_sublattice_of(sup):
-        raise NotASublatticeError("first lattice is not contained in the second")
-    ratio = sub.determinant / sup.determinant
-    if ratio.denominator != 1:
-        raise NotASublatticeError("determinant ratio is not integral")
-    return int(ratio)
-
-
-def sublattices_of_z2(det_value: int) -> list[tuple[int, int, int]]:
-    """All (l, h, s) with l*h = det_value, 0 <= s < l; basis (l,0), (s,h).
-
-    (l, 0) generates the lattice's points on the x-axis and h is the index
-    of its projection to the y-axis, so s is determined modulo l: this
-    Hermite normal form lists every sublattice of Z^2 with the given
-    determinant exactly once, sigma(det_value) of them.
-    """
-    if det_value < 1:
-        raise ValueError("determinant must be positive")
-    out = []
-    for l in range(1, det_value + 1):
-        if det_value % l:
-            continue
-        h = det_value // l
-        for s in range(l):
-            out.append((l, h, s))
-    return out
 
 
 def lattice_from_lhs(l: int, h: int, s: int) -> Lattice:

@@ -332,16 +332,6 @@ def sum_convexity_witness(
     return _convexity_gap(total, polytope.minkowski_hull(s.hull(), t.hull()), lat)
 
 
-def generated_lattice(k: PointSet) -> Lattice:
-    """The lattice spanned over Z by the difference vectors of K."""
-    if len(k) < 2:
-        raise DegenerateDifferencesError("need at least two points")
-    basis = linalg.hnf_basis(k.normalized().points[1:])
-    if len(basis) < k.dim:
-        raise DegenerateDifferencesError("differences do not span the ambient space")
-    return Lattice(basis)
-
-
 def intrinsically_lattice_convex(k: PointSet) -> bool:
     """Whether K is lattice-convex with respect to *some* lattice.
 

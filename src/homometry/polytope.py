@@ -1,4 +1,4 @@
-"""Exact V-representation polytopes with lazily derived facet structure.
+"""Exact polytopes: convex hulls with their facets, and their lattice points.
 
 Hulls are built on the stored form (D, the sorted integer points D p) of
 the input's `PointSet`.  A two-dimensional hull, of a set in the plane or
@@ -12,8 +12,8 @@ Beneath-beyond takes every normal by one rule in every dimension: the
 first simplex's from one inverse, each later one from the pencil of its
 horizon ridge.  It keeps facets as oriented boundary simplices with
 primitive integer normals; the final facet inequalities are their
-deduplicated carrier hyperplanes <a, x> <= beta / D.  The vertices,
-input points so that sums of hulls add integers, and each facet's
+deduplicated carrier hyperplanes <a, x> <= beta / D.  The vertices, kept
+as input points so that sums of hulls add integers, and each facet's
 vertices come from the boundary simplices (the ring's edges in the
 plane), among whose vertices is every extreme point of every facet.
 For d <= 3 a simplex vertex on d or more distinct facet planes is a
@@ -27,14 +27,15 @@ Lower-dimensional input of rank r is projected onto r coordinates that
 map its affine hull one to one onto R^r; the full-dimensional hull there
 is lifted back by point index and by placing each facet row at those
 coordinates.  Every polytope keeps one constraint system, equalities and
-inequalities with primitive integer rows and rational right-hand sides.
+inequalities with primitive integer rows and rational right-hand sides,
+and its lattice points are one `box_scan` of that system in the lattice's
+integer coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import mul, sub
 
 from . import linalg, pointset
@@ -98,8 +99,7 @@ def _hull_plane(k: pointset.PointSet) -> "Polytope":
     The ring runs counterclockwise over the vertices, so its edge from p to
     q has the outward normal (q_y - p_y, p_x - q_x), made primitive, and
     the facet <a, D x> <= <a, D p>.  Each edge passes beneath-beyond's facet
-    checks, with a point inside from three ring vertices, and the edges are
-    the boundary simplices of the volume.
+    checks, with a point inside from three ring vertices.
     """
     ring = hull_ring(k.ints)
     inner = tuple(map(sum, zip(*ring[:3])))  # 3 D times a point inside
@@ -116,9 +116,6 @@ def _hull_plane(k: pointset.PointSet) -> "Polytope":
         "eqs": (),
         "hyps": tuple((a, Fraction(b, k.den)) for a, b in planes),
         "facet_vertices": tuple(tuple(sorted((pos[p], pos[q]))) for _, (p, q) in facets),
-        "simplices": tuple(edge for _, edge in facets),
-        "inner": inner,
-        "scale": 3 * k.den,
     }
     vset = pointset.PointSet.from_scaled(verts, k.den)
     return Polytope(_vertices=vset, _ambient=2, _dim=2, _internal=data)
@@ -138,8 +135,8 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     inside the hull <a_v, c> - b_v and <a_u, c> - b_u are negative, so its
     excess -e_u (<a_v, c> - b_v) + e_v (<a_u, c> - b_u) is too, and an
     orientation is only checked, never repaired.  The boundary simplices
-    (d integer points each) tile the boundary, which gives exact volumes,
-    and name the vertices: an extreme point p on a facet F is a vertex of
+    (d integer points each) tile the boundary and name the vertices: an
+    extreme point p on a facet F is a vertex of
     a simplex that triangulates F, so the planes of p's simplices are all
     of p's facets, and p is a vertex iff their normals span R^d.  Any other
     boundary point lies inside a face G of dimension >= 1 and on exactly
@@ -231,10 +228,6 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
         "eqs": (),
         "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
         "facet_vertices": tuple(map(tuple, on_plane)),
-        # the boundary simplices' points D p, and (d + 1) D times a point inside
-        "simplices": tuple(tuple(ipts[i] for i in sorted(f)) for f in facets),
-        "inner": inner,
-        "scale": (d + 1) * den,
     }
     vset = pointset.PointSet.from_scaled([ipts[i] for i in verts], den)
     return Polytope(_vertices=vset, _ambient=d, _dim=d, _internal=data)
@@ -247,8 +240,8 @@ class Polytope:
         self.vertex_set: pointset.PointSet = _vertices
         self.ambient: int = _ambient
         self.dim: int = _dim
-        # "eqs" and "hyps", the constraint system; the volume's simplices and
-        # the facets' vertices when full-dimensional
+        # "eqs" and "hyps", the constraint system; the facets' vertices when
+        # full-dimensional
         self._data = _internal
 
     # -- construction -----------------------------------------------------
@@ -337,24 +330,6 @@ class Polytope:
             data["eqs"] = tuple([(u, Fraction(c, den)) for u, c in zip(units, p)])
         return data["eqs"], data["hyps"]
 
-    # -- geometry ----------------------------------------------------------
-
-    @cached_property
-    def _volume(self) -> Fraction:
-        if self.dim < self.ambient:
-            return Fraction(0)
-        d, data = self.ambient, self._data
-        inner = data["inner"]
-        total = 0
-        for simplex in data["simplices"]:
-            cols = tuple([tuple([(d + 1) * c - z for c, z in zip(q, inner)]) for q in simplex])
-            total += abs(linalg.det(cols))
-        return Fraction(total, math.factorial(d) * data["scale"] ** d)
-
-    def volume(self) -> Fraction:
-        """Exact ambient-dimensional volume (0 for flat polytopes)."""
-        return self._volume
-
     # -- lattice interaction ------------------------------------------------
 
     def lattice_points(self, lattice, missing_from=None) -> "pointset.PointSet | None":
@@ -365,18 +340,12 @@ class Polytope:
         then misses none iff the scan counts |K| points, so no scanned point
         is mapped to the ambient space unless one is missing.
         """
-        zs = self._lattice_scan(lattice, strict=False)
+        zs = self._lattice_scan(lattice)
         if missing_from is not None and len(zs) == len(missing_from):
             return None
         return _scanned_set(lattice, zs, missing_from)
 
-    def interior_lattice_points(self, lattice) -> "pointset.PointSet | None":
-        """The lattice points of the interior, as `lattice_points`."""
-        if not self.is_full_dimensional():
-            raise LowerDimensionalError("interior of a lower-dimensional polytope")
-        return _scanned_set(lattice, self._lattice_scan(lattice, strict=True))
-
-    def _lattice_scan(self, lattice, strict: bool) -> list[IntVec]:
+    def _lattice_scan(self, lattice) -> list[IntVec]:
         """The integer coordinates z of the lattice points x = B z, in
         lexicographic order, found in integers only.
 
@@ -404,7 +373,7 @@ class Polytope:
         eqs, ineqs = self.constraint_system()
         eq_rows, eq_rhs = integer_rows(eqs)
         le_rows, le_rhs = integer_rows(ineqs)
-        return box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
+        return box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs)
 
 
 def _scanned_set(lattice, zs: list[IntVec], known=None) -> "pointset.PointSet | None":

@@ -84,8 +84,10 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     """
     if not (ambient.dim == translations.dim == tile.dim):
         raise ValueError("dimension mismatch between lattices and tile")
-    if not translations.is_sublattice_of(ambient):
-        raise NotASublatticeError("L is not a sublattice of M")
+    b = next((b for b in translations.basis if not ambient.contains(b)), None)
+    if b is not None:
+        msg = f"L is not a sublattice of M: its basis vector {vec_str(b)} is outside M"
+        raise NotASublatticeError(msg, witness=b)
     p = pointset._first_outside(ambient, tile)
     if p is not None:
         raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
@@ -146,8 +148,9 @@ def _thin_scan(body, mb, strict=False):
     facets = body.facets()
     hi = [max([math.floor(mb * a[i] / beta) for a, beta in facets]) for i in range(body.ambient)]
     rows = body.vertex_set.ints
-    rhs = math.ceil(mb) if strict else math.floor(mb)  # <v, z> is an integer
-    zs = box_scan([-h for h in hi], hi, [], [], rows, [rhs] * len(rows), strict=strict)
+    # <v, z> is an integer: <v, z> < mb iff <v, z> <= ceil(mb) - 1
+    rhs = math.ceil(mb) - 1 if strict else math.floor(mb)
+    zs = box_scan([-h for h in hi], hi, [], [], rows, [rhs] * len(rows))
     return [(max([sum(map(mul, v, z)) for v in rows]), z) for z in zs]
 
 
@@ -409,20 +412,7 @@ def affine_covering_test(vertices, lat: Lattice) -> bool:
     return w > 1 or (heights[0] == heights[1] and heights[-2] == heights[-1])
 
 
-# -- parity and finiteness helpers -------------------------------------------
-
-
-def parity_check(t: Tiling) -> bool:
-    """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* has w(T, u) < 1/2, so
-    `_thin_scan` at bound 1/2, strictly, finds z = o alone."""
-    _require_verified(t)
-    try:
-        m, body = _thin_body(t.tile, t.translations)
-    except LowerDimensionalError:
-        raise LowerDimensionalTileError(
-            "parity check needs a full-dimensional tile"
-        ) from None
-    return not any(any(z) for _, z in _thin_scan(body, Fraction(m, 2), strict=True))
+# -- the thin-cover basis --------------------------------------------------
 
 
 def thin_cover_basis(wset: WSetResult, lat: Lattice):
@@ -435,7 +425,7 @@ def thin_cover_basis(wset: WSetResult, lat: Lattice):
     makes huge.  They are ordered by w(±W, b), that is 2 max |<w, b>|, then
     by b's L-coordinates z, and only the 30 first are tried as bases, so it
     returns None whenever no basis is among them, even when one exists.
-    ROADMAP item 6 replaces the search by a lattice reduction.
+    ROADMAP item 15 replaces the search by a lattice reduction.
     """
     d = lat.dim
     kappa = 2 * math.factorial(d) ** 2 * Fraction(3, 2) ** (d - 2)

@@ -19,7 +19,7 @@ from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.errors import HomometryError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
-from test_polytope import contains, difference_body, polar
+from test_polytope import contains, difference_body, hull_volume, polar
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 
@@ -208,11 +208,12 @@ def _finiteness_bounds_hold(t: ti.Tiling) -> bool:
     wset = ti.w_set(t.tile, t.translations)
     if not len(wset) < 4**d:
         return False
-    if not ti.parity_check(t):
+    # parity: no nonzero u in L* has w(T, u) < 1/2, and each such u is in W
+    if not all(w >= F(1, 2) for w in wset.widths.values()):
         return False
     origin = tuple([F(0)] * d)
-    vol_w = polytope.hull(list(wset.vectors) + [origin]).volume()
-    vol_polar = polar(difference_body(hull_t)).volume()
+    vol_w = hull_volume(polytope.hull(list(wset.vectors) + [origin]))
+    vol_polar = hull_volume(polar(difference_body(hull_t)))
     det_l = t.translations.determinant
     return vol_w < vol_polar and vol_polar <= F(4**d) / det_l
 

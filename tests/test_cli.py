@@ -132,8 +132,13 @@ HALVES = {"basis": [["1/2", 0], [0, 1]]}
              "T": {"points": [[0, 0], ["1/2", 0], ["5/2", 0]]}},
             "tile misses the M-point (1, 0)",
         ),
+        (
+            {"M": HALVES, "L": {"basis": [["1/4", 0], [0, 1]]},
+             "T": {"points": [[0, 0]]}},
+            "L is not a sublattice of M: its basis vector (1/4, 0) is outside M",
+        ),
     ],
-    ids=["outside-M", "coset-clash", "convexity-gap"],
+    ids=["outside-M", "coset-clash", "convexity-gap", "not-a-sublattice"],
 )
 def test_verify_tiling_violations_print_plain_rationals(tmp_path, capsys, doc_in, reason):
     path = write_doc(tmp_path, "t.json", doc_in)

@@ -15,13 +15,14 @@ from homometry.errors import (
     NotATilingError,
     NotLatticeConvexError,
 )
-from homometry.lattice import Lattice, lattice_from_lhs, sublattices_of_z2
+from homometry.lattice import Lattice, lattice_from_lhs
 from homometry.linalg import frac, mat, mat_vec, transpose, vdot, vec
 from homometry.pointset import PointSet
 from homometry.polytope import hull
 from test_acceptance import _random_tilings
+from test_lattice import sublattices_of_z2
 from test_linalg import primitive_integer_direction
-from test_polytope import contains
+from test_polytope import contains, in_hull_oracle
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -65,6 +66,22 @@ def test_planar_family_rejects_bad_s():
         InvalidSError, match=r"^edge \(0, 0\)\.\.\(5, 0\) is parallel to no allowed direction$"
     ):
         con.planar_family(2, bad3)
+
+
+def test_planar_family_names_the_l_point_a_nonconvex_s_misses():
+    # S = {o, 2 b1, b2} misses b1, the midpoint of o and 2 b1; the witness is
+    # a point of L, by Cramer's rule, in conv(S) but not in S
+    t = con.planar_family_tiling(2)
+    b1, b2 = t.translations.basis
+    pts = [(0, 0), linalg.vscale(2, b1), b2]
+    with pytest.raises(InvalidSError, match=r"^S is not L-convex: conv\(S\) holds") as err:
+        con.planar_family(2, PointSet(pts))
+    w = err.value.witness
+    det = b1[0] * b2[1] - b2[0] * b1[1]
+    coords = (F(w[0] * b2[1] - b2[0] * w[1], det), F(b1[0] * w[1] - b1[1] * w[0], det))
+    assert all(z.denominator == 1 for z in coords)
+    assert in_hull_oracle([linalg.vec(p) for p in pts], w)
+    assert w not in PointSet(pts)
 
 
 def test_planar_family_condition_a_holds():

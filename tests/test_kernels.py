@@ -21,16 +21,14 @@ from homometry.pointset import PointSet
 BIG = 2**64
 
 
-def brute_force_box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=False):
+def brute_force_box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs):
     """Every cell of the box, tested against every row."""
     out = []
     for z in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         if any(sum(r * c for r, c in zip(row, z)) != rhs for row, rhs in zip(eq_rows, eq_rhs)):
             continue
         values = [sum(r * c for r, c in zip(row, z)) for row in le_rows]
-        if strict and any(v >= rhs for v, rhs in zip(values, le_rhs)):
-            continue
-        if not strict and any(v > rhs for v, rhs in zip(values, le_rhs)):
+        if any(v > rhs for v, rhs in zip(values, le_rhs)):
             continue
         out.append(z)
     return out
@@ -58,8 +56,7 @@ def scans(draw):
     eq_rhs = [value(r) + draw(st.sampled_from([0, 0, 1])) for r in eq_rows]
     le_rows = [row() for _ in range(draw(st.integers(0, 3)))]
     le_rhs = [value(r) + coeff_scale * draw(st.integers(-2, 3)) for r in le_rows]
-    strict = draw(st.booleans())
-    return lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict
+    return lo, hi, eq_rows, eq_rhs, le_rows, le_rhs
 
 
 @given(scans())
@@ -73,9 +70,9 @@ def test_box_scan_edge_cases():
     assert box_scan((0, 5), (3, 4), [], [], [], []) == []
     # no rows: the whole box in lexicographic order
     assert box_scan((0, 0), (1, 1), [], [], [], []) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # x + y <= 1 against x + y < 1 on the unit square
+    # x + y <= 1 against x + y < 1, that is x + y <= 0, on the unit square
     assert box_scan((0, 0), (1, 1), [], [], [(1, 1)], [1]) == [(0, 0), (0, 1), (1, 0)]
-    assert box_scan((0, 0), (1, 1), [], [], [(1, 1)], [1], strict=True) == [(0, 0)]
+    assert box_scan((0, 0), (1, 1), [], [], [(1, 1)], [0]) == [(0, 0)]
     # an equality with no integer solution on the last coordinate
     assert box_scan((0, 0), (3, 3), [(0, 2)], [3], [], []) == []
     # a zero last coefficient leaves the prefix to decide

@@ -1,4 +1,5 @@
-"""Lattices: membership, duals, indices, residues, sublattice enumeration."""
+"""Lattices: membership, duals, residues; the sublattices of Z^2, the reference
+that the planar search's bases are checked against."""
 
 import itertools
 import math
@@ -12,14 +13,27 @@ from hypothesis import strategies as st
 
 from homometry import linalg
 from homometry.classify2d import shear_normal_bases
-from homometry.errors import (
-    NotASublatticeError,
-    SingularMatrixError,
-)
-from homometry.lattice import Lattice, index, lattice_from_lhs, sublattices_of_z2
+from homometry.errors import SingularMatrixError
+from homometry.lattice import Lattice, lattice_from_lhs
 from test_linalg import hnf, primitive_integer_direction
 
 Z2 = Lattice.standard(2)
+
+
+def sublattices_of_z2(det_value):
+    """All (l, h, s) with l*h = det_value, 0 <= s < l; basis (l,0), (s,h).
+
+    (l, 0) generates the lattice's points on the x-axis and h is the index
+    of its projection to the y-axis, so s is determined modulo l: this
+    Hermite normal form lists every sublattice of Z^2 with the given
+    determinant exactly once, sigma(det_value) of them.
+    """
+    return [
+        (l, det_value // l, s)
+        for l in range(1, det_value + 1)
+        if det_value % l == 0
+        for s in range(l)
+    ]
 
 
 def test_contains_basics():
@@ -54,21 +68,6 @@ def test_dual_congruence_lattice():
     gens.append(tuple(F(c, r) for c in a))
     expected = Lattice(linalg.hnf_basis(gens))
     assert lat.dual() == expected
-
-
-def test_index_examples():
-    lat = Lattice([(3, -1), (2, 1)])
-    assert index(lat, lat) == 1
-    assert index(lat, Z2) == 5
-    for d in (2, 3):
-        zd = Lattice.standard(d)
-        dz = Lattice([[d * int(i == j) for i in range(d)] for j in range(d)])
-        assert index(dz, zd) == d**d
-
-
-def test_index_errors():
-    with pytest.raises(NotASublatticeError):
-        index(Z2, Lattice([(2, 0), (0, 2)]))
 
 
 @pytest.mark.parametrize("det_value,count", [(1, 1), (7, 8), (12, 28)])

@@ -1,11 +1,10 @@
-"""Every public function and method of the library has a caller outside the
-tests, and every one of its optional parameters is set by such a caller."""
+"""Every public function and method of the library, exported or not, has a
+caller outside the tests, and every one of its optional parameters is set by
+such a caller."""
 
 import ast
 import math
 from pathlib import Path
-
-import homometry
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "homometry").glob("*.py"))
@@ -14,15 +13,13 @@ CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 # Public functions and methods kept without a library caller, each with its reason.
 EXEMPT = {
     # a basis of L on which every thin direction is bounded; its search is
-    # incomplete, and ROADMAP item 6 rebuilds it as a lattice reduction
+    # incomplete, and ROADMAP item 15 rebuilds it as a lattice reduction
     # before anything calls it
     "tiling.thin_cover_basis",
-    # the exact volume from the hull's boundary simplices: criterion 6
-    # compares vol(W) with vol(D(T)°), and the hull oracle checks it
-    "polytope.Polytope.volume",
-    # the strict lattice-point scan: the oracle of the strict thin-direction
-    # scan, and of the hull's facet system against brute force
-    "polytope.Polytope.interior_lattice_points",
+    # unimodular equivalence of two planar sets, which `classify` decides by
+    # `normal_form` instead; perfbench's tracer still wraps it by name, and
+    # ROADMAP item 17 drops that wrap
+    "classify2d.unimodular_equivalent",
 }
 
 # Public method names that more than one library class defines.  A call
@@ -64,15 +61,17 @@ def _public(stmt):
     return isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
 
 
-def test_every_public_function_has_a_caller():
-    # a function is read as a name or an attribute, a method as an attribute
+def _has_caller():
+    """{qualified name: whether a library or benchmark statement other than its
+    own definition reads it} for each public function and method; a function
+    is read as a name or an attribute, a method as an attribute."""
     defined = []  # (qualified name, the def node, whether it is a method)
     referenced_by = []  # (a unit, its names, its attribute names)
     for path in CALLERS:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path in LIBRARY:
             for stmt in tree.body:
-                if _public(stmt) and stmt.name not in homometry.__all__:
+                if _public(stmt):
                     defined.append((f"{path.stem}.{stmt.name}", stmt, False))
                 elif isinstance(stmt, ast.ClassDef):
                     defined += [
@@ -81,17 +80,31 @@ def test_every_public_function_has_a_caller():
                         if _public(m)
                     ]
         referenced_by += [(unit, *_referenced(unit)) for unit in _units(tree)]
-    orphans = sorted(
-        qualified
-        for qualified, node, method in defined
-        if qualified not in EXEMPT
-        and not any(
+    return {
+        qualified: any(
             node.name in attrs or (not method and node.name in names)
             for unit, names, attrs in referenced_by
             if unit is not node
         )
-    )
-    assert defined and not orphans, f"public functions and methods only the tests call: {orphans}"
+        for qualified, node, method in defined
+    }
+
+
+def test_every_public_function_has_a_caller():
+    # the exported names too: `__init__` imports them but calls none
+    has_caller = _has_caller()
+    orphans = sorted(q for q, called in has_caller.items() if not called and q not in EXEMPT)
+    assert has_caller, "no public function found"
+    assert not orphans, f"public functions and methods only the tests call: {orphans}"
+
+
+def test_every_exemption_is_a_defined_orphan():
+    # an exemption outlives its reason once its function is gone or called
+    has_caller = _has_caller()
+    gone = sorted(q for q in EXEMPT if q not in has_caller)
+    called = sorted(q for q in EXEMPT if has_caller.get(q))
+    assert not gone, f"EXEMPT names no public function or method: {gone}"
+    assert not called, f"EXEMPT names a function with a library caller: {called}"
 
 
 def test_a_method_name_shared_by_two_classes_lists_a_caller_of_each():

@@ -207,21 +207,14 @@ def test_intrinsic_lattice_convexity():
     assert not ps.intrinsically_lattice_convex(PointSet([(0,), (1,), (4,), (5,)]))
     assert not ps.intrinsically_lattice_convex(PointSet([(0,), (2,), (8,), (10,)]))
     assert ps.intrinsically_lattice_convex(PointSet([(0, 0), (1, 0), (0, 1)]))
+    with pytest.raises(DegenerateDifferencesError):
+        ps.intrinsically_lattice_convex(PointSet([(0, 0)]))
 
 
 def test_intrinsic_convexity_reduces_flat_sets():
     # the set lives on a line inside R^2; reduction must happen internally
     assert ps.intrinsically_lattice_convex(PointSet([(0, 0), (2, 2), (4, 4)]))
     assert not ps.intrinsically_lattice_convex(PointSet([(0, 0), (2, 2), (6, 6)]))
-
-
-def test_generated_lattice():
-    assert ps.generated_lattice(PointSet([(0,), (1,), (4,), (5,)])) == Z1
-    assert ps.generated_lattice(PointSet([(0,), (2,), (8,), (10,)])) == Lattice([(2,)])
-    lat = ps.generated_lattice(PointSet([(0, 0), (3, -1), (2, 1)]))
-    assert lat == Lattice([(3, -1), (2, 1)])
-    with pytest.raises(DegenerateDifferencesError):
-        ps.generated_lattice(PointSet([(0, 0), (1, 1)]))
 
 
 def test_prism_example_checks():

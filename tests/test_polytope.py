@@ -1,4 +1,5 @@
-"""Exact polytopes: hulls, widths, bodies, lattice points, volumes, polars."""
+"""Exact polytopes: hulls, widths, bodies, lattice points, polars, and volumes
+read off the facets of a hull."""
 
 import itertools
 import math
@@ -193,28 +194,6 @@ def test_lattice_points_lower_dimensional():
     assert list(pts) == [(F(0), F(0), F(0)), (F(1), F(1), F(0)), (F(2), F(2), F(0))]
 
 
-def test_interior_lattice_points():
-    sq = hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
-    assert list(sq.interior_lattice_points(Z2)) == [(F(0), F(0))]
-    hexagon = hull([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
-    doubled = hull([linalg.vscale(2, v) for v in hexagon.vertices])
-    inner = doubled.interior_lattice_points(Z2)
-    assert set(inner) == {
-        (F(0), F(0)),
-        (F(1), F(0)),
-        (F(-1), F(0)),
-        (F(0), F(1)),
-        (F(0), F(-1)),
-        (F(1), F(1)),
-        (F(-1), F(-1)),
-    }
-    simplex = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert simplex.interior_lattice_points(Z3) is None
-    seg = hull([(0, 0), (1, 0)])
-    with pytest.raises(LowerDimensionalError):
-        seg.interior_lattice_points(Z2)
-
-
 def test_an_empty_scan_is_none():
     # no lattice point at all: a segment and a triangle strictly between
     # lattice points, and a triangle of points of Z^2 that holds none of 2 Z^2
@@ -222,9 +201,6 @@ def test_an_empty_scan_is_none():
     inside = hull([(F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))])
     assert inside.lattice_points(Z2) is None
     assert hull([(1, 0), (0, 1), (1, 1)]).lattice_points(Lattice([(2, 0), (0, 2)])) is None
-    # lattice points on the boundary only: the unit simplex and a unit square
-    assert hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).interior_lattice_points(Z3) is None
-    assert hull([(0, 0), (1, 0), (0, 1), (1, 1)]).interior_lattice_points(Z2) is None
 
 
 def test_a_scan_is_the_point_set_of_its_points():
@@ -249,18 +225,39 @@ def test_a_scan_is_the_point_set_of_its_points():
     assert nonempty >= 12
 
 
+def hull_volume(p):
+    """The volume of a polytope, 0 when it is flat, read off its facets: cones
+    from the vertex centroid c over the facets.  A facet with primitive
+    normal a, on <a, x> = b, has (d-1)-volume times height equal to
+    (b - <a, c>) / |a_k| times the volume of its projection dropping a
+    coordinate k with a_k != 0, found recursively, as in `oracle_hull`."""
+    verts, d = p.vertices, p.ambient
+    if not p.is_full_dimensional():
+        return F(0)
+    if d == 1:
+        return verts[-1][0] - verts[0][0]
+    centre = linalg.vscale(F(1, len(verts)), tuple(map(sum, zip(*verts))))
+    volume = F(0)
+    for a, face in p.facet_vertex_sets():
+        k = next(i for i, e in enumerate(a) if e)
+        projected = hull([v[:k] + v[k + 1 :] for v in face])
+        height = linalg.vdot(a, face[0]) - linalg.vdot(a, centre)
+        volume += height / abs(a[k]) * hull_volume(projected)
+    return volume / d
+
+
 def test_volume_cubes():
     for d in (1, 2, 3, 4):
         cube = hull(list(itertools.product((0, 1), repeat=d)))
-        assert cube.volume() == 1
+        assert hull_volume(cube) == 1
 
 
 def test_volume_hexagon_and_polar_12():
     hexagon = hull([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
-    assert hexagon.volume() == 3
+    assert hull_volume(hexagon) == 3
     # D(K) for K = half the unit triangle; its polar has volume 12
     delta = hull([(0, 0), (F(1, 2), 0), (0, F(1, 2))])
-    assert polar(difference_body(delta)).volume() == 12
+    assert hull_volume(polar(difference_body(delta))) == 12
 
 
 def test_volume_translation_and_scaling():
@@ -269,13 +266,14 @@ def test_volume_translation_and_scaling():
         pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 3)]
         p = hull(pts)
         t = tuple(rng.randint(-5, 5) for _ in range(d))
-        assert hull(p.vertex_set.translate(t)).volume() == p.volume()
-        assert hull([linalg.vscale(3, v) for v in p.vertices]).volume() == 3**d * p.volume()
+        assert hull_volume(hull(p.vertex_set.translate(t))) == hull_volume(p)
+        scaled = hull([linalg.vscale(3, v) for v in p.vertices])
+        assert hull_volume(scaled) == 3**d * hull_volume(p)
 
 
 def test_volume_lower_dimensional_is_zero():
-    assert hull([(0, 0), (1, 1)]).volume() == 0
-    assert hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)]).volume() == 0
+    assert hull_volume(hull([(0, 0), (1, 1)])) == 0
+    assert hull_volume(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])) == 0
 
 
 def test_polar_cube_cross():
@@ -446,7 +444,7 @@ def test_hull_matches_brute_force_oracle(points):
         p = hull(pts)
         assert p.dim == rank
         assert p.vertices == oracle_vertices(pts)
-        assert p.volume() == 0
+        assert hull_volume(p) == 0
         with pytest.raises(LowerDimensionalError):
             p.facets()
         return
@@ -459,7 +457,7 @@ def test_hull_matches_brute_force_oracle(points):
         assert p.facet_vertex_sets() == tuple(
             (a, tuple(v for v in verts if linalg.vdot(a, v) == b)) for a, b in facets
         )
-        assert p.volume() == volume
+        assert hull_volume(p) == volume
 
 
 @pytest.mark.parametrize("shift", [0, 2**64 + 1, -(2**70)])
@@ -477,7 +475,7 @@ def test_hull_of_a_grid_with_coplanar_points(d, shift):
     p = hull(grid + boundary_points(verts, facets))
     assert p.vertices == tuple(sorted(verts))
     assert list(p.facets()) == facets
-    assert p.volume() == 2**d
+    assert hull_volume(p) == 2**d
 
 
 # -- vertices and incidences against the former plane scan -----------------
@@ -634,7 +632,6 @@ def test_planar_hulls_match_beneath_beyond(monkeypatch):
         assert p.dim == 2 and p.ambient == d
         assert p.vertices == oracle.vertices
         assert p.constraint_system() == oracle.constraint_system()
-        assert p.volume() == oracle.volume()
         checked[d] += 1
     assert min(checked.values()) > 100
 
@@ -660,7 +657,7 @@ def test_planar_hulls_solve_no_system(monkeypatch):
 # -- the integer lattice scan against the former Fraction scan --------------
 
 
-def fraction_lattice_scan(vertices, system, lat, strict):
+def fraction_lattice_scan(vertices, system, lat):
     """The former Polytope._lattice_scan: Fraction box, rows and map-back,
     over the constraint system (eqs, ineqs) of conv(vertices)."""
     d = len(vertices[0])
@@ -681,7 +678,7 @@ def fraction_lattice_scan(vertices, system, lat, strict):
 
     eq_rows, eq_rhs = integer_rows(eqs)
     le_rows, le_rhs = integer_rows(ineqs)
-    pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs, strict=strict)
+    pts = box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs)
     return sorted(linalg.mat_vec(lat.basis, z) for z in pts)
 
 
@@ -770,10 +767,7 @@ def test_lattice_scan_matches_fraction_scan(case):
     full = poly.is_full_dimensional()
     system = poly.constraint_system() if full else fraction_flat_hull(poly.vertices)[1]
     scan = as_points(poly.lattice_points(lat))
-    assert scan == fraction_lattice_scan(poly.vertices, system, lat, False)
-    if full:
-        inner = as_points(poly.interior_lattice_points(lat))
-        assert inner == fraction_lattice_scan(poly.vertices, system, lat, strict=True)
+    assert scan == fraction_lattice_scan(poly.vertices, system, lat)
 
 
 @st.composite
@@ -818,9 +812,7 @@ def test_flat_hull_matches_fraction_lifting(case, data):
     for x in probes:
         assert contains(poly, x) == satisfies(system, x)
     scan = as_points(poly.lattice_points(lat))
-    assert scan == fraction_lattice_scan(verts, system, lat, strict=False)
-    with pytest.raises(LowerDimensionalError):
-        poly.interior_lattice_points(lat)
+    assert scan == fraction_lattice_scan(verts, system, lat)
 
 
 def test_a_flat_hull_is_one_hull_call(monkeypatch):

@@ -21,6 +21,7 @@ from homometry.constructions import (
 from homometry.errors import (
     LowerDimensionalError,
     LowerDimensionalTileError,
+    NotASublatticeError,
     NotATilingError,
     NotLatticeConvexError,
     SingularMatrixError,
@@ -74,6 +75,20 @@ def test_verify_rejects_residue_collision():
     base = Lattice([(2, 0), (0, 2)])
     with pytest.raises(NotATilingError):
         ti.verify_tiling(Z2, base, PointSet([(0, 0), (2, 0), (0, 1), (1, 1)]))
+
+
+def test_verify_names_the_basis_vector_of_l_outside_m():
+    # M = 2Z x Z holds (2, 0) but not (1, 2): the witness is that vector of
+    # L's basis, and its M-coordinates by Cramer's rule are not integers
+    m_basis, l_basis = ((2, 0), (0, 1)), ((2, 0), (1, 2))
+    with pytest.raises(NotASublatticeError, match=r"basis vector \(1, 2\) is outside M") as err:
+        ti.verify_tiling(Lattice(m_basis), Lattice(l_basis), PointSet([(0, 0), (1, 0)]))
+    w = err.value.witness
+    assert w in [linalg.vec(b) for b in l_basis]
+    (a, c), (b, d) = m_basis  # the columns (a, c) and (b, d)
+    det = a * d - b * c
+    coords = (F(w[0] * d - b * w[1], det), F(a * w[1] - c * w[0], det))
+    assert any(z.denominator != 1 for z in coords)
 
 
 def test_wset_planar_k2_has_six_vectors():
@@ -263,7 +278,6 @@ def test_a_thin_direction_query_is_one_hull_call(monkeypatch):
     for t in tilings:
         for query in (
             lambda: ti.w_set(t.tile, t.translations),
-            lambda: ti.parity_check(t),
             lambda: ti.lattice_width(t.tile, t.translations),
         ):
             calls.clear()
@@ -289,8 +303,9 @@ def test_the_width_of_a_polytope_is_one_hull_call(monkeypatch):
 
 def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
     # the u = B^-T z of the scan are the nonzero points of L* in bound D(K)°
-    # (its interior when strict), the polar taken of the hull of K - K in
-    # the standard frame; bound 0 leaves o alone, with no interior
+    # (its interior when strict: those on no facet), the polar taken of the
+    # hull of K - K in the standard frame; bound 0 leaves o alone, with no
+    # interior
     rng = random.Random(43)
     cases = 0
     while cases < 18:
@@ -314,8 +329,12 @@ def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
             expected = set()
             if bound:
                 region = polar(body, bound)
-                scan = region.interior_lattice_points if strict else region.lattice_points
-                expected = {u for u in scan(dual) or () if any(u)}
+                expected = {u for u in region.lattice_points(dual) or () if any(u)}
+                if strict:
+                    facets = region.facets()
+                    expected = {
+                        u for u in expected if all(linalg.vdot(a, u) < b for a, b in facets)
+                    }
             assert set(got) == expected
             assert all(w == ti.width_of(k, u) for u, w in got.items())
 
@@ -1188,22 +1207,24 @@ def test_affine_covering_refuses_a_shrunk_lattice_facet(case, q):
         ti.affine_covering_test(shrunk, lat)
 
 
+def has_parity(tile, lat):
+    """(2 L*) ∩ int(D(T)°) = {o}: no nonzero u in L* has w(T, u) < 1/2.  Each
+    such u is in W(T, L), so it is read off the widths of `w_set`."""
+    return all(w >= F(1, 2) for w in ti.w_set(tile, lat).widths.values())
+
+
 def test_parity_check_families():
-    for k in (1, 2, 3, 4):
-        assert ti.parity_check(planar_family_tiling(k))
-    assert ti.parity_check(generalized_family_tiling(3, 2))
+    for t in [planar_family_tiling(k) for k in (1, 2, 3, 4)] + [generalized_family_tiling(3, 2)]:
+        assert has_parity(t.tile, t.translations)
+        assert not brute_widths_below(t.tile, t.translations, F(1, 2))
 
 
 def test_parity_check_negative_control():
-    # not a tiling (count mismatch): a tiny "tile" in a coarse lattice has
+    # a tiny "tile" in a coarse lattice (no tiling: the counts differ) has
     # dual directions of width < 1/2, so the parity property fails
-    broken = ti.Tiling(
-        ambient=Z2,
-        translations=Lattice([(8, 0), (0, 8)]),
-        tile=PointSet([(0, 0), (1, 0), (0, 1)]),
-        verified=True,
-    )
-    assert not ti.parity_check(broken)
+    tile, lat = PointSet([(0, 0), (1, 0), (0, 1)]), Lattice([(8, 0), (0, 8)])
+    assert not has_parity(tile, lat)
+    assert brute_widths_below(tile, lat, F(1, 2))
 
 
 def test_condition_b_forces_convex_s():
