@@ -8,12 +8,16 @@ reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
 kernel that scans one tile of each class of translates, walks its rows by
 their end points, and keeps every offset of the classes whose tile passes its
 dimension and diagonal-width filters.  Every tile it keeps is rebuilt and
-re-checked exactly, its flatness read from its hull ring `_kernels.hull_ring`;
-its lattice width, by the same planar Gauss reduction, decides once whether
-it exceeds 1, and each tile that does is verified to tile, on its hull from
-the same monotone chain (`Polytope.hull` takes beneath-beyond only for
-d != 2).  Tiles with equal unimodular normal forms (`normal_form`, read off
-the ring's edges) form one class.
+keyed by its integer offsets `PointSet.offsets`; equal keys mean T' = T + z
+with z in Z^2, and every check below is invariant under that translation.
+So the exact re-check runs once per key of a base, its flatness read from
+the hull ring `_kernels.hull_ring` and its lattice width, by the same planar
+Gauss reduction, deciding whether it exceeds 1; each kept key is verified to
+tile once per base, on its hull from the same monotone chain
+(`Polytope.hull` takes beneath-beyond only for d != 2); and tiles with equal
+unimodular normal forms (`normal_form`, read off the ring's edges, taken once
+per key) form one class.  Every other tile is certified by the exact
+equality of its offsets with a checked one.
 """
 
 from __future__ import annotations
@@ -120,16 +124,20 @@ def _exact_filters(pts: PointSet, l: int, h: int, s: int):
 def search_tiles_with_base(l: int, h: int, s: int) -> dict:
     """Scan all tile candidates for one base.
 
-    Each tile the kernel keeps is re-checked in exact arithmetic and kept
-    when its lattice width exceeds 1; the stats are the kernel's, then
-    width_one_rejects.
+    Each tile the kernel keeps is rebuilt and kept when its lattice width
+    exceeds 1.  The exact re-check runs on the first tile of each key
+    `PointSet.offsets`: a tile with the key of a checked one is its translate
+    by a vector of Z^2, which keeps flatness and both widths, so it takes
+    that tile's answer.  The stats are the kernel's, then width_one_rejects.
     """
     stats, raw_survivors = search_base_raw(l, h, s)
     stats["width_one_rejects"] = 0
-    survivors = []
+    survivors, checked = [], {}
     for q1, q2 in raw_survivors:
         pts = tile_points(l, h, s, q1, q2)
-        ok, diag_width, lattice_w = _exact_filters(pts, l, h, s)
+        if pts.offsets not in checked:
+            checked[pts.offsets] = _exact_filters(pts, l, h, s)
+        ok, diag_width, lattice_w = checked[pts.offsets]
         if not ok:
             raise InvariantError(
                 f"kernel survivor fails exact re-check at base ({l},{h},{s}), q=({q1},{q2})",
@@ -238,9 +246,14 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
       (1, 0), (5, 7).
 
     The search takes from the paper that every such tile is a translate of
-    one of the cells T_q it scans; it re-checks and verifies each tile it
-    keeps, not that this pruning is complete.  Tiles of lattice width 1, the
-    two-row sets {0..k} x {0} ∪ {0..m} x {1}, are left out by design.
+    one of the cells T_q it scans, not that this pruning is complete.  It
+    re-checks every tile it keeps: the exact filters, the normal form and
+    the tiling verification run on the first tile of each key
+    `PointSet.offsets` (of each base, for the filters and the verification),
+    and a tile with that key is the checked one translated by a vector of
+    Z^2, which keeps the widths, the normal form, M = L ⊕ T and M-convexity.
+    Tiles of lattice width 1, the two-row sets {0..k} x {0} ∪ {0..m} x {1},
+    are left out by design.
     """
     results = [
         {"det": det_value, **search_tiles_with_base(l, h, s)}
@@ -250,18 +263,24 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
     survivors = [surv for res in results for surv in res["survivors"]]
 
     by_key: dict[tuple, TileClass] = {}
+    keys = {}  # offsets -> normal-form key
     for surv in survivors:
-        key = normal_form(surv["points"])[0]
+        pts = surv["points"]
+        if pts.offsets not in keys:
+            keys[pts.offsets] = normal_form(pts)[0]
+        key = keys[pts.offsets]
         if key not in by_key:
-            rep = surv["points"].normalized()
+            rep = pts.normalized()
             witnesses = {"diag_width": surv["diag_width"], "lattice_width": surv["lattice_width"]}
             by_key[key] = TileClass(rep, centrally_symmetric(rep), witnesses=witnesses)
         by_key[key].members.append(surv)
     classes = list(by_key.values())
 
-    plane, bases = Lattice.standard(2), {}  # one Lattice each, so their views are cached
+    plane, bases, verified = Lattice.standard(2), {}, set()  # one Lattice a base, its views cached
     for surv in survivors:
         lhs = surv["l"], surv["h"], surv["s"]
+        if (lhs, surv["points"].offsets) in verified:
+            continue
         if lhs not in bases:
             bases[lhs] = lattice_from_lhs(*lhs)
         try:
@@ -269,8 +288,9 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
         except (NotATilingError, NotLatticeConvexError) as exc:
             raise InvariantError(
                 f"survivor does not tile: {exc}",
-                witness={"base": (surv["l"], surv["h"], surv["s"]), "q": surv["q"]},
+                witness={"base": lhs, "q": surv["q"]},
             ) from exc
+        verified.add((lhs, surv["points"].offsets))
 
     central = [c for c in classes if c.centrally_symmetric]
     noncentral = [c for c in classes if not c.centrally_symmetric]

@@ -15,6 +15,7 @@ from .errors import (
     InvalidParametersError,
     InvalidSError,
     InvariantError,
+    NotInLatticeError,
 )
 from .lattice import Lattice
 from .linalg import frac, mat, mat_mul, mat_vec, transpose, vdot, vec, vec_str, vsub
@@ -88,11 +89,11 @@ def planar_family(k: int, s: PointSet | None = None) -> HomometricPair:
 
 
 def _validate_planar_s(s: PointSet, t: Tiling, allowed_edges):
-    lat = t.translations
-    for p in s.points:
-        if not lat.contains(p):
-            raise InvalidSError(f"S point {vec_str(p)} is outside L", witness=p)
-    gap = lattice_convexity_witness(s, lat)
+    try:
+        gap = lattice_convexity_witness(s, t.translations)
+    except NotInLatticeError as exc:
+        p = exc.witness
+        raise InvalidSError(f"S point {vec_str(p)} is outside L", witness=p) from exc
     if gap is not None:
         msg = f"S is not L-convex: conv(S) holds the L-point {vec_str(gap)}, which S misses"
         raise InvalidSError(msg, witness=gap)

@@ -80,7 +80,10 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     """Checks M = L ⊕ T with an M-convex tile and returns the verified triple.
 
     The direct-sum condition is decided by counting: T must hit each of the
-    index-many cosets of L in M exactly once.
+    index-many cosets of L in M exactly once.  A tile with fewer points than
+    the index fails on its count; any other one is walked coset by coset,
+    so a tile with more points names two in one coset (pigeonhole), and a
+    tile that passes the walk has at most, hence exactly, index-many points.
     """
     if not (ambient.dim == translations.dim == tile.dim):
         raise ValueError("dimension mismatch between lattices and tile")
@@ -92,7 +95,7 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     if p is not None:
         raise NotATilingError(f"tile point {vec_str(p)} is outside M", witness=p)
     idx = translations.determinant / ambient.determinant  # [M:L], an integer as L ⊆ M
-    if len(tile) != idx:
+    if len(tile) < idx:
         raise NotATilingError(
             f"tile has {len(tile)} points but the index [M:L] is {idx}"
         )

@@ -298,6 +298,55 @@ def test_survivors_verify_as_tilings():
         assert surv["diag_width"] < 1
 
 
+def test_each_survivor_matches_its_own_full_checks():
+    # classify runs the checks once per class of translates; here every one
+    # of the 14 survivors gets them all, from a tile rebuilt by the test
+    report = cl.classify(cl.SearchConfig(det_lo=7, det_hi=18))
+    plane = Lattice.standard(2)
+    class_of = {id(m): c for c in report["classes"] for m in c.members}
+    survivors = [m for c in report["classes"] for m in c.members]
+    assert len(survivors) == len(class_of) == report["survivor_count"] == 14
+    for surv in survivors:
+        l, h, s = surv["l"], surv["h"], surv["s"]
+        tile = cl.tile_points(l, h, s, *surv["q"])
+        assert tile == surv["points"]
+        ok, diag_width, lattice_w = cl._exact_filters(tile, l, h, s)
+        assert ok and lattice_w > 1
+        assert (surv["diag_width"], surv["lattice_width"]) == (diag_width, lattice_w)
+        assert ti.verify_tiling(plane, lattice_from_lhs(l, h, s), tile).verified
+        rep = class_of[id(surv)].representative
+        assert cl.normal_form(tile)[0] == cl.normal_form(rep)[0]
+        assert cl.unimodular_equivalent(tile, CROSS)[0]
+    assert {(m["l"], m["h"], m["s"]) for m in survivors} == {(1, 7, 3), (1, 7, 5)}
+
+
+def test_checks_run_once_per_class_of_translates(monkeypatch):
+    # the 14 survivors are 2 classes of 7 translates, one on each base: the
+    # filters and the verification run once per (base, class), the normal
+    # form once per class of translates, and every survivor is rebuilt
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (cl, "tile_points"),
+        (cl, "_exact_filters"),
+        (cl, "normal_form"),
+        (ti, "verify_tiling"),
+    ]:
+        counted(module, name)
+    report = cl.classify(cl.SearchConfig(det_lo=7, det_hi=18))
+    assert report["survivor_count"] == 14
+    assert calls == {"tile_points": 14, "_exact_filters": 2, "normal_form": 2, "verify_tiling": 2}
+
+
 def test_verifying_and_normalizing_a_tile_builds_no_fraction_view():
     # the coset loop names points only when a coset repeats, and the normal
     # form's translation reads the least point alone

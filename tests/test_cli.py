@@ -137,8 +137,21 @@ HALVES = {"basis": [["1/2", 0], [0, 1]]}
              "T": {"points": [[0, 0]]}},
             "L is not a sublattice of M: its basis vector (1/4, 0) is outside M",
         ),
+        (
+            {"M": {"basis": [[1, 0], [0, 1]]}, "L": {"basis": [[2, 0], [0, 1]]},
+             "T": {"points": [[0, 0], [1, 0], [2, 0]]}},
+            "tile points (0, 0) and (2, 0) lie in the same coset of L",
+        ),
+        (
+            {"M": {"basis": [[1, 0], [0, 1]]}, "L": {"basis": [[2, 0], [0, 1]]},
+             "T": {"points": [[0, 0]]}},
+            "tile has 1 points but the index [M:L] is 2",
+        ),
     ],
-    ids=["outside-M", "coset-clash", "convexity-gap", "not-a-sublattice"],
+    ids=[
+        "outside-M", "coset-clash", "convexity-gap", "not-a-sublattice", "too-many-points",
+        "too-few-points",
+    ],
 )
 def test_verify_tiling_violations_print_plain_rationals(tmp_path, capsys, doc_in, reason):
     path = write_doc(tmp_path, "t.json", doc_in)

@@ -59,8 +59,16 @@ def test_planar_family_rejects_bad_s():
     bad2 = PointSet([(0, 0), b1, linalg.vsub(b2, b1), linalg.vadd(b1, b2)])
     with pytest.raises(InvalidSError):
         con.planar_family(2, bad2)
-    with pytest.raises(InvalidSError, match=r"S point \(1/2, 0\) is outside L"):
+    with pytest.raises(InvalidSError, match=r"^S point \(1/2, 0\) is outside L$") as err:
         con.planar_family(2, PointSet([(0, 0), ("1/2", 0)]))
+    assert err.value.witness == (F(1, 2), 0)
+    assert not t.translations.contains(err.value.witness)
+    # of several points outside L, the witness is the first in point order
+    s = PointSet([(0, 0), ("1/2", 0), ("1/3", 1), (5, "1/2")])
+    with pytest.raises(InvalidSError, match=r"^S point \(1/3, 1\) is outside L$") as err:
+        con.planar_family(2, s)
+    outside = [p for p in s.points if not t.translations.contains(p)]
+    assert len(outside) == 3 and err.value.witness == outside[0]
     bad3 = PointSet([(0, 0), linalg.vadd(b1, b2), b1])
     with pytest.raises(
         InvalidSError, match=r"^edge \(0, 0\)\.\.\(5, 0\) is parallel to no allowed direction$"

@@ -95,3 +95,50 @@ def test_hull_checks_run_under_optimize(hull_input, corruption, message):
     assert report["raised"] == "InvariantError"
     assert report["message"] == message
     assert report["witness"] == witness
+
+
+# Adds the first offset the kernel rejects on the first base as a survivor,
+# runs the classify2d verb, and reports the bogus offset on standard error.
+INJECT_BOGUS_SURVIVOR = """
+import json, math, sys
+from homometry import classify2d
+from homometry.cli import main
+
+real, bogus = classify2d.search_base_raw, {}
+
+def with_bogus_survivor(l, h, s):
+    stats, survivors = real(l, h, s)
+    if not bogus:
+        bogus.update(base=[l, h, s], q=next(
+            [q1, q2]
+            for q1 in range(0, l * h, math.gcd(h, s))
+            for q2 in range(0, l * h, l)
+            if (q1, q2) not in survivors
+        ))
+        survivors = survivors + [tuple(bogus["q"])]
+    return stats, survivors
+
+classify2d.search_base_raw = with_bogus_survivor
+code = main(["classify2d", "--det-range", "7:7"])
+print(json.dumps({"bogus": bogus, "debug": __debug__}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_classify_recheck_runs_under_optimize():
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", INJECT_BOGUS_SURVIVOR],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 2, out.stderr
+    report = json.loads(out.stderr.splitlines()[-1])
+    assert report["debug"] is False
+    assert report["bogus"]["base"] == [1, 7, 3]
+    doc = json.loads(out.stdout)
+    assert doc["status"] == "error"
+    assert doc["error"].startswith("kernel survivor fails exact re-check")
+    assert doc["witness"] == report["bogus"]

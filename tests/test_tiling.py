@@ -71,6 +71,25 @@ def test_verify_rejects_count_mismatch():
         ti.verify_tiling(Z2, Z2, PointSet([(0, 0), (1, 0)]))
 
 
+def test_verify_names_two_points_in_one_coset_of_a_too_large_tile():
+    # L = 2Z x 3Z has index 6 in Z^2; the 7-point tile holds two points whose
+    # difference has even x and y a multiple of 3, which the walk must name
+    base = Lattice([(2, 0), (0, 3)])
+    tile = PointSet([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (3, 3)])
+    with pytest.raises(NotATilingError, match=r"^tile points .* lie in the same coset of L$") as err:
+        ti.verify_tiling(Z2, base, tile)
+    a, b = err.value.witness
+    assert a != b and a in tile and b in tile
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    assert dx % 2 == 0 and dy % 3 == 0
+    assert (a, b) == ((1, 0), (3, 3))
+
+
+def test_verify_reports_the_count_of_a_too_small_tile():
+    with pytest.raises(NotATilingError, match=r"^tile has 2 points but the index \[M:L\] is 4$"):
+        ti.verify_tiling(Z2, Lattice([(2, 0), (0, 2)]), PointSet([(0, 0), (1, 0)]))
+
+
 def test_verify_rejects_residue_collision():
     base = Lattice([(2, 0), (0, 2)])
     with pytest.raises(NotATilingError):
