@@ -256,14 +256,7 @@ def cmd_gen_example(args) -> int:
 def _pair_from_doc(doc) -> constructions.HomometricPair:
     ambient, translations, tile = jsonio.tiling_doc_in(_field(doc, "tiling"), "$.tiling")
     t = tiling.verify_tiling(ambient, translations, tile)
-    s = jsonio.pointset_in(_field(doc, "S"), "$.S")
-    return constructions.HomometricPair(
-        sum_plus=pointset.direct_sum(s, t.tile),
-        sum_minus=pointset.direct_sum(s, t.tile.negate()),
-        tiling=t,
-        s=s,
-        nontrivial=bool(_field(doc, "nontrivial")),
-    )
+    return constructions._build_pair(jsonio.pointset_in(_field(doc, "S"), "$.S"), t)
 
 
 def cmd_irregular_catalog(args) -> int:

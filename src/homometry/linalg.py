@@ -8,14 +8,14 @@ Conventions used throughout the package:
 * a matrix is a tuple of *column* vectors, so ``mat_vec(M, x)`` is the linear
   combination of the columns of M with coefficients x.
 
-Every rational solver (``det`` beyond 2x2, ``solve``, ``solve_scaled``,
-``inverse``, ``nullspace``, ``independent_subset``, ``rank_of``) is a
-thin wrapper around one fraction-free, row-incremental Gauss-Jordan pass,
+Every rational solver (``det``, ``solve``, ``solve_scaled``, ``inverse``,
+``nullspace``, ``independent_subset``, ``rank_of``) is a thin wrapper
+around one fraction-free, row-incremental Gauss-Jordan pass,
 ``_gauss_jordan``: it runs on integers.  ``det``, ``solve`` and
 ``inverse`` return Fractions; ``solve_scaled`` returns the solutions as
 integers over one positive denominator, and ``nullspace`` reads
-primitive integer kernel vectors straight off the pivot rows; neither
-makes a Fraction.
+primitive integer kernel vectors straight off the pivot rows (``_kernel``,
+which ``Polytope.hull`` runs on its own pass); neither makes a Fraction.
 ``clear_denominators`` is the one way rational vectors become integer
 data; a ``PointSet`` keeps its points in the form it returns.
 """
@@ -167,21 +167,15 @@ def _gauss_jordan(rows: Iterable[Sequence], width: int):
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant: closed forms up to 2x2, else one Gauss-Jordan pass.
+    """Exact determinant from one Gauss-Jordan pass, for every size.
 
     The pass reduces the columns as rows; the determinant is the leading
     minor over the row scales, times the sign of the permutation the lead
-    columns form.
+    columns form.  A 0x0 matrix keeps no row, and its determinant is 1.
     """
     d = len(m)
     if any(len(c) != d for c in m):
         raise ValueError("determinant of a non-square matrix")
-    if d == 0:
-        return Fraction(1)
-    if d == 1:
-        return m[0][0]
-    if d == 2:
-        return m[0][0] * m[1][1] - m[1][0] * m[0][1]
     _, pivots, den, scale = _gauss_jordan(m, d)
     if len(pivots) < d:
         return Fraction(0)
@@ -362,25 +356,29 @@ def span_coordinates(cols: Sequence[Vec], points: Sequence[Vec]):
 
 
 def nullspace(rows: Sequence[Vec]) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : <r, x> = 0 for all rows r}, as primitive integer vectors.
-
-    One vector per free column fc of the reduced row echelon form.  The
-    pivot rows are `den` times their rows of that form, so `den` at fc and
-    minus each pivot row's entry at fc at its lead column is an integer
-    kernel vector; it is divided by its gcd times the sign of `den`, which
-    keeps it positively parallel to the vector with 1 at fc.
-    """
+    """Basis of {x : <r, x> = 0 for all rows r}, as primitive integer vectors,
+    read off one Gauss-Jordan pass (`_kernel`)."""
     if not rows:
         raise ValueError("nullspace needs at least the ambient dimension")
     d = len(rows[0])
     _, pivots, den, _ = _gauss_jordan(rows, d)
+    return _kernel(pivots, den, d)
+
+
+def _kernel(pivots, den: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The kernel of the rows of a `_gauss_jordan` pass, from its pivots and
+    den: one primitive integer vector per free column fc of the reduced row
+    echelon form.  The pivot rows are `den` times their rows of that form,
+    so `den` at fc and minus each pivot row's entry at fc at its lead column
+    is a kernel vector; it is divided by its gcd times the sign of `den`,
+    which keeps it positively parallel to the vector with 1 at fc."""
     leads = {lead for lead, _ in pivots}
     sign = 1 if den > 0 else -1
     out = []
-    for fc in range(d):
+    for fc in range(width):
         if fc in leads:
             continue
-        x = [0] * d
+        x = [0] * width
         x[fc] = den
         for pc, row in pivots:
             x[pc] = -row[fc]

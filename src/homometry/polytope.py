@@ -23,13 +23,14 @@ edge can lie on d facets, and the rank of the planes' normals decides.
 A map from each ridge to the facets through it gives the horizon; it is
 checked to hold two facets wherever an insertion changes it, so a
 boundary that stops being a pseudomanifold fails loudly.
-Lower-dimensional input of rank r is projected onto r coordinates that
-map its affine hull one to one onto R^r; the full-dimensional hull there
-is lifted back by point index and by placing each facet row at those
-coordinates.  Every polytope keeps one constraint system, equalities and
-inequalities with primitive integer rows and rational right-hand sides,
-and its lattice points are one `box_scan` of that system in the lattice's
-integer coordinates.
+Input of rank r is projected onto r coordinates that map its affine hull
+one to one onto R^r, and the hull there is lifted back by point index and
+by placing each facet row at those coordinates; one elimination of the
+differences gives the coordinates, the first simplex and the equalities,
+for every r from 0 (a point) to d.  Every polytope keeps one constraint
+system, equalities and inequalities with primitive integer rows and
+rational right-hand sides, and its lattice points are one `box_scan` of
+that system in the lattice's integer coordinates.
 """
 
 from __future__ import annotations
@@ -108,23 +109,15 @@ def _hull_plane(k: pointset.PointSet) -> "Polytope":
         a = _primitive((q[1] - p[1], p[0] - q[0]))
         facets.append(((a, _facet_beta(k, [p, q], a, inner)), (p, q)))
     facets.sort()  # the normals differ, so by plane
-    planes = [plane for plane, _ in facets]
-    _check_contains(k, planes)
     verts = sorted(ring)
     pos = {v: n for n, v in enumerate(verts)}
-    data = {
-        "eqs": (),
-        "hyps": tuple((a, Fraction(b, k.den)) for a, b in planes),
-        "facet_vertices": tuple(tuple(sorted((pos[p], pos[q]))) for _, (p, q) in facets),
-    }
-    vset = pointset.PointSet.from_scaled(verts, k.den)
-    return Polytope(_vertices=vset, _ambient=2, _dim=2, _internal=data)
+    on_plane = [sorted((pos[p], pos[q])) for _, (p, q) in facets]
+    return _full_polytope(k, [plane for plane, _ in facets], verts, on_plane)
 
 
 def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     """Beneath-beyond hull of a full-dimensional set, on its integer points;
-    `Polytope.hull` takes it in every dimension but 2, which `_hull_plane`
-    reads off the ring.
+    `_hull_full_rank` takes it in every dimension but 0 and 2.
 
     The first simplex, on the points `init`, takes its d + 1 normals from
     one inverse.  Every later facet passes through a horizon ridge r and
@@ -149,7 +142,7 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     four facets through that edge, whose normals have rank 3.  There the
     rank decides.
     """
-    den, ipts, d = k.den, k.ints, k.dim
+    ipts, d = k.ints, k.dim
     # (d + 1) * D times the centroid of the first simplex: <a, inner> is
     # compared with (d + 1) * beta
     inner = tuple(map(sum, zip(*[ipts[i] for i in init])))
@@ -211,7 +204,6 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
         check_ridges(touched)
 
     planes = sorted(set(facets.values()))  # one row for coplanar simplices
-    _check_contains(k, planes)
     tight: dict[int, set] = {}  # a simplex vertex -> its simplices' planes
     for f, plane in facets.items():
         for i in f:
@@ -224,13 +216,30 @@ def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
     for pos, i in enumerate(verts):
         for plane in tight[i]:
             on_plane[row[plane]].append(pos)
+    return _full_polytope(k, planes, [ipts[i] for i in verts], on_plane)
+
+
+def _hull_full_rank(k: pointset.PointSet, init: list[int]) -> "Polytope":
+    """conv K of a full-dimensional K, `init` indexing d + 1 affinely
+    independent points: off the ring in the plane, else by beneath-beyond
+    but in R^0, where K is one point on no facet."""
+    if k.dim == 2:
+        return _hull_plane(k)
+    return _hull_full_dim(k, init) if k.dim else _full_polytope(k, [], k.ints, [])
+
+
+def _full_polytope(k: pointset.PointSet, planes, verts: list[IntVec], on_plane) -> "Polytope":
+    """The hull of a full-dimensional K from its sorted planes (a, beta),
+    <a, D x> <= beta, its sorted integer vertices and each plane's vertex
+    positions in them, once every point of K passes the containment sweep."""
+    _check_contains(k, planes)
     data = {
         "eqs": (),
-        "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
+        "hyps": tuple((a, Fraction(b, k.den)) for a, b in planes),
         "facet_vertices": tuple(map(tuple, on_plane)),
     }
-    vset = pointset.PointSet.from_scaled([ipts[i] for i in verts], den)
-    return Polytope(_vertices=vset, _ambient=d, _dim=d, _internal=data)
+    vset = pointset.PointSet.from_scaled(verts, k.den)
+    return Polytope(_vertices=vset, _ambient=k.dim, _dim=k.dim, _internal=data)
 
 
 class Polytope:
@@ -248,28 +257,26 @@ class Polytope:
 
     @staticmethod
     def hull(points) -> "Polytope":
-        """conv of a PointSet, or of the PointSet of any nonempty points."""
+        """conv of a PointSet, or of the PointSet of any nonempty points.
+
+        One elimination of the differences D (p - p0) serves every rank r:
+        its kept rows start the hull, their sorted lead columns map aff(K)
+        one to one onto R^r, and its pivots' kernel gives the equalities.
+        A point is r = 0: no row is kept, so its equalities are x_i = p_i.
+        """
         k = points if isinstance(points, pointset.PointSet) else pointset.PointSet(points)
         ambient, ints = k.dim, k.ints
-        if len(ints) == 1:  # its equalities x_i = p_i are built on first read
-            return Polytope(_vertices=k, _ambient=ambient, _dim=0, _internal={"hyps": ()})
         p0 = ints[0]
-        diffs = [tuple(map(sub, p, p0)) for p in ints]  # diffs[0] is zero and never picked
-        frame = linalg.independent_subset(diffs)
-        dirs = tuple(diffs[i] for i in frame)
-        r = len(dirs)
-        if r == ambient:  # rank 2 is hulled off the monotone chain, here and when flat
-            return _hull_plane(k) if r == 2 else _hull_full_dim(k, [0] + frame)
-        # flat: r coordinates on which the directions are independent map aff(K)
-        # one to one onto R^r, where the projected points D p are full-dimensional
-        cols = linalg.independent_subset(tuple(zip(*dirs)))
+        diffs = [tuple(map(sub, p, p0)) for p in ints]  # diffs[0] is zero and never kept
+        frame, pivots, den, _ = linalg._gauss_jordan(diffs, ambient)
+        r = len(frame)
+        if r == ambient:
+            return _hull_full_rank(k, [0] + frame)
+        cols = sorted(lead for lead, _ in pivots)
         projected = [tuple([p[i] for i in cols]) for p in ints]
         flat_k = pointset.PointSet.from_scaled(projected)
-        if r == 2:
-            flat = _hull_plane(flat_k)
-        else:
-            at = {q: i for i, q in enumerate(flat_k.ints)}
-            flat = _hull_full_dim(flat_k, [at[projected[i]] for i in [0] + frame])
+        at = {q: i for i, q in enumerate(flat_k.ints)}
+        flat = _hull_full_rank(flat_k, [at[projected[i]] for i in [0] + frame])
         index = dict(zip(projected, ints))
         verts = pointset.PointSet.from_scaled([index[v] for v in flat.vertex_set.ints], k.den)
         hyps = []
@@ -278,10 +285,8 @@ class Polytope:
             for i, c in zip(cols, a):
                 row[i] = c
             hyps.append((tuple(row), b / k.den))
-        data = {
-            "eqs": tuple([(n, Fraction(_idot(n, p0), k.den)) for n in linalg.nullspace(dirs)]),
-            "hyps": tuple(hyps),
-        }
+        eqs = [(n, Fraction(_idot(n, p0), k.den)) for n in linalg._kernel(pivots, den, ambient)]
+        data = {"eqs": tuple(eqs), "hyps": tuple(hyps)}
         return Polytope(_vertices=verts, _ambient=ambient, _dim=r, _internal=data)
 
     @property
@@ -317,18 +322,14 @@ class Polytope:
         return tuple([(a, tuple([verts[j] for j in f])) for (a, _), f in zip(hyps, on)])
 
     def constraint_system(self):
-        """Ambient description: (equalities, inequalities) as (row, rhs) pairs.
+        """Ambient description: (equalities, inequalities) as (row, rhs) pairs,
+        both made by `hull` for every dimension (a point's are x_i = p_i).
 
         Each row is a primitive int tuple and each rhs a Fraction; x belongs
         to the polytope iff <row, x> = rhs for every equality and
         <row, x> <= rhs for every inequality.
         """
-        data = self._data
-        if "eqs" not in data:  # a single point p: x_i = p_i
-            (p,), den, d = self.vertex_set.ints, self.vertex_set.den, self.ambient
-            units = [tuple([int(i == j) for j in range(d)]) for i in range(d)]
-            data["eqs"] = tuple([(u, Fraction(c, den)) for u, c in zip(units, p)])
-        return data["eqs"], data["hyps"]
+        return self._data["eqs"], self._data["hyps"]
 
     # -- lattice interaction ------------------------------------------------
 

@@ -19,7 +19,7 @@ from homometry import linalg, pointset as ps, polytope, tiling as ti
 from homometry.errors import HomometryError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
-from test_polytope import contains, difference_body, hull_volume, polar
+from .test_polytope import contains, difference_body, hull_volume, polar
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 

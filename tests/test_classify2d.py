@@ -20,8 +20,8 @@ from homometry.errors import InvariantError, LowerDimensionalError
 from homometry.lattice import Lattice, lattice_from_lhs
 from homometry.linalg import mat, mat_vec, vadd, vsub
 from homometry.pointset import PointSet, minkowski_sum
-from test_lattice import sublattices_of_z2
-from test_linalg import primitive_integer_direction
+from .test_lattice import sublattices_of_z2
+from .test_linalg import primitive_integer_direction
 
 CROSS = PointSet([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
 

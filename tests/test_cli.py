@@ -286,6 +286,20 @@ def test_gen_example_product(tmp_path, capsys):
     assert len(doc["payload"]["tiling"]["T"]["points"][0]) == 4
 
 
+def test_gen_example_product_needs_no_nontrivial_field(tmp_path, capsys):
+    # the product reads only S and the tiling of each pair
+    code, left = run_json(capsys, ["gen-example", "planar", "--k", "1"])
+    with_flag = write_doc(tmp_path, "with.json", left["payload"])
+    bare = dict(left["payload"])
+    del bare["nontrivial"]
+    without = write_doc(tmp_path, "without.json", bare)
+    product = lambda path: ["gen-example", "product", "--left", path, "--right", path]
+    code, want = run_cli(capsys, product(with_flag))
+    assert code == 0
+    code, got = run_cli(capsys, product(without))
+    assert code == 0 and got == want
+
+
 def test_gen_example_counterexamples(capsys):
     code, doc = run_json(capsys, ["gen-example", "counterexample-ab", "--d", "3"])
     assert code == 0

@@ -19,10 +19,10 @@ from homometry.lattice import Lattice, lattice_from_lhs
 from homometry.linalg import frac, mat, mat_vec, transpose, vdot, vec
 from homometry.pointset import PointSet
 from homometry.polytope import hull
-from test_acceptance import _random_tilings
-from test_lattice import sublattices_of_z2
-from test_linalg import primitive_integer_direction
-from test_polytope import contains, in_hull_oracle
+from .test_acceptance import _random_tilings
+from .test_lattice import sublattices_of_z2
+from .test_linalg import primitive_integer_direction
+from .test_polytope import contains, in_hull_oracle
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -15,7 +15,7 @@ from homometry import linalg
 from homometry.classify2d import shear_normal_bases
 from homometry.errors import SingularMatrixError
 from homometry.lattice import Lattice, lattice_from_lhs
-from test_linalg import hnf, primitive_integer_direction
+from .test_linalg import hnf, primitive_integer_direction
 
 Z2 = Lattice.standard(2)
 

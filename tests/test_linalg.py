@@ -106,6 +106,21 @@ def test_plain_int_matrices_stay_exact():
     assert inv == ((1, -1), (-1, 2)) and all(exact(col) for col in inv)
 
 
+def test_det_of_every_size_is_the_one_elimination():
+    # sizes 0, 1 and 2 take the pass too, and plain ints still give Fractions
+    assert det(()) == 1
+    for m, want in [
+        (((F(-3, 2),),), F(-3, 2)),
+        (((0,),), 0),
+        (((1, 2), (3, 4)), -2),
+        (((1, 2), (2, 4)), 0),
+    ]:
+        value = det(m)
+        assert value == want and type(value) is F
+    with pytest.raises(ValueError):
+        det(((1, 2),))
+
+
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve(mat([(1, 2), (2, 4)]), linalg.vec((1, 0)))

@@ -22,7 +22,7 @@ from homometry.errors import (
 )
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
-from test_polytope import in_hull_oracle
+from .test_polytope import in_hull_oracle
 
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)

@@ -17,7 +17,7 @@ from homometry.errors import LowerDimensionalError, SingularMatrixError
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import Polytope, hull
-from test_linalg import primitive_integer_direction
+from .test_linalg import primitive_integer_direction
 
 Z1 = Lattice.standard(1)
 Z2 = Lattice.standard(2)
@@ -813,6 +813,79 @@ def test_flat_hull_matches_fraction_lifting(case, data):
         assert contains(poly, x) == satisfies(system, x)
     scan = as_points(poly.lattice_points(lat))
     assert scan == fraction_lattice_scan(verts, system, lat)
+
+
+def three_pass_hull(points):
+    """The former lower-dimensional `Polytope.hull`: (vertices, constraint
+    system) from three eliminations, `independent_subset` of the
+    differences for the frame, `independent_subset` of the frame's
+    transpose for the coordinates, and `nullspace` of the frame for the
+    equalities; a single point p gives x_i = p_i with no elimination."""
+    k = PointSet(points)
+    ints, den, d = k.ints, k.den, k.dim
+    p0 = ints[0]
+    if len(ints) == 1:
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        return k.points, (tuple((u, F(c, den)) for u, c in zip(units, p0)), ())
+    diffs = [tuple(c - z for c, z in zip(p, p0)) for p in ints]
+    dirs = tuple(diffs[i] for i in linalg.independent_subset(diffs))
+    cols = linalg.independent_subset(tuple(zip(*dirs)))
+    projected = [tuple(p[i] for i in cols) for p in ints]
+    flat = hull(PointSet.from_scaled(projected))
+    index = dict(zip(projected, ints))
+    verts = PointSet.from_scaled([index[v] for v in flat.vertex_set.ints], den)
+    ineqs = []
+    for a, b in flat.constraint_system()[1]:
+        row = [0] * d
+        for i, c in zip(cols, a):
+            row[i] = c
+        ineqs.append((tuple(row), b / den))
+    eqs = tuple((n, F(sum(map(mul, n, p0)), den)) for n in linalg.nullspace(dirs))
+    return verts.points, (eqs, tuple(ineqs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_point_sets())
+def test_flat_hulls_match_the_three_pass_frame(case):
+    pts, _ = case
+    p = hull(pts)
+    assert (p.vertices, p.constraint_system()) == three_pass_hull(pts)
+
+
+@pytest.mark.parametrize(
+    "point", [(), (F(-7, 2),), (3, 4), (F(1, 2), 2**64 + 1, F(-(2**70), 3)), (0, 0, 0, 5)]
+)
+def test_a_point_matches_the_three_pass_frame(point):
+    p = hull([point])
+    assert p.dim == 0 and p.ambient == len(point)
+    assert (p.vertices, p.constraint_system()) == three_pass_hull([point])
+
+
+def test_a_flat_hull_runs_one_elimination(monkeypatch):
+    # the frame, the coordinates and the equalities all come off the pass
+    # over the differences; in the plane, and for a point, nothing else
+    # eliminates
+    calls = []
+    for name in ("independent_subset", "nullspace", "_gauss_jordan"):
+        run = getattr(linalg, name)
+        counted = lambda *args, run=run, name=name: calls.append(name) or run(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    for pts in (
+        [(1, 2, 3)],
+        [(F(1, 2), 0, 0, 1)],
+        [(0, 0, 0), (1, 2, 1), (3, 6, 3), (1, 0, 2), (2, 2, 3)],
+        [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 2)],
+    ):
+        calls.clear()
+        assert hull(pts).dim in (0, 2)
+        assert calls == ["_gauss_jordan"], pts
+    for pts in (
+        [(0, 0, 0), (1, 2, 3), (3, 6, 9)],
+        [(0, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 2), (0, 0, 2, 2)],
+    ):
+        calls.clear()
+        assert not hull(pts).is_full_dimensional()
+        assert "independent_subset" not in calls and "nullspace" not in calls, pts
 
 
 def test_a_flat_hull_is_one_hull_call(monkeypatch):

@@ -30,10 +30,10 @@ from homometry.errors import (
 from homometry.lattice import Lattice
 from homometry.pointset import PointSet
 from homometry.polytope import hull
-from test_acceptance import _abc_pool
-from test_lattice import fraction_primitive_parallel
-from test_linalg import leibniz_det, primitive_integer_direction
-from test_polytope import contains, difference_body, polar
+from .test_acceptance import _abc_pool
+from .test_lattice import fraction_primitive_parallel
+from .test_linalg import leibniz_det, primitive_integer_direction
+from .test_polytope import contains, difference_body, polar
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -505,6 +505,16 @@ def test_conditions_on_planar_family():
     assert ti.check_condition_a(s, t)
     assert ti.check_condition_b(s, t)
     assert ti.check_condition_c(s, t)
+
+
+def test_conditions_refuse_a_tiling_built_by_hand():
+    # the triple of the planar family, but never passed through verify_tiling
+    base = planar_family_tiling(2)
+    t = ti.Tiling(base.ambient, base.translations, base.tile)
+    s = PointSet([(0, 0), *base.translations.basis])
+    for check in (ti.check_condition_a, ti.check_condition_b, ti.check_condition_c, ti.check_abc):
+        with pytest.raises(ValueError, match="^tiling must come from verify_tiling$"):
+            check(s, t)
 
 
 def test_each_summand_is_hulled_once(monkeypatch):
