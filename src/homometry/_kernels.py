@@ -4,7 +4,9 @@ planar lattice width and the planar tile search.
 The hull ring, Andrew's monotone chain, is the plane's hull: `polytope`
 reads every two-dimensional hull off it, and beneath-beyond runs only for
 the other dimensions.  `classify2d` reads a tile's flatness and its
-normal form off the same ring.
+normal form off the same ring.  The lattice width is one Gauss reduction
+over a polygon's edge cycle, `reduce_width`: `planar_width` feeds it the
+edges of a hull ring, and `classify2d` a triangle's three edges directly.
 
 Everything here is exact Python integer arithmetic, so coefficients and
 coordinates of any size are safe.
@@ -88,8 +90,8 @@ def hull_ring(points):
 def _gauss_step(edges, a, b):
     """(mu, f(b - mu a)) for an integer mu minimizing the spread f(b - mu a).
 
-    Walking once around the hull, <m, e> rises by the spread f(m) and falls
-    by it again, so f(m) = 1/2 sum |<m, e>| over the edges e, and
+    Walking once around the polygon, <m, e> rises by the spread f(m) and
+    falls by it again, so f(m) = 1/2 sum |<m, e>| over the edges e, and
     f(b - mu a) = 1/2 sum |c_e - mu s_e| with s_e = <a, e>, c_e = <b, e>: a
     convex piecewise-linear function of mu with breakpoints c_e / s_e.  Its
     real minimum lies at their median weighted by |s_e|.  Floor is monotone,
@@ -97,35 +99,58 @@ def _gauss_step(edges, a, b):
     the integer minimum lies at K or K + 1.  No step depends on the size of
     mu or of the coordinates.
     """
-    terms = [(b[0] * ex + b[1] * ey, a[0] * ex + a[1] * ey) for ex, ey in edges]
-    floors = sorted((c // s, s) if s > 0 else (-c // -s, -s) for c, s in terms if s)
-    total, acc = sum(w for _, w in floors), 0
+    (a0, a1), (b0, b1) = a, b
+    terms = [(b0 * ex + b1 * ey, a0 * ex + a1 * ey) for ex, ey in edges]
+    floors = sorted([(c // s, s) if s > 0 else (-c // -s, -s) for c, s in terms if s])
+    total = acc = 0
+    for _, w in floors:
+        total += w
     for k, w in floors:
         acc += w
         if 2 * acc >= total:
             break
-    lo, hi = (sum(abs(c - mu * s) for c, s in terms) // 2 for mu in (k, k + 1))
+    lo = hi = 0
+    for c, s in terms:
+        lo += abs(c - k * s)
+        hi += abs(c - (k + 1) * s)
+    lo, hi = lo // 2, hi // 2
     return (k + 1, hi) if hi < lo else (k, lo)
 
 
 def planar_width(points):
     """(w, m): the lattice width of planar integer points and an m attaining it.
 
-    w is the least spread max - min of <m, p> over nonzero integer m.  For
-    points that span the plane the spread is a norm, and the generalized
-    Gauss reduction (Kaib and Schnorr 1996, J. Algorithms 21) finds its
-    shortest lattice vector: from the basis e1, e2 with f(a) <= f(b), take
-    b - mu a of least spread; stop once that is no shorter than a, else swap.
-    A basis with f(a) <= f(b) <= f(b - mu a) for every integer mu holds the
-    successive minima of any norm in the plane, so f(a) is the width.  Like
-    Euclid's algorithm it takes a number of steps logarithmic in the spreads
-    of e1 and e2.  Raises LowerDimensionalError when the points do not span
-    the plane.
+    w is the least spread max - min of <m, p> over nonzero integer m.  This
+    takes the edges of the points' hull ring `hull_ring` and hands them to
+    `reduce_width`, which finds the width.  Raises LowerDimensionalError
+    when the points do not span the plane.
     """
     ring = hull_ring(points)
-    edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
+    return reduce_width([(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])])
+
+
+def reduce_width(edges):
+    """(w, m): the lattice width of a convex polygon given by its edge cycle.
+
+    The edges are those of a convex polygon that spans the plane, walked
+    once around it in either sense from any vertex; nothing here builds or
+    checks a ring, so callers that know their polygon's edges, such as a
+    triangle's, pass them straight in.  The spread of <m, p> over the
+    polygon is a norm, and the generalized Gauss reduction (Kaib and
+    Schnorr 1996, J. Algorithms 21) finds its shortest lattice vector: from
+    the basis e1, e2 with f(a) <= f(b), take b - mu a of least spread
+    (`_gauss_step`); stop once that is no shorter than a, else swap.  A
+    basis with f(a) <= f(b) <= f(b - mu a) for every integer mu holds the
+    successive minima of any norm in the plane, so f(a) is the width.  Like
+    Euclid's algorithm it takes a number of steps logarithmic in the spreads
+    of e1 and e2.
+    """
     # the spreads of e1 and e2, the coordinates' ranges
-    fa, fb = (sum(abs(e[i]) for e in edges) // 2 for i in (0, 1))
+    fa = fb = 0
+    for ex, ey in edges:
+        fa += abs(ex)
+        fb += abs(ey)
+    fa, fb = fa // 2, fb // 2
     a, b = (1, 0), (0, 1)
     if fb < fa:
         a, b, fa = b, a, fb

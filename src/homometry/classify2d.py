@@ -2,9 +2,12 @@
 
 For each determinant the candidate sublattices of Z^2 are the bases
 b1 = (l, 0), b2 = (s, h); a base is searched only when the triangle
-conv{o, b1, b2} passes the width window (width 3 with determinant 7..18,
-width 4 with determinant 12..16), its lattice width taken by the planar Gauss
-reduction `_kernels.planar_width`.  The per-base tile scan runs in an integer
+conv{o, b1, b2} passes the width window `WIDTH_WINDOW` (width 3 with
+determinant 7..18, width 4 with determinant 12..16).  The triangle's lattice
+width is the planar Gauss reduction `_kernels.reduce_width` run on its three
+edges b1, b2 - b1, -b2, with no hull ring; the tiles' widths below take the
+same reduction through `_kernels.planar_width`, which first builds the ring
+and passes its edges.  The per-base tile scan runs in an integer
 kernel that scans one tile of each class of translates, walks its rows by
 their end points, and keeps every offset of the classes whose tile passes its
 dimension and diagonal-width filters.  Every tile it keeps is rebuilt and
@@ -27,11 +30,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, tiling
-from ._kernels import hull_ring, planar_width, search_base_raw
+from ._kernels import hull_ring, planar_width, reduce_width, search_base_raw
 from .errors import InvariantError, LowerDimensionalError, NotATilingError, NotLatticeConvexError
 from .lattice import Lattice, lattice_from_lhs
 from .linalg import mat, mat_vec, vadd, vneg, vscale, vsub
 from .pointset import PointSet, centrally_symmetric
+
+
+# (det_lo, det_hi, width): a base of determinant det_lo..det_hi is searched
+# when its triangle conv{o, b1, b2} has this lattice width
+WIDTH_WINDOW = ((7, 18, 3), (12, 16, 4))
 
 
 @dataclass(frozen=True)
@@ -73,19 +81,23 @@ def delta_width(l: int, h: int, s: int) -> int:
     """Lattice width of the half-cell triangle conv{o, (l,0), (s,h)} in Z^2.
 
     The least spread of <m, t> over the three vertices, m a nonzero integer
-    vector, found by the planar Gauss reduction of `planar_width`.
+    vector.  The triangle's edges (l, 0), (s - l, h), (-s, -h) are its edge
+    cycle, so they go straight to the Gauss reduction `reduce_width`, the
+    one `planar_width` runs after building a hull ring.
     """
-    return planar_width(((0, 0), (l, 0), (s, h)))[0]
+    return reduce_width(((l, 0), (s - l, h), (-s, -h)))[0]
 
 
 def search_bases_with_det(det_value: int) -> list[tuple[int, int, int]]:
-    """Base triples passing the triangle-width window for this determinant."""
+    """The base triples of this determinant whose triangle width `WIDTH_WINDOW` admits."""
+    widths = {w for lo, hi, w in WIDTH_WINDOW if lo <= det_value <= hi}
+    if not widths:
+        return []
+    least = min(widths)
     out = []
     for l, h, s in shear_normal_bases(det_value):
-        if h < 3:
-            continue
-        w = delta_width(l, h, s)
-        if (12 <= det_value <= 16 and w == 4) or (7 <= det_value <= 18 and w == 3):
+        # the direction (0, 1) spreads the triangle by h, which bounds its width
+        if h >= least and delta_width(l, h, s) in widths:
             out.append((l, h, s))
     return out
 
@@ -298,6 +310,7 @@ def classify(config: SearchConfig = SearchConfig()) -> dict:
         "config": {
             "det_range": [config.det_lo, config.det_hi],
             "workers": config.workers,
+            "width_window": [list(window) for window in WIDTH_WINDOW],
         },
         "cases": [
             {

@@ -89,8 +89,8 @@ def cmd_direct_sum(args) -> int:
     t = jsonio.pointset_in(_field(doc, "T"), "$.T")
     try:
         payload = {"direct": True, "sum": pointset.direct_sum(s, t).to_json()}
-    except NotDirectError:
-        payload = {"direct": False}
+    except NotDirectError as exc:
+        payload = {"direct": False, "witness": jsonio.exact_out(exc.witness)}
     return _ok("direct-sum", payload)
 
 
@@ -197,6 +197,11 @@ def cmd_classify2d(args) -> int:
 def _print_classify_text(payload: dict):
     lo, hi = payload["config"]["det_range"]
     print(f"classification search, determinants {lo}..{hi}")
+    window = ", ".join(
+        f"width {w} at determinants {d_lo}..{d_hi}"
+        for d_lo, d_hi, w in payload["config"]["width_window"]
+    )
+    print(f"triangle width window: {window}")
     for case in payload["cases"]:
         l, h, s = case["base"]
         st = case["stats"]

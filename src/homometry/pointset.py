@@ -13,6 +13,7 @@ from . import linalg, polytope
 from .errors import (
     DegenerateDifferencesError,
     EmptySetError,
+    InvariantError,
     NotDirectError,
     NotInLatticeError,
 )
@@ -264,10 +265,24 @@ def is_direct_sum(s: PointSet, t: PointSet) -> bool:
 
 
 def direct_sum(s: PointSet, t: PointSet) -> PointSet:
+    """S + T, which must be direct; else NotDirectError names two pairs
+    (s, t) != (s', t') of S x T with s + t = s' + t' (`_sum_collision`)."""
     total = minkowski_sum(s, t)
     if len(total) != len(s) * len(t):
-        raise NotDirectError("sum is not direct")
+        raise NotDirectError("sum is not direct", witness=_sum_collision(s, t))
     return total
+
+
+def _sum_collision(s: PointSet, t: PointSet):
+    """[(s', t'), (s, t)]: the first pair of S x T, in lexicographic order,
+    whose sum an earlier pair (s', t') has, after that earlier pair."""
+    first = {}
+    for p in s.points:
+        for q in t.points:
+            other = first.setdefault(tuple(map(add, p, q)), (p, q))
+            if other != (p, q):
+                return [other, (p, q)]
+    raise InvariantError("a sum that is not direct has no two pairs with one sum")
 
 
 def is_lattice_convex(k: PointSet, lat: Lattice) -> bool:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homometry import classify2d as cl
-from homometry import linalg, tiling as ti
-from homometry._kernels import box_scan, search_base_raw
+from homometry import _kernels, linalg, tiling as ti
+from homometry._kernels import box_scan, planar_width, search_base_raw
 from homometry.cli import main
 from homometry.errors import InvariantError, LowerDimensionalError
 from homometry.lattice import Lattice, lattice_from_lhs
@@ -269,6 +269,43 @@ def test_delta_width_matches_thin_directions():
         # the direction (0, 1) has spread h, so the minimum lies within that bound
         expected = min(spread for _, spread in frame_thin_directions(triangle, h))
         assert cl.delta_width(l, h, s) == expected, (l, h, s)
+
+
+def test_delta_width_equals_planar_width_through_det_60():
+    # the triangle's three edges and its hull ring's edges reach one reduction
+    for d in range(1, 61):
+        for l, h, s in cl.shear_normal_bases(d):
+            assert cl.delta_width(l, h, s) == planar_width(((0, 0), (l, 0), (s, h)))[0], (l, h, s)
+
+
+def test_search_bases_build_no_hull_ring(monkeypatch):
+    calls = []
+    real = _kernels.hull_ring
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(_kernels, "hull_ring", counted)
+    monkeypatch.setattr(cl, "hull_ring", counted)
+    searched = [b for d in range(7, 19) for b in cl.search_bases_with_det(d)]
+    assert len(searched) == 118 and calls == []
+
+
+def test_width_window_is_the_one_the_search_applies():
+    # a base is searched iff some window entry admits its determinant and
+    # its triangle's width
+    assert cl.WIDTH_WINDOW == ((7, 18, 3), (12, 16, 4))
+    for d in range(1, 25):
+        expected = [
+            (l, h, s)
+            for l, h, s in cl.shear_normal_bases(d)
+            if any(lo <= d <= hi and cl.delta_width(l, h, s) == w for lo, hi, w in cl.WIDTH_WINDOW)
+        ]
+        assert cl.search_bases_with_det(d) == expected, d
+    for lo, hi in ((19, 40), (1, 6)):
+        config = cl.classify(cl.SearchConfig(det_lo=lo, det_hi=hi))["config"]
+        assert config["width_window"] == [[7, 18, 3], [12, 16, 4]]
 
 
 def test_search_counts_for_det_7_to_18():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,17 @@ def test_direct_sum_verb(tmp_path, capsys):
     code, doc = run_json(capsys, ["direct-sum", path])
     assert code == 0 and doc["payload"]["direct"] is True
     assert doc["payload"]["sum"]["points"] == [[x] for x in range(16)]
+
+
+def test_direct_sum_verb_names_its_witness(tmp_path, capsys):
+    path = write_doc(
+        tmp_path, "st.json", {"S": {"points": [[0], [1]]}, "T": {"points": [[0], ["1/2"], [1]]}}
+    )
+    code, doc = run_json(capsys, ["direct-sum", path])
+    assert code == 0 and doc["payload"]["direct"] is False
+    (s1, t1), (s2, t2) = doc["payload"]["witness"]
+    assert [s1, t1] != [s2, t2]
+    assert F(s1[0]) + F(t1[0]) == F(s2[0]) + F(t2[0])
 
 
 def test_wset_verb_six_vectors(tmp_path, capsys):
@@ -255,6 +267,9 @@ def test_classify2d_text_report(capsys):
     code, out = run_cli(capsys, ["classify2d", "--det-range", "7:7", "--report", "text"])
     assert code == 0
     assert "centrally symmetric classes: 1" in out
+    assert out.splitlines()[1] == (
+        "triangle width window: width 3 at determinants 7..18, width 4 at determinants 12..16"
+    )
 
 
 def test_classify2d_deterministic_output(capsys):

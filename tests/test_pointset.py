@@ -115,6 +115,24 @@ def test_direct_sum_basics():
         ps.direct_sum(pair, pair)
 
 
+@pytest.mark.parametrize(
+    "s, t",
+    [
+        ([(0,), (1,)], [(0,), (1,)]),
+        ([(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 1), (3, 2)]),
+        ([(F(1, 2), 0), (1, 1), (0, 0)], [(0, 0), (F(1, 2), 1), (1, 0)]),
+    ],
+)
+def test_not_direct_names_two_pairs_with_one_sum(s, t):
+    s, t = PointSet(s), PointSet(t)
+    with pytest.raises(NotDirectError) as info:
+        ps.direct_sum(s, t)
+    (s1, t1), (s2, t2) = info.value.witness
+    assert (s1, t1) != (s2, t2)
+    assert s1 in s.points and s2 in s.points and t1 in t.points and t2 in t.points
+    assert [a + b for a, b in zip(s1, t1)] == [a + b for a, b in zip(s2, t2)]
+
+
 def test_direct_sum_sixteen():
     s = PointSet([(0,), (1,), (4,), (5,)])
     t = PointSet([(0,), (2,), (8,), (10,)])
