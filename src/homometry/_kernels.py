@@ -1,6 +1,13 @@
 """Integer hot loops: the lattice-point box scan, the planar hull ring, the
 planar lattice width and the planar tile search.
 
+The box scan is the package's one lattice-point scan: every hull's lattice
+points, every convexity test, the thin-direction slices of `tiling` and the
+tile cells of `classify2d` come from `box_scan`.  It solves the last
+coordinate's interval per prefix cell, with each row's dot product over the
+outer coordinates taken once per outer cell and stepped along the last
+prefix coordinate.
+
 The hull ring, Andrew's monotone chain, is the plane's hull: `polytope`
 reads every two-dimensional hull off it, and beneath-beyond runs only for
 the other dimensions.  `classify2d` reads a tile's flatness and its
@@ -25,39 +32,64 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs):
     """Integer points z in the box with eq_rows@z == eq_rhs, le_rows@z <= le_rhs.
 
     Returns a list of int tuples in lexicographic order.  The scan runs over
-    the first d-1 coordinates only: for each prefix every row bounds the
-    last coordinate to an interval.  So the memory follows the output, but
-    the work follows the prefix cells, the box over the first d-1
-    coordinates, whether or not a prefix keeps a point.  A frame skewed against the polytope can
-    make the prefixes outnumber the points kept by orders of magnitude: a
-    unimodular skew of a 3-D set took one thin-direction scan of 1,558
-    points from 361 prefix cells to as many as 2,596,011.
+    the prefix cells, the box over the first d-1 coordinates: for each
+    prefix every row bounds the last coordinate t to an interval.  Each row
+    splits once into its head over the first d-2 coordinates, its
+    coefficient h of the last prefix coordinate x and its coefficient c of
+    t.  For each outer cell, the box over the first d-2 coordinates, the
+    scan takes one dot product per row, r = rhs - <head, outer>; along x
+    the residual is r - h x, one multiply-subtract per row per prefix cell.
+    So the memory follows the output, but the work follows the prefix
+    cells, whether or not a prefix keeps a point.  A frame skewed against
+    the polytope can make the prefixes outnumber the points kept by orders
+    of magnitude: a unimodular skew of a 3-D set took one thin-direction
+    scan of 1,558 points from 361 prefix cells to as many as 2,596,011.
     """
     if any(b < a for a, b in zip(lo, hi)):
         return []
-    rows = [(r[:-1], r[-1], rhs, True) for r, rhs in zip(eq_rows, eq_rhs)]
-    rows += [(r[:-1], r[-1], rhs, False) for r, rhs in zip(le_rows, le_rhs)]
+    if len(lo) == 1:
+        # no prefix: scan the line as the column x = 0 of a plane
+        zs = box_scan(
+            (0, *lo), (0, *hi),
+            [(0, *r) for r in eq_rows], eq_rhs,
+            [(0, *r) for r in le_rows], le_rhs,
+        )
+        return [z[1:] for z in zs]
+    rows = [(r[:-2], r[-2], r[-1], rhs, True) for r, rhs in zip(eq_rows, eq_rhs)]
+    rows += [(r[:-2], r[-2], r[-1], rhs, False) for r, rhs in zip(le_rows, le_rhs)]
+    t_min, t_max = lo[-1], hi[-1]
+    xs = range(lo[-2], hi[-2] + 1)
     out = []
-    for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
-        t_lo, t_hi = lo[-1], hi[-1]
-        for head, c, rhs, is_eq in rows:
-            rest = rhs - sum(map(mul, head, prefix))
-            if c == 0:
-                if (rest != 0) if is_eq else (rest < 0):
+    for outer in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2])]):
+        res = [(rhs - sum(map(mul, head, outer)), h, c, is_eq) for head, h, c, rhs, is_eq in rows]
+        for x in xs:
+            t_lo, t_hi = t_min, t_max
+            for r, h, c, is_eq in res:
+                rest = r - h * x
+                if c == 0:
+                    if (rest != 0) if is_eq else (rest < 0):
+                        break
+                elif is_eq:
+                    q, m = divmod(rest, c)
+                    if m:
+                        break
+                    if q > t_lo:
+                        t_lo = q
+                    if q < t_hi:
+                        t_hi = q
+                elif c > 0:
+                    q = rest // c
+                    if q < t_hi:
+                        t_hi = q
+                else:
+                    q = -(-rest // c)
+                    if q > t_lo:
+                        t_lo = q
+                if t_hi < t_lo:
                     break
-            elif is_eq:
-                if rest % c:
-                    break
-                t_lo = max(t_lo, rest // c)
-                t_hi = min(t_hi, rest // c)
-            elif c > 0:
-                t_hi = min(t_hi, rest // c)
             else:
-                t_lo = max(t_lo, -(-rest // c))
-            if t_hi < t_lo:
-                break
-        else:
-            out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
+                prefix = outer + (x,)
+                out.extend([prefix + (t,) for t in range(t_lo, t_hi + 1)])
     return out
 
 

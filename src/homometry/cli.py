@@ -146,7 +146,7 @@ def cmd_check_abc(args) -> int:
     for name, (holds, witness) in result.items():
         entry = {"holds": holds}
         if witness is not None:
-            entry["witness"] = vector_out(witness)
+            entry["witness"] = jsonio.exact_out(witness)
         payload[name] = entry
     return _ok("check-abc", payload)
 
@@ -238,8 +238,8 @@ def cmd_gen_example(args) -> int:
             base = tiling.verify_tiling(ambient, translations, tile)
         pair = constructions.parabola_construction(args.n_parabola, base)
     elif kind == "product":
-        left = _pair_from_doc(_read_document(args.left))
-        right = _pair_from_doc(_read_document(args.right))
+        left = _factor_from_doc(_read_document(args.left))
+        right = _factor_from_doc(_read_document(args.right))
         pair = constructions.cartesian_product(left, right)
     elif kind == "counterexample-ab":
         s, t = constructions.counterexample_ab(args.d)
@@ -258,10 +258,11 @@ def cmd_gen_example(args) -> int:
     return _ok("gen-example", pair.to_json())
 
 
-def _pair_from_doc(doc) -> constructions.HomometricPair:
+def _factor_from_doc(doc):
+    """(S, tiling) of a pair document; its sums are not built."""
     ambient, translations, tile = jsonio.tiling_doc_in(_field(doc, "tiling"), "$.tiling")
     t = tiling.verify_tiling(ambient, translations, tile)
-    return constructions._build_pair(jsonio.pointset_in(_field(doc, "S"), "$.S"), t)
+    return jsonio.pointset_in(_field(doc, "S"), "$.S"), t
 
 
 def cmd_irregular_catalog(args) -> int:

@@ -177,16 +177,19 @@ def _block_diag(b1, b2):
     return mat(cols)
 
 
-def cartesian_product(p1: HomometricPair, p2: HomometricPair) -> HomometricPair:
-    """Product pair (S1 x S2) ⊕ (T1 x T2); homometry re-verified directly."""
-    t1, t2 = p1.tiling, p2.tiling
+def cartesian_product(
+    f1: tuple[PointSet, Tiling], f2: tuple[PointSet, Tiling]
+) -> HomometricPair:
+    """Product pair (S1 x S2) ⊕ (T1 x T2) of two factors (S_i, tiling_i);
+    homometry re-verified directly."""
+    (s1, t1), (s2, t2) = f1, f2
     ambient = Lattice(_block_diag(t1.ambient.basis, t2.ambient.basis))
     translations = Lattice(_block_diag(t1.translations.basis, t2.translations.basis))
     tile = PointSet(
         [tuple(a) + tuple(b) for a in t1.tile.points for b in t2.tile.points]
     )
     t = verify_tiling(ambient, translations, tile)
-    s = PointSet([tuple(a) + tuple(b) for a in p1.s.points for b in p2.s.points])
+    s = PointSet([tuple(a) + tuple(b) for a in s1.points for b in s2.points])
     pair = _build_pair(s, t)
     plus, minus = covariogram(pair.sum_plus), covariogram(pair.sum_minus)
     if plus != minus:

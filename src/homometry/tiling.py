@@ -336,12 +336,17 @@ def check_condition_b(s: PointSet, t: Tiling) -> bool:
 
 
 def condition_b_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is an M-point of the convexity gap if any."""
+    """(holds, witness): witness is an M-point of the convexity gap if any.
+
+    When S + T is not direct, the witness is the two pairs (s', t') and
+    (s, t) != (s', t') of S x T with s + t = s' + t' that `direct_sum`'s
+    NotDirectError names.
+    """
     _require_verified(t)
     try:
         total = pointset.direct_sum(s, t.tile)
-    except NotDirectError:
-        return False, None
+    except NotDirectError as exc:
+        return False, exc.witness
     gap = pointset.sum_convexity_witness(s, t.tile, total, t.ambient)
     return (gap is None), gap
 

@@ -166,17 +166,12 @@ def test_generalized_rejects_bad_parameters():
 
 def test_cartesian_product_with_trivial_factor():
     # a 1-dimensional factor with centrally symmetric summands is trivial
-    one_dim = con.HomometricPair(
-        sum_plus=ps.direct_sum(PointSet([(0,)]), PointSet([(0,), (1,)])),
-        sum_minus=ps.direct_sum(PointSet([(0,)]), PointSet([(0,), (-1,)])),
-        tiling=ti.verify_tiling(
-            Lattice.standard(1), Lattice([(2,)]), PointSet([(0,), (1,)])
-        ),
-        s=PointSet([(0,)]),
-        nontrivial=False,
+    one_dim = (
+        PointSet([(0,)]),
+        ti.verify_tiling(Lattice.standard(1), Lattice([(2,)]), PointSet([(0,), (1,)])),
     )
-    assert not one_dim.nontrivial
-    prod = con.cartesian_product(con.planar_family(1), one_dim)
+    planar = con.planar_family(1)
+    prod = con.cartesian_product((planar.s, planar.tiling), one_dim)
     assert prod.sum_plus.dim == 3
     assert prod.nontrivial
     both_trivial = con.cartesian_product(one_dim, one_dim)
@@ -185,7 +180,7 @@ def test_cartesian_product_with_trivial_factor():
 
 def test_cartesian_product_w_set_splits():
     p1, p2 = con.planar_family(1), con.planar_family(2)
-    prod = con.cartesian_product(p1, p2)
+    prod = con.cartesian_product((p1.s, p1.tiling), (p2.s, p2.tiling))
     w1 = ti.w_set(p1.tiling.tile, p1.tiling.translations)
     w2 = ti.w_set(p2.tiling.tile, p2.tiling.translations)
     wp = ti.w_set(prod.tiling.tile, prod.tiling.translations)

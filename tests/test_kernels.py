@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import _kernels, linalg, tiling
+from homometry import _kernels, constructions, linalg, polytope, tiling
 from homometry._kernels import box_scan, planar_width
 from homometry.classify2d import tile_points
 from homometry.errors import LowerDimensionalError
@@ -63,6 +63,47 @@ def scans(draw):
 @settings(max_examples=300, deadline=None)
 def test_box_scan_matches_brute_force(args):
     assert box_scan(*args) == brute_force_box_scan(*args)
+
+
+@st.composite
+def split_scans(draw):
+    """Scans in d = 1..5 whose rows often have a zero coefficient of the
+    last prefix coordinate x or of the last coordinate t, among them
+    equalities with a zero t coefficient, on boxes beyond 2**64."""
+    d = draw(st.integers(1, 5))
+    shift = draw(st.sampled_from([0, BIG + 5, -3 * BIG - 1]))
+    coeff_scale = draw(st.sampled_from([1, BIG + 1]))
+    lo = [shift + draw(st.integers(-2, 2)) for _ in range(d)]
+    # a width of -1 makes an empty box; wider boxes only in low dimension
+    hi = [a + draw(st.integers(-1, 4 if d <= 3 else 2)) for a in lo]
+    anchor = [draw(st.integers(a, max(a, b))) for a, b in zip(lo, hi)]
+
+    def row():
+        r = [coeff_scale * draw(st.integers(-3, 3)) for _ in range(d)]
+        if d >= 2 and draw(st.booleans()):
+            r[-2] = 0
+        if draw(st.booleans()):
+            r[-1] = 0
+        return tuple(r)
+
+    def value(r):
+        return sum(c * z for c, z in zip(r, anchor))
+
+    eq_rows = [row() for _ in range(draw(st.integers(0, 2)))]
+    eq_rhs = [value(r) + draw(st.sampled_from([0, 0, 1])) for r in eq_rows]
+    le_rows = [row() for _ in range(draw(st.integers(0, 4)))]
+    le_rhs = [value(r) + coeff_scale * draw(st.integers(-2, 3)) for r in le_rows]
+    return lo, hi, eq_rows, eq_rhs, le_rows, le_rhs
+
+
+@given(split_scans())
+@settings(max_examples=300, deadline=None)
+def test_box_scan_matches_brute_force_with_zero_split_coefficients(args):
+    assert box_scan(*args) == brute_force_box_scan(*args)
+
+
+def test_every_module_scans_with_the_one_kernel():
+    assert polytope.box_scan is tiling.box_scan is constructions.box_scan is _kernels.box_scan
 
 
 def test_box_scan_edge_cases():

@@ -577,6 +577,18 @@ def test_condition_bc_counterexample():
     assert gap not in total
 
 
+def test_condition_b_names_two_pairs_with_one_sum_when_not_direct():
+    t = planar_family_tiling(2)
+    # (0, 1) - (0, 0) is in M but not in L, so two pairs meet
+    s = PointSet([(0, 0), (1, 0), (0, 1)])
+    holds, witness = ti.condition_b_witness(s, t)
+    assert not holds
+    (s1, t1), (s2, t2) = witness
+    assert (s1, t1) != (s2, t2)
+    assert {s1, s2} <= set(s.points) and {t1, t2} <= set(t.tile.points)
+    assert tuple(a + b for a, b in zip(s1, t1)) == tuple(a + b for a, b in zip(s2, t2))
+
+
 def test_condition_a_requires_full_dimensional_s():
     t = planar_family_tiling(1)
     seg = PointSet([(0, 0), (2, -1)])
