@@ -197,6 +197,15 @@ class Covariogram:
         }
 
 
+def _weights(radices) -> list[int]:
+    """The packing weights W_{d-1} = 1 and W_i = W_{i+1} r_{i+1}: when
+    digit i takes at most r_i consecutive values, sum z_i W_i is one to one."""
+    weights = [1] * len(radices)
+    for i in reversed(range(len(radices) - 1)):
+        weights[i] = weights[i + 1] * radices[i + 1]
+    return weights
+
+
 def covariogram(k: PointSet) -> Covariogram:
     """The covariogram of K, each unordered pair of points counted once.
 
@@ -205,10 +214,7 @@ def covariogram(k: PointSet) -> Covariogram:
     the smaller is the code of their lexicographically positive difference.
     """
     den, ints = k.offsets
-    spreads = [max(col) - min(col) for col in zip(*ints)]
-    weights = [1] * k.dim
-    for i in reversed(range(k.dim - 1)):
-        weights[i] = weights[i + 1] * (2 * spreads[i + 1] + 1)
+    weights = _weights([2 * (max(col) - min(col)) + 1 for col in zip(*ints)])
     codes = [sum(map(mul, p, weights)) for p in reversed(ints)]  # larger first in a pair
     half = Counter(itertools.starmap(sub, itertools.combinations(codes, 2)))
     return Covariogram(den, tuple(weights), len(ints), half)
@@ -254,14 +260,38 @@ def centrally_symmetric(k: PointSet) -> bool:
     return list(ints) == _reflected(ints)
 
 
-def minkowski_sum(s: PointSet, t: PointSet) -> PointSet:
+def _check_summands(s: PointSet, t: PointSet) -> None:
     if s.dim != t.dim:
         raise ValueError(f"cannot add sets of dimensions {s.dim} and {t.dim}")
+
+
+def minkowski_sum(s: PointSet, t: PointSet) -> PointSet:
+    _check_summands(s, t)
     return _sum(s, t)
 
 
 def is_direct_sum(s: PointSet, t: PointSet) -> bool:
-    return len(s) * len(t) == len(minkowski_sum(s, t))
+    """Whether the |S| |T| sums s + t are distinct, decided on one integer
+    code a point, with no sum point built.
+
+    Over lcm(D_S, D_T) the points are integer vectors x of S and y of T.
+    Coordinate i of x + y, less the least such sum, takes at most
+    r_i = spread_S,i + spread_T,i + 1 values (the spreads max - min over
+    each scaled set), so with the weights of `_weights` over these radices
+    the code <x + y, W> = <x, W> + <y, W> is one to one on sums: the sum
+    is direct iff the |S| |T| code sums are distinct.
+    """
+    _check_summands(s, t)
+    den = math.lcm(s.den, t.den)
+    a, b = den // s.den, den // t.den
+    radices = [
+        a * (max(u) - min(u)) + b * (max(v) - min(v)) + 1
+        for u, v in zip(zip(*s.ints), zip(*t.ints))
+    ]
+    weights = _weights(radices)
+    xs = [sum(map(mul, p, weights)) * a for p in s.ints]
+    ys = [sum(map(mul, q, weights)) * b for q in t.ints]
+    return len({x + y for x in xs for y in ys}) == len(xs) * len(ys)
 
 
 def direct_sum(s: PointSet, t: PointSet) -> PointSet:
@@ -319,20 +349,26 @@ def lattice_convexity_witness(k: PointSet, lat: Lattice) -> Vec | None:
     return _convexity_gap(k, k.hull(), lat)
 
 
-def sum_convexity_witness(
-    s: PointSet, t: PointSet, total: PointSet, lat: Lattice
-) -> Vec | None:
-    """Convexity gap of total = S + T, built on conv(S + T) = conv(S) + conv(T).
+def sum_convexity_witness(s: PointSet, t: PointSet, lat: Lattice) -> Vec | None:
+    """The least lattice point of conv(S + T) missing from the direct sum
+    S + T, or None when S + T is lattice-convex.
 
-    Summing hull vertices instead of whole sets keeps the hull input small,
-    which matters for the larger product-style sums.  S + T lies in the
-    lattice iff every s + t0 and s0 + t does, since
-    s + t = (s + t0) + (s0 + t) - (s0 + t0); raises NotInLatticeError with
-    the first of those |S| + |T| - 1 points outside it.  They are added and
-    tested as integers over lcm(D_S, D_T), the s + t0 first.
+    After the dimension checks, NotDirectError names two pairs of S x T
+    with one sum (`_sum_collision`) when `is_direct_sum` fails.  S + T
+    lies in the lattice iff every s + t0 and s0 + t does, since
+    s + t = (s + t0) + (s0 + t) - (s0 + t0); NotInLatticeError names the
+    first of those |S| + |T| - 1 points outside it, added and tested as
+    integers over lcm(D_S, D_T), the s + t0 first.  Then
+    conv(S + T) = conv(S) + conv(T) (`polytope.minkowski_hull`) is scanned
+    once.  Its lattice points include the |S| |T| distinct points of S + T,
+    so the sum is convex iff the scan counts |S| |T|; only otherwise is
+    S + T built, once, by `minkowski_sum`, and the least scanned point it
+    misses made a Fraction.
     """
     _check_dim(lat, s)
     _check_dim(lat, t)
+    if not is_direct_sum(s, t):
+        raise NotDirectError("sum is not direct", witness=_sum_collision(s, t))
     den = math.lcm(s.den, t.den)
     a, b = den // s.den, den // t.den
     s0, t0 = [a * c for c in s.ints[0]], [b * c for c in t.ints[0]]
@@ -344,7 +380,10 @@ def sum_convexity_witness(
     if p is not None:
         p = tuple([Fraction(c, den) for c in p])
         raise NotInLatticeError(f"point {vec_str(p)} is outside the lattice", witness=p)
-    return _convexity_gap(total, polytope.minkowski_hull(s.hull(), t.hull()), lat)
+    zs = polytope.minkowski_hull(s.hull(), t.hull())._lattice_scan(lat)
+    if len(zs) == len(s) * len(t):
+        return None
+    return polytope._least_missing(lat, zs, minkowski_sum(s, t))
 
 
 def intrinsically_lattice_convex(k: PointSet) -> bool:

@@ -31,6 +31,15 @@ for every r from 0 (a point) to d.  Every polytope keeps one constraint
 system, equalities and inequalities with primitive integer rows and
 rational right-hand sides, and its lattice points are one `box_scan` of
 that system in the lattice's integer coordinates.
+The Minkowski sum P + Q of two polytopes (`minkowski_hull`) is built
+without a hull when it is two-dimensional in the plane: the summands'
+counterclockwise edge cycles are merged by angle, two edges of one
+direction as one.  A certificate stands in for the containment sweep
+there: every edge's right-hand side is h_P(a) + h_Q(a) for its outward
+normal a, and the normals differ, so the walk winds once.  Every other
+sum, flat or in another dimension, is the hull of the vertex sums:
+beneath-beyond when the sum has dimension 1 or at least 3, the monotone
+chain when it is two-dimensional in a space of dimension 3 or more.
 """
 
 from __future__ import annotations
@@ -105,14 +114,31 @@ def _hull_plane(k: pointset.PointSet) -> "Polytope":
     ring = hull_ring(k.ints)
     inner = tuple(map(sum, zip(*ring[:3])))  # 3 D times a point inside
     facets = []
-    for p, q in zip(ring, ring[1:] + ring[:1]):
-        a = _primitive((q[1] - p[1], p[0] - q[0]))
+    for p, q in _ring_edges(ring):
+        a = _edge_normal(p, q)
         facets.append(((a, _facet_beta(k, [p, q], a, inner)), (p, q)))
-    facets.sort()  # the normals differ, so by plane
-    verts = sorted(ring)
+    _check_contains(k, [plane for plane, _ in facets])
+    return _ring_polytope(facets, k.den)
+
+
+def _ring_edges(ring: list[IntVec]):
+    return zip(ring, ring[1:] + ring[:1])
+
+
+def _edge_normal(p: IntVec, q: IntVec) -> IntVec:
+    """The primitive outward normal of a counterclockwise edge from p to q."""
+    return _primitive((q[1] - p[1], p[0] - q[0]))
+
+
+def _ring_polytope(facets, den: int) -> "Polytope":
+    """The polygon of the facets ((a, beta), (p, q)), one a counterclockwise
+    edge from p to q on <a, x> <= beta, in integers over den; the normals
+    differ, so sorting the facets sorts them by plane."""
+    facets.sort()
+    verts = sorted([p for _, (p, _) in facets])
     pos = {v: n for n, v in enumerate(verts)}
     on_plane = [sorted((pos[p], pos[q])) for _, (p, q) in facets]
-    return _full_polytope(k, [plane for plane, _ in facets], verts, on_plane)
+    return _polytope(2, den, [plane for plane, _ in facets], verts, on_plane)
 
 
 def _hull_full_dim(k: pointset.PointSet, init: list[int]) -> "Polytope":
@@ -229,17 +255,23 @@ def _hull_full_rank(k: pointset.PointSet, init: list[int]) -> "Polytope":
 
 
 def _full_polytope(k: pointset.PointSet, planes, verts: list[IntVec], on_plane) -> "Polytope":
-    """The hull of a full-dimensional K from its sorted planes (a, beta),
-    <a, D x> <= beta, its sorted integer vertices and each plane's vertex
-    positions in them, once every point of K passes the containment sweep."""
+    """The hull of a full-dimensional K from its sorted planes and vertices
+    (`_polytope`), once every point of K passes the containment sweep."""
     _check_contains(k, planes)
+    return _polytope(k.dim, k.den, planes, verts, on_plane)
+
+
+def _polytope(d: int, den: int, planes, verts: list[IntVec], on_plane) -> "Polytope":
+    """A d-polytope in R^d from its sorted planes (a, beta), <a, x> <= beta
+    over den, its sorted integer vertices over den and each plane's vertex
+    positions in them."""
     data = {
         "eqs": (),
-        "hyps": tuple((a, Fraction(b, k.den)) for a, b in planes),
+        "hyps": tuple((a, Fraction(b, den)) for a, b in planes),
         "facet_vertices": tuple(map(tuple, on_plane)),
     }
-    vset = pointset.PointSet.from_scaled(verts, k.den)
-    return Polytope(_vertices=vset, _ambient=k.dim, _dim=k.dim, _internal=data)
+    vset = pointset.PointSet.from_scaled(verts, den)
+    return Polytope(_vertices=vset, _ambient=d, _dim=d, _internal=data)
 
 
 class Polytope:
@@ -377,19 +409,33 @@ class Polytope:
         return box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs)
 
 
-def _scanned_set(lattice, zs: list[IntVec], known=None) -> "pointset.PointSet | None":
-    """The lattice points B z of a scan, less those of the PointSet `known`,
-    as the PointSet of the integer vectors (F B) z over F, so none is made a
-    Fraction unless `points` is read; None when none is left.  Every lattice
-    point is an integer vector over F, so D_known divides F when `known`
-    holds lattice points only."""
+def _scanned_ints(lattice, zs: list[IntVec], known) -> tuple[int, list[IntVec]]:
+    """(F, the integer vectors (F B) z of a scan's lattice points B z, less
+    those of the PointSet `known` unless it is None).  Every lattice point
+    is an integer vector over F, so D_known divides F when `known` holds
+    lattice points only."""
     f, rows = lattice.integer_basis
     pts = [tuple([_idot(r, z) for r in rows]) for z in zs]
     if known is not None:
         a = f // known.den
         drop = {tuple([a * c for c in p]) for p in known.ints}
         pts = [p for p in pts if p not in drop]
+    return f, pts
+
+
+def _scanned_set(lattice, zs: list[IntVec], known=None) -> "pointset.PointSet | None":
+    """The lattice points of a scan, less those of `known`, as the PointSet
+    of the integer vectors (F B) z over F, so none is made a Fraction
+    unless `points` is read; None when none is left."""
+    f, pts = _scanned_ints(lattice, zs, known)
     return pointset.PointSet.from_scaled(pts, f) if pts else None
+
+
+def _least_missing(lattice, zs: list[IntVec], known: "pointset.PointSet") -> Vec:
+    """The least lattice point of a scan that the PointSet `known` misses,
+    the only one made a Fraction; the scan must hold one."""
+    f, pts = _scanned_ints(lattice, zs, known)
+    return tuple([Fraction(c, f) for c in min(pts)])
 
 
 def hull(points) -> Polytope:
@@ -398,5 +444,97 @@ def hull(points) -> Polytope:
 
 
 def minkowski_hull(p: Polytope, q: Polytope) -> Polytope:
-    """conv(P + Q) from vertex sums only (far fewer points than the full sum)."""
+    """conv(P + Q) = P + Q for polytopes P and Q in one space.
+
+    A two-dimensional sum in the plane is `_planar_sum`, the merge of the
+    summands' edge cycles, with no hull.  Any other sum, flat or in
+    another dimension, is the `Polytope.hull` of the |V_P| |V_Q| vertex
+    sums: beneath-beyond for a sum of dimension 1 or at least 3, the
+    monotone chain for a two-dimensional sum in R^3 or beyond.
+    """
+    if p.ambient == q.ambient == 2:
+        total = _planar_sum(p.vertex_set, q.vertex_set)
+        if total is not None:
+            return total
     return Polytope.hull(pointset._sum(p.vertex_set, q.vertex_set))
+
+
+def _ccw_ring(verts: list[IntVec]) -> list[IntVec]:
+    """The sorted vertices of a planar polygon, segment or point as their
+    counterclockwise cycle from the least: the least, the vertices below
+    the chord to the greatest, the greatest, then those above it backwards
+    (no other vertex of a polygon lies on the chord).  A segment is the
+    cycle of its two ends and a point the cycle of itself.
+    """
+    (x0, y0), (x1, y1) = verts[0], verts[-1]
+    dx, dy = x1 - x0, y1 - y0
+    side = [dx * (y - y0) - dy * (x - x0) for x, y in verts[1:-1]]
+    below = [v for v, c in zip(verts[1:-1], side) if c <= 0]
+    above = [v for v, c in zip(verts[1:-1], side) if c > 0]
+    return [verts[0], *below, verts[-1], *reversed(above)][: len(verts)]
+
+
+def _angle_order(u: IntVec, v: IntVec) -> int:
+    """Negative, zero or positive as the direction u comes before, with or
+    after v counterclockwise from straight down, that is by angle in
+    (-90, 270] degrees: the half x > 0 or (x = 0 < y) first, then by the
+    sign of the cross product within a half."""
+    hu = u[0] < 0 or (u[0] == 0 and u[1] < 0)
+    hv = v[0] < 0 or (v[0] == 0 and v[1] < 0)
+    return hu - hv or v[0] * u[1] - u[0] * v[1]
+
+
+def _planar_sum(ks: pointset.PointSet, kq: pointset.PointSet) -> Polytope | None:
+    """conv(K) + conv(Q) of the vertex sets of two planar polytopes, or None
+    when the sum is flat.
+
+    In integers over lcm(D_K, D_Q), both vertex cycles (`_ccw_ring`) start
+    at their least points and their edges run counterclockwise from
+    straight down, by angle in (-90, 270] degrees.  So do the sum's, from
+    the sum of the least points: the walk takes the summands' edges in
+    that order (`_angle_order`), two of one direction as one, and each of
+    its vertices is the sum of the current vertices of the two cycles (de
+    Berg, Cheong, van Kreveld and Overmars, Computational Geometry, 3rd
+    ed., 2008, section 13.3).  A segment is a cycle of two edges and a
+    point of none; fewer than three edges make a flat sum.
+
+    The certificate replaces the containment sweep.  Each edge's right-hand
+    side <a, v> must equal h_K(a) + h_Q(a), the largest <a, x> over each
+    cycle, so the edge lies on a face of the sum that its outward normal a
+    supports, and the normals must differ.  The walk's vertices are sums
+    of vertices, so it stays in the sum, and it moves counterclockwise
+    along the sum's boundary without a face twice: it winds once, over
+    every edge of the sum, and each of its vertices is a vertex of the sum.
+    A failure raises InvariantError with the edge, or the repeated normal,
+    as the witness.
+    """
+    den = math.lcm(ks.den, kq.den)
+    rk = _ccw_ring([tuple([den // ks.den * c for c in v]) for v in ks.ints])
+    rq = _ccw_ring([tuple([den // kq.den * c for c in v]) for v in kq.ints])
+    ek = [tuple(map(sub, w, v)) for v, w in _ring_edges(rk)] if len(rk) > 1 else []
+    eq = [tuple(map(sub, w, v)) for v, w in _ring_edges(rq)] if len(rq) > 1 else []
+    nk, nq = len(ek), len(eq)
+    walk, i, j = [], 0, 0
+    while i < nk or j < nq:
+        # a cycle has as many edges as vertices, a point none, so rk[i - nk]
+        # is the current vertex, the least again once i = nk
+        (x, y), (u, v) = rk[i - nk], rq[j - nq]
+        walk.append((x + u, y + v))
+        order = -1 if j == nq else 1 if i == nk else _angle_order(ek[i], eq[j])
+        i += order <= 0
+        j += order >= 0
+    if len(walk) < 3:
+        return None
+    facets = []
+    for v, w in _ring_edges(walk):
+        a0, a1 = a = _edge_normal(v, w)
+        beta = a0 * v[0] + a1 * v[1]
+        if beta != max([a0 * x + a1 * y for x, y in rk]) + max([a0 * x + a1 * y for x, y in rq]):
+            witness = [tuple([Fraction(c, den) for c in x]) for x in (v, w)]
+            raise InvariantError("sum edge is off the summands' supporting lines", witness=witness)
+        facets.append(((a, beta), (v, w)))
+    facets.sort()
+    twice = next((a for ((a, _), _), ((b, _), _) in zip(facets, facets[1:]) if a == b), None)
+    if twice is not None:
+        raise InvariantError("sum edges repeat an outward normal", witness=twice)
+    return _ring_polytope(facets, den)

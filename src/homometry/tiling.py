@@ -289,23 +289,25 @@ def _facet_conditions(s: PointSet, t: Tiling, with_c: bool):
     """(a) and (c) as (holds, witness) pairs from one prologue and one scan.
 
     The prologue raises unless t is verified, S lies in L and S is
-    full-dimensional; (a) and (c) fail without a witness when S is not
-    L-convex.  A facet's primitive normal a has the coordinates B^T a in
-    the dual basis B^-T, so its primitive dual direction is u = B^-T z with
-    z = F B^T a / gcd, F B^T a being the integers <F b_j, a>.  With the
-    integers c_p = m B^-1 p for the points p of T, <z, c_p> = m <u, p>, so
-    w(T, u) >= 1 iff the <z, c_p> spread by m or more; u is built only for
-    such a wide facet.  (a) fails on the first wide facet, (c) on the first
-    wide facet F with aff(F) ⊆ F + L.  Without with_c, (c) is (None, None).
+    full-dimensional; when S is not L-convex, (a) and (c) fail with the
+    least L-point of conv(S) that S misses (`lattice_convexity_witness`)
+    as the witness.  A facet's primitive normal a has the coordinates
+    B^T a in the dual basis B^-T, so its primitive dual direction is
+    u = B^-T z with z = F B^T a / gcd, F B^T a being the integers
+    <F b_j, a>.  With the integers c_p = m B^-1 p for the points p of T,
+    <z, c_p> = m <u, p>, so w(T, u) >= 1 iff the <z, c_p> spread by m or
+    more; u is built only for such a wide facet.  (a) fails on the first
+    wide facet, (c) on the first wide facet F with aff(F) ⊆ F + L.
+    Without with_c, (c) is (None, None).
     """
     _require_verified(t)
     lat = t.translations
-    convex = pointset.is_lattice_convex(s, lat)
+    gap = pointset.lattice_convexity_witness(s, lat)
     s_hull = s.hull()
     if not s_hull.is_full_dimensional():
         raise LowerDimensionalError("S must be full-dimensional")
-    if not convex:
-        return (False, None), ((False, None) if with_c else (None, None))
+    if gap is not None:
+        return (False, gap), ((False, gap) if with_c else (None, None))
     basis_cols = list(zip(*lat.integer_basis[1]))  # the columns F b_j
     m, coords = lat.scaled_coordinates(t.tile.ints, t.tile.den)
     wa = wc = None
@@ -327,7 +329,8 @@ def check_condition_a(s: PointSet, t: Tiling) -> bool:
 
 
 def condition_a_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is a facet normal of width >= 1 if any."""
+    """(holds, witness): witness is a facet normal of width >= 1 if any, or
+    the L-point of conv(S) that S misses when S is not L-convex."""
     return _facet_conditions(s, t, with_c=False)[0]
 
 
@@ -336,18 +339,21 @@ def check_condition_b(s: PointSet, t: Tiling) -> bool:
 
 
 def condition_b_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is an M-point of the convexity gap if any.
+    """(holds, witness): witness is the least M-point of the convexity gap
+    of S + T if any (`sum_convexity_witness`, which builds S + T only when
+    the scan of conv(S) + conv(T) finds a gap).
 
     When S + T is not direct, the witness is the two pairs (s', t') and
-    (s, t) != (s', t') of S x T with s + t = s' + t' that `direct_sum`'s
-    NotDirectError names.
+    (s, t) != (s', t') of S x T with s + t = s' + t' that the
+    NotDirectError of `sum_convexity_witness` names, the pairs `direct_sum`
+    names.  `check_abc` never reports them: its (a)/(c) prologue refuses an
+    S outside L first, and an S in L makes S + T direct.
     """
     _require_verified(t)
     try:
-        total = pointset.direct_sum(s, t.tile)
+        gap = pointset.sum_convexity_witness(s, t.tile, t.ambient)
     except NotDirectError as exc:
         return False, exc.witness
-    gap = pointset.sum_convexity_witness(s, t.tile, total, t.ambient)
     return (gap is None), gap
 
 
@@ -364,7 +370,12 @@ def condition_c_witness(s: PointSet, t: Tiling):
 
 
 def check_abc(s: PointSet, t: Tiling):
-    """All three condition checks with witnesses; (c) is (None, None) for d > 3."""
+    """All three condition checks with witnesses; (c) is (None, None) for d > 3.
+
+    (a) and (c) run first and raise NotInLatticeError unless S lies in L.
+    Every tile T of M/L meets each coset of L once, so for S in L the sum
+    S + T is direct, and (b) never fails for a non-direct sum here.
+    """
     a, c = _facet_conditions(s, t, with_c=t.ambient.dim <= 3)
     return {"a": a, "b": condition_b_witness(s, t), "c": c}
 

@@ -248,6 +248,34 @@ def test_point_outside_the_lattice_is_named_as_witness(tmp_path, capsys, verb, d
     assert "Fraction(" not in out
 
 
+def test_check_abc_refuses_an_s_outside_l_before_b_could_be_non_direct(tmp_path, capsys):
+    # S + T is not direct here, as (0, 1) - (0, 0) lies in M but not in L,
+    # yet check-abc cannot report (b)'s two pairs: the (a)/(c) prologue
+    # refuses S first, and an S in L would make S + T direct
+    doc_in = {
+        "tiling": {"M": {"basis": [[1, 0], [0, 1]]}, "L": LAT_K2, "T": TILE_K2},
+        "S": {"points": [[0, 0], [1, 0], [0, 1]]},
+    }
+    path = write_doc(tmp_path, "in.json", doc_in)
+    code, doc = run_json(capsys, ["check-abc", path])
+    assert code == 2 and doc["status"] == "error"
+    assert doc["error"] == "point (0, 1) is outside the lattice"
+    assert doc["witness"] == [0, 1]
+
+
+def test_check_abc_names_the_l_point_a_nonconvex_s_misses(tmp_path, capsys):
+    # S = {o, 2 b1, b2} misses b1 = (3, -1), the least L-point of conv(S)
+    doc_in = {
+        "tiling": {"M": {"basis": [[1, 0], [0, 1]]}, "L": LAT_K2, "T": TILE_K2},
+        "S": {"points": [[0, 0], [6, -2], [2, 1]]},
+    }
+    path = write_doc(tmp_path, "in.json", doc_in)
+    code, doc = run_json(capsys, ["check-abc", path])
+    assert code == 0
+    gap = {"holds": False, "witness": [3, -1]}
+    assert doc["payload"] == {"a": gap, "b": gap, "c": gap}
+
+
 def test_enum_tiles_verb(tmp_path, capsys):
     path = write_doc(tmp_path, "b.json", {"basis": [[1, 0], [2, 5]]})
     code, doc = run_json(capsys, ["enum-tiles", path])

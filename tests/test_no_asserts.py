@@ -142,3 +142,51 @@ def test_classify_recheck_runs_under_optimize():
     assert doc["status"] == "error"
     assert doc["error"].startswith("kernel survivor fails exact re-check")
     assert doc["witness"] == report["bogus"]
+
+
+# Moves one vertex of a square summand, as if its hull had been corrupted,
+# and adds the segment from (0, 0) to (1, 0) to it in the plane.  A vertex
+# moved inside the square puts a reflex turn into the square's cycle, so a
+# sum edge leaves the supporting lines; one moved onto an edge makes two sum
+# edges with one outward normal.
+CORRUPT_ONE_SUMMAND = """
+import json, sys
+from homometry import jsonio, polytope
+from homometry.pointset import PointSet
+
+moved = tuple(json.loads(sys.argv[1]))
+square = PointSet([(0, 0), (4, 0), (0, 4), (4, 4)]).hull()
+square.vertex_set = PointSet([(0, 0), (4, 0), (0, 4), moved])
+try:
+    polytope.minkowski_hull(square, PointSet([(0, 0), (1, 0)]).hull())
+    out = {"raised": None}
+except Exception as exc:
+    out = {"raised": type(exc).__name__, "message": str(exc),
+           "witness": jsonio.exact_out(exc.witness)}
+out["debug"] = __debug__
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize(
+    "moved, message, witness",
+    [
+        ((1, 1), "sum edge is off the summands' supporting lines", [[5, 0], [2, 1]]),
+        ((2, 2), "sum edges repeat an outward normal", [1, 1]),
+    ],
+)
+def test_minkowski_certificate_runs_under_optimize(moved, message, witness):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_ONE_SUMMAND, json.dumps(moved)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["debug"] is False
+    assert report["raised"] == "InvariantError"
+    assert report["message"] == message
+    assert report["witness"] == witness

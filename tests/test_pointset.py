@@ -133,6 +133,37 @@ def test_not_direct_names_two_pairs_with_one_sum(s, t):
     assert [a + b for a, b in zip(s1, t1)] == [a + b for a, b in zip(s2, t2)]
 
 
+@st.composite
+def summand_pairs(draw):
+    """(S, T) in d = 1..4 on a small grid, so that sums often collide, each
+    over its own denominator; some coordinates are scaled by a factor past
+    2**64 and S shifted by a large negative vector, which keeps directness
+    and makes the packing weights huge."""
+    d = draw(st.integers(1, 4))
+    scale = draw(st.tuples(*[st.sampled_from([1, 1, -1, 2**64 + 3, -(2**67)])] * d))
+    shift = draw(st.tuples(*[st.sampled_from([0, -(2**70) - 1, F(-(2**65), 3)])] * d))
+    sets = []
+    for moved in (shift, (0,) * d):
+        den = draw(st.sampled_from([1, 2, 3, 5]))
+        pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=6))
+        sets.append(PointSet([[F(c, den) * a + e for c, a, e in zip(p, scale, moved)] for p in pts]))
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(summand_pairs())
+def test_packed_directness_matches_the_set_of_sums(pair):
+    s, t = pair
+    sums = {tuple(a + b for a, b in zip(p, q)) for p in s.points for q in t.points}
+    assert ps.is_direct_sum(s, t) == (len(sums) == len(s) * len(t))
+    assert ps.is_direct_sum(t, s) == ps.is_direct_sum(s, t)
+
+
+def test_packed_directness_refuses_sets_of_different_dimensions():
+    with pytest.raises(ValueError, match="cannot add sets of dimensions 2 and 3"):
+        ps.is_direct_sum(PointSet([(0, 0)]), PointSet([(0, 0, 0)]))
+
+
 def test_direct_sum_sixteen():
     s = PointSet([(0,), (1,), (4,), (5,)])
     t = PointSet([(0,), (2,), (8,), (10,)])
@@ -144,15 +175,15 @@ def test_direct_sum_sixteen():
 def test_sum_membership_is_tested_on_one_row_and_one_column():
     # S and T off Z with S + T in Z: no error, as with every sum point tested
     half = PointSet([(F(1, 2),)])
-    assert ps.sum_convexity_witness(half, half, ps.direct_sum(half, half), Z1) is None
+    assert ps.sum_convexity_witness(half, half, Z1) is None
     s = PointSet([(0, 0), (1, 0), (F(1, 2), 1)])
     t = PointSet([(0, 0), (0, 2)])
     total = ps.direct_sum(s, t)
     with pytest.raises(NotInLatticeError) as info:
-        ps.sum_convexity_witness(s, t, total, Z2)
+        ps.sum_convexity_witness(s, t, Z2)
     assert info.value.witness in total and info.value.witness not in Z2
     with pytest.raises(NotInLatticeError) as info:
-        ps.sum_convexity_witness(t, s, total, Z2)
+        ps.sum_convexity_witness(t, s, Z2)
     assert info.value.witness in total and info.value.witness not in Z2
 
 
@@ -578,7 +609,7 @@ def test_a_lattice_of_another_dimension_is_refused_before_any_point():
         with pytest.raises(ValueError, match=message):
             ps.is_lattice_convex(k, lat)
         with pytest.raises(ValueError, match=message):
-            ps.sum_convexity_witness(k, k, ps.minkowski_sum(k, k), lat)
+            ps.sum_convexity_witness(k, k, lat)
 
 
 def test_translate_checks_the_dimension():
@@ -722,7 +753,7 @@ def test_sum_convexity_gaps_are_the_first_missing_lattice_points():
         if not ps.is_direct_sum(s, t):
             continue
         total = ps.direct_sum(s, t)
-        gap = ps.sum_convexity_witness(s, t, total, lat)
+        gap = ps.sum_convexity_witness(s, t, lat)
         assert gap == first_gap_oracle(total.points, total, lat)
         gaps += gap is not None
         mixed += s.den != t.den

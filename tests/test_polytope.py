@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homometry import linalg, polytope, tiling as ti
+from homometry import linalg, pointset, polytope, tiling as ti
 from homometry._kernels import box_scan
 from homometry.errors import LowerDimensionalError, SingularMatrixError
 from homometry.lattice import Lattice
@@ -652,6 +652,68 @@ def test_planar_hulls_solve_no_system(monkeypatch):
             assert len(calls) == before, pts
     hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert calls
+
+
+# -- the planar Minkowski sum as a merge of edge cycles ---------------------
+
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)]
+
+
+@st.composite
+def planar_summands(draw):
+    """A point, a segment, a collinear set or a random set (often a polygon)
+    over a rational denominator, on a small grid so that the two summands
+    often have parallel edges, and shifted past 2**64 at times."""
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    kind = draw(st.sampled_from(["point", "segment", "collinear", "grid", "grid", "grid"]))
+    small = st.integers(-4, 4)
+    base = draw(st.tuples(small, small))
+    if kind == "point":
+        pts = [base]
+    elif kind == "grid":
+        pts = draw(st.lists(st.tuples(small, small), min_size=3, max_size=9))
+    else:
+        dx, dy = draw(st.sampled_from(DIRECTIONS))
+        size = 2 if kind == "segment" else draw(st.integers(3, 5))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size, unique=True))
+        pts = [(base[0] + t * dx, base[1] + t * dy) for t in steps]
+    sx, sy = draw(st.sampled_from([(0, 0), (0, 0), (2**64 + 1, -(2**65)), (-(2**70), 3)]))
+    return PointSet([(F(x, den) + sx, F(y, den) + sy) for x, y in pts])
+
+
+@settings(max_examples=400, deadline=None)
+@given(planar_summands(), planar_summands())
+def test_planar_minkowski_hull_matches_the_vertex_sum_hull(k, q):
+    p_hull, q_hull = k.hull(), q.hull()
+    got = polytope.minkowski_hull(p_hull, q_hull)
+    oracle = Polytope.hull(pointset._sum(p_hull.vertex_set, q_hull.vertex_set))
+    assert got.vertex_set == oracle.vertex_set
+    assert (got.ambient, got.dim) == (oracle.ambient, oracle.dim)
+    assert got.constraint_system() == oracle.constraint_system()
+    if oracle.dim == 2:
+        assert got.facet_vertex_sets() == oracle.facet_vertex_sets()
+
+
+@pytest.mark.parametrize(
+    "k, q, hulls",
+    [
+        ([(0, 0), (3, 0), (0, 2), (F(1, 2), 1)], [(0, 0), (1, 1), (2, 0), (1, -1)], 0),
+        ([(0, 0), (2, 0), (2, 1), (0, 1)], [(0, 0), (1, 0), (0, 1)], 0),  # parallel edges
+        ([(0, 0), (1, 2)], [(0, 0), (F(3, 2), 0)], 0),  # two segments
+        ([(5, 5)], [(0, 0), (1, 0), (0, 1)], 0),  # a point and a triangle
+        ([(0, 0), (1, 1)], [(0, 0), (2, 2), (3, 3)], 1),  # a flat sum
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 1)], 1),
+    ],
+)
+def test_a_two_dimensional_planar_sum_is_merged_without_a_hull(monkeypatch, k, q, hulls):
+    p_hull, q_hull = PointSet(k).hull(), PointSet(q).hull()
+    calls = []
+    build = Polytope.hull
+    monkeypatch.setattr(Polytope, "hull", staticmethod(lambda pts: calls.append(pts) or build(pts)))
+    got = polytope.minkowski_hull(p_hull, q_hull)
+    assert len(calls) == hulls
+    monkeypatch.undo()
+    assert got.vertex_set == Polytope.hull(pointset._sum(p_hull.vertex_set, q_hull.vertex_set)).vertex_set
 
 
 # -- the integer lattice scan against the former Fraction scan --------------

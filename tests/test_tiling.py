@@ -33,7 +33,8 @@ from homometry.polytope import hull
 from .test_acceptance import _abc_pool
 from .test_lattice import fraction_primitive_parallel
 from .test_linalg import leibniz_det, primitive_integer_direction
-from .test_polytope import contains, difference_body, polar
+from .test_pointset import first_gap_oracle
+from .test_polytope import contains, difference_body, in_hull_oracle, polar
 
 Z2 = Lattice.standard(2)
 Z3 = Lattice.standard(3)
@@ -615,18 +616,23 @@ def test_conditions_a_and_c_agree_in_dimension_two():
 
 
 def _oracle_convex_summand_hull(s, t):
+    """(conv(S), None) for an L-convex S, else (None, the first L-point of
+    conv(S) that S misses, by brute force)."""
     lat = t.translations
     assert all(lat.contains(p) for p in s.points)
     s_hull = polytope.hull(s.points)
     assert s_hull.is_full_dimensional()
-    return s_hull if ps.is_lattice_convex(s, lat) else None
+    if ps.is_lattice_convex(s, lat):
+        return s_hull, None
+    return None, first_gap_oracle(s.points, s, lat)
 
 
 def oracle_condition_a(s, t):
-    """(a): the first facet of conv(S) whose normal u in L* has w(T, u) >= 1."""
-    s_hull = _oracle_convex_summand_hull(s, t)
+    """(a): the first facet of conv(S) whose normal u in L* has w(T, u) >= 1;
+    when S is not L-convex, the L-point of conv(S) it misses."""
+    s_hull, gap = _oracle_convex_summand_hull(s, t)
     if s_hull is None:
-        return False, None
+        return False, gap
     dual = t.translations.dual()
     for a, _ in s_hull.facets():
         u = fraction_primitive_parallel(dual, a)
@@ -638,9 +644,9 @@ def oracle_condition_a(s, t):
 def oracle_condition_c(s, t):
     """(c): as (a), over the facets F with aff(F) ⊆ F + L, tested first on a
     hull of each facet."""
-    s_hull = _oracle_convex_summand_hull(s, t)
+    s_hull, gap = _oracle_convex_summand_hull(s, t)
     if s_hull is None:
-        return False, None
+        return False, gap
     dual = t.translations.dual()
     for a, verts in s_hull.facet_vertex_sets():
         facet = polytope.hull(verts)
@@ -842,13 +848,16 @@ def test_conditions_are_invariant_under_a_rational_affine_map():
             holds, witness = got[key]
             assert holds == base[key][0]
             assert (witness is None) == (base[key][1] is None)
-            if witness is not None:
+            if not convex:
+                # the least L-point of conv(S) that S misses, mapped as a point
+                assert witness == linalg.vadd(_apply(AFFINE_MAPS[d], base[key][1]), shift_s)
+            elif witness is not None:
                 wide = _wide_directions(s, t, covering)
                 assert _apply(a_t, witness) in wide
                 if len(wide) == 1:
                     single += 1
                     assert _apply(a_t, witness) == base[key][1]
-            elif convex:
+            else:
                 assert holds and not _wide_directions(s, t, covering)
     assert min(dens) > 1 and single > 10, (dens, single)
 
@@ -1275,6 +1284,27 @@ def test_condition_b_forces_convex_s():
     s = PointSet([(0, 0), linalg.vscale(2, b1), b2])  # misses b1 = midpoint
     assert not ps.is_lattice_convex(s, t.translations)
     assert not ti.check_condition_b(s, t)
+
+
+def test_conditions_a_and_c_name_the_l_point_a_nonconvex_s_misses():
+    # S = {o, 2 b1, b2, ...} lies in L but misses b1; (a) and (c) fail with
+    # the least L-point of conv(S) that S misses, checked here by Cramer's
+    # rule, an exact convex combination and the brute-force first gap
+    for t in (planar_family_tiling(2), generalized_family_tiling(3, 1)):
+        lat, d = t.translations, t.ambient.dim
+        rows = [linalg.vec(b) for b in lat.basis]
+        pts = [(0,) * d, linalg.vscale(2, rows[0]), *rows[1:]]
+        s = PointSet(pts)
+        result = ti.check_abc(s, t)
+        holds, w = result["a"]
+        assert not holds and result["c"] == (False, w)
+        assert ti.condition_a_witness(s, t) == ti.condition_c_witness(s, t) == (False, w)
+        det = leibniz_det(rows)
+        coords = [leibniz_det(rows[:i] + [w] + rows[i + 1 :]) / det for i in range(d)]
+        assert all(F(z).denominator == 1 for z in coords)
+        assert in_hull_oracle([linalg.vec(p) for p in pts], w)
+        assert w not in s
+        assert w == first_gap_oracle(s.points, s, lat)
 
 
 def test_thin_cover_basis_families():
