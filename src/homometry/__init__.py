@@ -29,9 +29,7 @@ from .polytope import Polytope, hull
 from .tiling import (
     Tiling,
     WSetResult,
-    check_condition_a,
-    check_condition_b,
-    check_condition_c,
+    check_abc,
     dirichlet_tile,
     enumerate_tiles_tq,
     lattice_width,
@@ -51,9 +49,7 @@ __all__ = [
     "WSetResult",
     "cartesian_product",
     "centrally_symmetric",
-    "check_condition_a",
-    "check_condition_b",
-    "check_condition_c",
+    "check_abc",
     "classify",
     "counterexample_ab",
     "counterexample_bc",

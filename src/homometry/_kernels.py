@@ -31,7 +31,9 @@ from .errors import LowerDimensionalError
 def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs):
     """Integer points z in the box with eq_rows@z == eq_rhs, le_rows@z <= le_rhs.
 
-    Returns a list of int tuples in lexicographic order.  The scan runs over
+    Returns a list of int tuples in lexicographic order.  Each equality
+    <r, z> = b enters as the two rows <r, z> <= b and <-r, z> <= -b, so the
+    scan reads one kind of row.  It runs over
     the prefix cells, the box over the first d-1 coordinates: for each
     prefix every row bounds the last coordinate t to an interval.  Each row
     splits once into its head over the first d-2 coordinates, its
@@ -47,44 +49,32 @@ def box_scan(lo, hi, eq_rows, eq_rhs, le_rows, le_rhs):
     """
     if any(b < a for a, b in zip(lo, hi)):
         return []
+    rows = [*eq_rows, *[tuple([-c for c in r]) for r in eq_rows], *le_rows]
+    rhss = [*eq_rhs, *[-b for b in eq_rhs], *le_rhs]
     if len(lo) == 1:
         # no prefix: scan the line as the column x = 0 of a plane
-        zs = box_scan(
-            (0, *lo), (0, *hi),
-            [(0, *r) for r in eq_rows], eq_rhs,
-            [(0, *r) for r in le_rows], le_rhs,
-        )
+        zs = box_scan((0, *lo), (0, *hi), [], [], [(0, *r) for r in rows], rhss)
         return [z[1:] for z in zs]
-    rows = [(r[:-2], r[-2], r[-1], rhs, True) for r, rhs in zip(eq_rows, eq_rhs)]
-    rows += [(r[:-2], r[-2], r[-1], rhs, False) for r, rhs in zip(le_rows, le_rhs)]
+    rows = [(r[:-2], r[-2], r[-1], rhs) for r, rhs in zip(rows, rhss)]
     t_min, t_max = lo[-1], hi[-1]
     xs = range(lo[-2], hi[-2] + 1)
     out = []
     for outer in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2])]):
-        res = [(rhs - sum(map(mul, head, outer)), h, c, is_eq) for head, h, c, rhs, is_eq in rows]
+        res = [(rhs - sum(map(mul, head, outer)), h, c) for head, h, c, rhs in rows]
         for x in xs:
             t_lo, t_hi = t_min, t_max
-            for r, h, c, is_eq in res:
+            for r, h, c in res:
                 rest = r - h * x
-                if c == 0:
-                    if (rest != 0) if is_eq else (rest < 0):
-                        break
-                elif is_eq:
-                    q, m = divmod(rest, c)
-                    if m:
-                        break
-                    if q > t_lo:
-                        t_lo = q
-                    if q < t_hi:
-                        t_hi = q
-                elif c > 0:
+                if c > 0:
                     q = rest // c
                     if q < t_hi:
                         t_hi = q
-                else:
+                elif c < 0:
                     q = -(-rest // c)
                     if q > t_lo:
                         t_lo = q
+                elif rest < 0:
+                    break
                 if t_hi < t_lo:
                     break
             else:

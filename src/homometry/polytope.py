@@ -444,7 +444,8 @@ def hull(points) -> Polytope:
 
 
 def minkowski_hull(p: Polytope, q: Polytope) -> Polytope:
-    """conv(P + Q) = P + Q for polytopes P and Q in one space.
+    """conv(P + Q) = P + Q for polytopes P and Q in one space, else a
+    ValueError.
 
     A two-dimensional sum in the plane is `_planar_sum`, the merge of the
     summands' edge cycles, with no hull.  Any other sum, flat or in
@@ -452,7 +453,9 @@ def minkowski_hull(p: Polytope, q: Polytope) -> Polytope:
     sums: beneath-beyond for a sum of dimension 1 or at least 3, the
     monotone chain for a two-dimensional sum in R^3 or beyond.
     """
-    if p.ambient == q.ambient == 2:
+    if p.ambient != q.ambient:
+        raise ValueError(f"cannot add polytopes of dimensions {p.ambient} and {q.ambient}")
+    if p.ambient == 2:
         total = _planar_sum(p.vertex_set, q.vertex_set)
         if total is not None:
             return total

@@ -65,10 +65,9 @@ class WSetResult:
         return vec(u) in self.widths
 
 
-def width_of(obj, u) -> Fraction:
-    """w(K, u) = h(K, u) + h(K, -u) for a PointSet or Polytope, in integers:
-    with q u and D p integral, it is the spread of <q u, D p> over q D."""
-    k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
+def width_of(k: PointSet, u) -> Fraction:
+    """w(K, u) = h(K, u) + h(K, -u) for a PointSet K, in integers: with
+    q u and D p integral, it is the spread of <q u, D p> over q D."""
     q, (n,) = linalg.clear_denominators([vec(u)])
     if len(n) != k.dim:
         raise ValueError(f"expected a direction of dimension {k.dim}, got {len(n)}")
@@ -119,16 +118,14 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 # -- thin directions -------------------------------------------------------
 
 
-def _thin_body(obj, lat: Lattice):
+def _thin_body(k: PointSet, lat: Lattice):
     """(m, D(C)) for `_thin_scan`: C holds the integers c = m B^-1 v over the
-    vertices v of K, a PointSet or a Polytope, whose hull is then K itself.
-    Raises LowerDimensionalError when K is flat, and so D(C)."""
-    given = isinstance(obj, polytope.Polytope)
-    dim = obj.ambient if given else obj.dim
-    if dim != lat.dim:
-        dims = f"a set of dimension {dim} against a lattice of dimension {lat.dim}"
+    vertices v of the PointSet K.  Raises LowerDimensionalError when K is
+    flat, and so D(C)."""
+    if k.dim != lat.dim:
+        dims = f"a set of dimension {k.dim} against a lattice of dimension {lat.dim}"
         raise ValueError(f"cannot take the widths of {dims}")
-    k_hull = obj if given else obj.hull()
+    k_hull = k.hull()
     if not k_hull.is_full_dimensional():
         raise LowerDimensionalError("point set is not full-dimensional")
     vs = k_hull.vertex_set
@@ -173,7 +170,7 @@ def w_set(tile: PointSet, lat: Lattice) -> WSetResult:
     return WSetResult(vectors=tuple(widths), widths=widths)
 
 
-def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
+def lattice_width(k: PointSet, lat: Lattice) -> tuple[Fraction, Vec]:
     """min of w(K, u) over u in L* \\ {o}, with a witnessing minimizer.
 
     The candidates are the nonzero z of a `_thin_scan`, with u = B^-T z.
@@ -188,9 +185,8 @@ def lattice_width(obj, lat: Lattice) -> tuple[Fraction, Vec]:
     """
     dual = lat.dual()
     try:
-        m, body = _thin_body(obj, lat)
+        m, body = _thin_body(k, lat)
     except LowerDimensionalError:
-        k = obj.vertex_set if isinstance(obj, polytope.Polytope) else obj
         _, rel = k.offsets  # D (p - lexmin), spanning what the differences of K span
         dirs = [rel[i] for i in linalg.independent_subset(rel)]
         if not dirs:  # single point: any dual vector works
@@ -324,31 +320,12 @@ def _facet_conditions(s: PointSet, t: Tiling, with_c: bool):
     return (wa is None, wa), ((wc is None, wc) if with_c else (None, None))
 
 
-def check_condition_a(s: PointSet, t: Tiling) -> bool:
-    return condition_a_witness(s, t)[0]
-
-
-def condition_a_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is a facet normal of width >= 1 if any, or
-    the L-point of conv(S) that S misses when S is not L-convex."""
-    return _facet_conditions(s, t, with_c=False)[0]
-
-
-def check_condition_b(s: PointSet, t: Tiling) -> bool:
-    return condition_b_witness(s, t)[0]
-
-
-def condition_b_witness(s: PointSet, t: Tiling):
+def _condition_b(s: PointSet, t: Tiling):
     """(holds, witness): witness is the least M-point of the convexity gap
     of S + T if any (`sum_convexity_witness`, which builds S + T only when
-    the scan of conv(S) + conv(T) finds a gap).
-
-    When S + T is not direct, the witness is the two pairs (s', t') and
-    (s, t) != (s', t') of S x T with s + t = s' + t' that the
-    NotDirectError of `sum_convexity_witness` names, the pairs `direct_sum`
-    names.  `check_abc` never reports them: its (a)/(c) prologue refuses an
-    S outside L first, and an S in L makes S + T direct.
-    """
+    the scan of conv(S) + conv(T) finds a gap), or, when S + T is not
+    direct, the two pairs of S x T with one sum that its NotDirectError
+    names."""
     _require_verified(t)
     try:
         gap = pointset.sum_convexity_witness(s, t.tile, t.ambient)
@@ -357,27 +334,38 @@ def condition_b_witness(s: PointSet, t: Tiling):
     return (gap is None), gap
 
 
+def check_condition_a(s: PointSet, t: Tiling) -> bool:
+    """`check_abc`'s (a) without its witness, for perfbench's abc
+    workload, which times each condition on its own."""
+    return _facet_conditions(s, t, with_c=False)[0][0]
+
+
+def check_condition_b(s: PointSet, t: Tiling) -> bool:
+    """`check_abc`'s (b) without its witness, timed on its own like (a)."""
+    return _condition_b(s, t)[0]
+
+
 def check_condition_c(s: PointSet, t: Tiling) -> bool:
-    return condition_c_witness(s, t)[0]
-
-
-def condition_c_witness(s: PointSet, t: Tiling):
-    """(holds, witness): witness is the normal of a wide covering facet if any."""
+    """`check_abc`'s (c) without its witness, timed on its own like (a)."""
     _require_verified(t)
     if t.ambient.dim > 3:
         raise UnsupportedDimensionError("condition (c) is implemented for d <= 3")
-    return _facet_conditions(s, t, with_c=True)[1]
+    return _facet_conditions(s, t, with_c=True)[1][0]
 
 
 def check_abc(s: PointSet, t: Tiling):
-    """All three condition checks with witnesses; (c) is (None, None) for d > 3.
+    """The package's one check of (a), (b) and (c) with witnesses, as
+    {"a", "b", "c"} -> (holds, witness); (c) is (None, None) for d > 3.
 
-    (a) and (c) run first and raise NotInLatticeError unless S lies in L.
-    Every tile T of M/L meets each coset of L once, so for S in L the sum
-    S + T is direct, and (b) never fails for a non-direct sum here.
+    (a) and (c) are `_facet_conditions`, run first: they raise
+    NotInLatticeError unless S lies in L.  Every tile T of M/L meets each
+    coset of L once, so for S in L the sum S + T is direct, and (b),
+    `_condition_b`, never fails here for a non-direct sum; `direct_sum`
+    and the NotDirectError of `sum_convexity_witness` name such a sum's
+    two pairs.
     """
     a, c = _facet_conditions(s, t, with_c=t.ambient.dim <= 3)
-    return {"a": a, "b": condition_b_witness(s, t), "c": c}
+    return {"a": a, "b": _condition_b(s, t), "c": c}
 
 
 # -- the facet covering test aff(F) ⊆ F + L ----------------------------------

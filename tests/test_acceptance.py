@@ -188,7 +188,7 @@ def test_criterion_5_counterexample_certificates():
 
     s_bc, t_bc = con.counterexample_bc(3)
     ok = ok and ti.check_condition_c(s_bc, t_bc)
-    holds_b, _ = ti.condition_b_witness(s_bc, t_bc)
+    holds_b, _ = ti.check_abc(s_bc, t_bc)["b"]
     ok = ok and not holds_b
     gap = (3, 3, 3)
     big = polytope.minkowski_hull(s_bc.hull(), t_bc.tile.hull())

@@ -227,7 +227,7 @@ def test_counterexample_ab(d):
 def test_counterexample_bc(d):
     s, t = con.counterexample_bc(d)
     assert t.verified
-    holds, _ = ti.condition_b_witness(s, t)
+    holds, _ = ti.check_abc(s, t)["b"]
     assert not holds
     from homometry.polytope import minkowski_hull
 

@@ -125,11 +125,11 @@ def test_hull_two_row_tile():
 
 
 def test_width():
-    sq = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert ti.width_of(sq, (1, 1)) == 2
-    tile = hull([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+    tile = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
     assert ti.width_of(tile, (F(1, 5), F(-2, 5))) == F(4, 5)  # dual vector, < 1
-    seg = hull([(0, 0), (1, 0)])
+    seg = PointSet([(0, 0), (1, 0)])
     assert ti.width_of(seg, (0, 1)) == 0
 
 
@@ -296,11 +296,11 @@ def test_width_equals_support_of_difference_body():
     rng = random.Random(12)
     for d in (2, 3):
         pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(6)]
-        p = hull(pts)
-        diff = difference_body(p)
+        k = PointSet(pts)
+        diff = difference_body(k.hull())
         for _ in range(8):
             u = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
-            assert ti.width_of(p, u) == max(linalg.vdot(u, v) for v in diff.vertices)
+            assert ti.width_of(k, u) == max(linalg.vdot(u, v) for v in diff.vertices)
 
 
 def test_facets_of_flat_polytope_raise():
@@ -714,6 +714,17 @@ def test_a_two_dimensional_planar_sum_is_merged_without_a_hull(monkeypatch, k, q
     assert len(calls) == hulls
     monkeypatch.undo()
     assert got.vertex_set == Polytope.hull(pointset._sum(p_hull.vertex_set, q_hull.vertex_set)).vertex_set
+
+
+def test_minkowski_hull_refuses_polytopes_of_different_dimensions():
+    # a point of R^2 and one of R^3 have no sum, nor do a square and a cube
+    point2, point3 = hull([(0, 0)]), hull([(0, 0, 0)])
+    square = hull(itertools.product((0, 1), repeat=2))
+    cube = hull(itertools.product((0, 1), repeat=3))
+    for p, q in [(point2, point3), (square, cube), (cube, square)]:
+        dims = f"{p.ambient} and {q.ambient}"
+        with pytest.raises(ValueError, match=f"^cannot add polytopes of dimensions {dims}$"):
+            polytope.minkowski_hull(p, q)
 
 
 # -- the integer lattice scan against the former Fraction scan --------------

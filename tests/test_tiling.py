@@ -23,6 +23,7 @@ from homometry.errors import (
     LowerDimensionalTileError,
     NotASublatticeError,
     NotATilingError,
+    NotDirectError,
     NotLatticeConvexError,
     SingularMatrixError,
     UnsupportedDimensionError,
@@ -193,7 +194,7 @@ def test_wset_covariant_under_coordinate_change():
 
 
 def test_lattice_width_triangle_and_tiles():
-    value, _ = ti.lattice_width(hull([(0, 0), (1, 0), (0, 1)]), Z2)
+    value, _ = ti.lattice_width(PointSet([(0, 0), (1, 0), (0, 1)]), Z2)
     assert value == 1
     t = planar_family_tiling(2)
     value, u = ti.lattice_width(t.tile, Z2)
@@ -215,7 +216,7 @@ def test_lattice_width_matches_direction_scan():
             # the smallest width, and the smallest direction among the minimizers
             scan = min((ti.width_of(k, u), u) for u in directions)
             assert ti.lattice_width(k, lat) == scan
-            assert ti.lattice_width(k.hull(), lat) == scan
+            assert ti.lattice_width(k.hull().vertex_set, lat) == scan
 
 
 def _cap_box_scan(monkeypatch, cap):
@@ -305,22 +306,6 @@ def test_a_thin_direction_query_is_one_hull_call(monkeypatch):
             assert len(calls) == 1
 
 
-def test_the_width_of_a_polytope_is_one_hull_call(monkeypatch):
-    # the polytope is the hull of its own vertices: the scan hulls D(C) alone
-    t = planar_family_tiling(3)
-    tile_hull = hull(t.tile)
-    expected = ti.lattice_width(t.tile, t.translations)
-    calls = []
-    build = polytope.Polytope.hull
-    monkeypatch.setattr(
-        polytope.Polytope, "hull", staticmethod(lambda k: calls.append(k) or build(k))
-    )
-    assert ti.lattice_width(tile_hull, t.translations) == expected
-    vs = tile_hull.vertex_set
-    _, cs = t.translations.scaled_coordinates(vs.ints, vs.den)
-    assert calls == [PointSet.from_scaled([linalg.vsub(p, q) for p in cs for q in cs])]
-
-
 def test_thin_scan_matches_the_polar_oracle_on_rational_lattices():
     # the u = B^-T z of the scan are the nonzero points of L* in bound D(K)°
     # (its interior when strict: those on no facet), the polar taken of the
@@ -377,7 +362,7 @@ def test_width_of_matches_the_fraction_formula(case):
     values = [linalg.vdot(u, p) for p in pts]
     k = PointSet(pts)
     assert ti.width_of(k, u) == max(values) - min(values)
-    assert ti.width_of(k.hull(), u) == max(values) - min(values)
+    assert ti.width_of(k.hull().vertex_set, u) == max(values) - min(values)
     with pytest.raises(ValueError):
         ti.width_of(k, u + (1,))
 
@@ -385,7 +370,7 @@ def test_width_of_matches_the_fraction_formula(case):
 @pytest.mark.parametrize("s", range(7))
 def test_delta_width_det7(s):
     # the half-cell triangles with determinant 7 driving the search filter
-    delta = hull([(0, 0), (1, 0), (s, 7)])
+    delta = PointSet([(0, 0), (1, 0), (s, 7)])
     value, _ = ti.lattice_width(delta, Z2)
     brute = min(
         ti.width_of(delta, (x, y))
@@ -559,7 +544,7 @@ def test_condition_b_builds_the_sum_once(monkeypatch):
 
 def test_condition_a_counterexample():
     s, t = counterexample_ab(3)
-    holds, witness = ti.condition_a_witness(s, t)
+    holds, witness = ti.check_abc(s, t)["a"]
     assert not holds
     assert witness is not None
     assert ti.width_of(t.tile, witness) >= 1
@@ -569,7 +554,7 @@ def test_condition_a_counterexample():
 def test_condition_bc_counterexample():
     s, t = counterexample_bc(3)
     assert ti.check_condition_c(s, t)
-    holds, witness = ti.condition_b_witness(s, t)
+    holds, witness = ti.check_abc(s, t)["b"]
     assert not holds
     # the documented gap point lies in the hull but not in the sum
     total = ps.minkowski_sum(s, t.tile)
@@ -582,9 +567,10 @@ def test_condition_b_names_two_pairs_with_one_sum_when_not_direct():
     t = planar_family_tiling(2)
     # (0, 1) - (0, 0) is in M but not in L, so two pairs meet
     s = PointSet([(0, 0), (1, 0), (0, 1)])
-    holds, witness = ti.condition_b_witness(s, t)
-    assert not holds
-    (s1, t1), (s2, t2) = witness
+    assert not ti.check_condition_b(s, t)
+    with pytest.raises(NotDirectError) as exc:
+        ps.sum_convexity_witness(s, t.tile, t.ambient)
+    (s1, t1), (s2, t2) = exc.value.witness
     assert (s1, t1) != (s2, t2)
     assert {s1, s2} <= set(s.points) and {t1, t2} <= set(t.tile.points)
     assert tuple(a + b for a, b in zip(s1, t1)) == tuple(a + b for a, b in zip(s2, t2))
@@ -689,7 +675,8 @@ def _condition_cases():
 def test_conditions_a_and_c_match_their_separate_loops():
     outcomes = set()
     for s, t in _condition_cases():
-        a, c = ti.condition_a_witness(s, t), ti.condition_c_witness(s, t)
+        result = ti.check_abc(s, t)
+        a, c = result["a"], result["c"]
         assert a == oracle_condition_a(s, t)
         assert c == oracle_condition_c(s, t)
         outcomes.add((a[0], c[0], a[1] == c[1]))
@@ -720,10 +707,11 @@ def test_condition_c_scans_past_the_first_wide_facet():
             if ti.width_of(t.tile, u) >= 1:
                 wide.append((u, oracle_affine_covering(verts, t.translations)))
         covering = [u for u, covers in wide if covers]
-        holds_c, witness = ti.condition_c_witness(s, t)
+        result = ti.check_abc(s, t)
+        holds_c, witness = result["c"]
         assert holds_c == (not covering)
         assert witness == (covering[0] if covering else None)
-        holds_a, holds_b = ti.check_condition_a(s, t), ti.check_condition_b(s, t)
+        holds_a, holds_b = result["a"][0], result["b"][0]
         assert holds_a == (not wide)
         assert (not holds_a or holds_b) and (not holds_b or holds_c)
         several += len(wide) > 1
@@ -733,14 +721,16 @@ def test_condition_c_scans_past_the_first_wide_facet():
 
 def test_check_abc_is_the_three_witness_calls():
     pair = generalized_family(4, 1)
+    # the boolean views read the holds of check_abc, and (c) is left out
+    # above d = 3
     for s, t in _condition_cases() + [(pair.s, pair.tiling)]:
-        c = ti.condition_c_witness(s, t) if t.ambient.dim <= 3 else (None, None)
-        expected = {
-            "a": ti.condition_a_witness(s, t),
-            "b": ti.condition_b_witness(s, t),
-            "c": c,
-        }
-        assert ti.check_abc(s, t) == expected
+        result = ti.check_abc(s, t)
+        assert result["a"][0] == ti.check_condition_a(s, t)
+        assert result["b"][0] == ti.check_condition_b(s, t)
+        if t.ambient.dim <= 3:
+            assert result["c"][0] == ti.check_condition_c(s, t)
+        else:
+            assert result["c"] == (None, None)
 
 
 def test_condition_c_hulls_nothing_and_covers_only_wide_facets(monkeypatch):
@@ -763,7 +753,7 @@ def test_condition_c_hulls_nothing_and_covers_only_wide_facets(monkeypatch):
     narrow = 0
     for s, t in cases:
         covered.clear()
-        holds, _ = ti.condition_c_witness(s, t)
+        holds = ti.check_condition_c(s, t)
         if not ps.is_lattice_convex(s, t.translations):
             assert (holds, covered) == (False, [])
             continue
@@ -876,7 +866,7 @@ def test_the_facet_scan_needs_no_dual_vector_width_or_tile_hull(monkeypatch):
     build = PointSet.hull
     monkeypatch.setattr(PointSet, "hull", lambda k: hulled.append(k) or build(k))
     for s, t in cases:
-        ti.condition_a_witness(s, t), ti.condition_c_witness(s, t)
+        ti._facet_conditions(s, t, with_c=True)
         assert all(k is not t.tile for k in hulled)
 
 
@@ -941,8 +931,9 @@ def test_condition_c_is_condition_a_in_the_plane():
     planar = [(s, t) for s, t in _condition_cases() if s.dim == 2]
     outcomes = set()
     for s, t in planar:
-        c = ti.condition_c_witness(s, t)
-        assert c == ti.condition_a_witness(s, t)
+        result = ti.check_abc(s, t)
+        c = result["c"]
+        assert c == result["a"]
         outcomes.add(c[0])
     assert len(planar) > 15 and outcomes == {True, False}
 
@@ -1298,7 +1289,6 @@ def test_conditions_a_and_c_name_the_l_point_a_nonconvex_s_misses():
         result = ti.check_abc(s, t)
         holds, w = result["a"]
         assert not holds and result["c"] == (False, w)
-        assert ti.condition_a_witness(s, t) == ti.condition_c_witness(s, t) == (False, w)
         det = leibniz_det(rows)
         coords = [leibniz_det(rows[:i] + [w] + rows[i + 1 :]) / det for i in range(d)]
         assert all(F(z).denominator == 1 for z in coords)
