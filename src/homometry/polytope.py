@@ -32,21 +32,28 @@ system, equalities and inequalities with primitive integer rows and
 rational right-hand sides, and its lattice points are one `box_scan` of
 that system in the lattice's integer coordinates.
 The Minkowski sum P + Q of two polytopes (`minkowski_hull`) is built
-without a hull when it is two-dimensional in the plane: the summands'
-counterclockwise edge cycles are merged by angle, two edges of one
-direction as one.  A certificate stands in for the containment sweep
-there: every edge's right-hand side is h_P(a) + h_Q(a) for its outward
-normal a, and the normals differ, so the walk winds once.  Every other
-sum, flat or in another dimension, is the hull of the vertex sums:
-beneath-beyond when the sum has dimension 1 or at least 3, the monotone
-chain when it is two-dimensional in a space of dimension 3 or more.
+without a hull when it is full-dimensional in R^2 or R^3.  In the plane
+the summands' counterclockwise edge cycles are merged by angle, two
+edges of one direction as one.  In R^3 the sum's facet normals are the
+summands' own, +-m for a polygon summand on <m, x> = c, and the cross
+products e x f of the edge pairs whose normal cones meet; each facet is
+face_P(a) + face_Q(a), and its vertices are the vertex sums on three or
+more facet planes.  A certificate stands in for the containment sweep
+on both: in the plane every edge's right-hand side is h_P(a) + h_Q(a)
+for its outward normal a, and the normals differ, so the walk winds
+once; in R^3 every facet from an edge pair passes through both edges,
+and every edge of every facet lies on exactly one other facet, so the
+facets close up.  Every other sum, flat or in a space of dimension 1 or
+at least 4, is the hull of the vertex sums: beneath-beyond when the sum
+has dimension 1 or at least 3, the monotone chain when it is
+two-dimensional in a space of dimension 3 or more.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import linalg, pointset
 from ._kernels import box_scan, hull_ring
@@ -447,19 +454,22 @@ def minkowski_hull(p: Polytope, q: Polytope) -> Polytope:
     """conv(P + Q) = P + Q for polytopes P and Q in one space, else a
     ValueError.
 
-    A two-dimensional sum in the plane is `_planar_sum`, the merge of the
-    summands' edge cycles, with no hull.  Any other sum, flat or in
-    another dimension, is the `Polytope.hull` of the |V_P| |V_Q| vertex
-    sums: beneath-beyond for a sum of dimension 1 or at least 3, the
-    monotone chain for a two-dimensional sum in R^3 or beyond.
+    A full-dimensional sum takes no hull in the plane or in R^3: it is
+    `_planar_sum`, the merge of the summands' edge cycles, in the plane
+    and `_spatial_sum`, the sums of the summands' faces, in R^3.  Any
+    other sum, flat or in another dimension, is the `Polytope.hull` of the
+    |V_P| |V_Q| vertex sums: beneath-beyond for a sum of dimension 1 or at
+    least 3, the monotone chain for a two-dimensional sum in R^3 or
+    beyond.
     """
     if p.ambient != q.ambient:
         raise ValueError(f"cannot add polytopes of dimensions {p.ambient} and {q.ambient}")
+    total = None
     if p.ambient == 2:
         total = _planar_sum(p.vertex_set, q.vertex_set)
-        if total is not None:
-            return total
-    return Polytope.hull(pointset._sum(p.vertex_set, q.vertex_set))
+    elif p.ambient == 3:
+        total = _spatial_sum(p, q)
+    return total or Polytope.hull(pointset._sum(p.vertex_set, q.vertex_set))
 
 
 def _ccw_ring(verts: list[IntVec]) -> list[IntVec]:
@@ -467,11 +477,12 @@ def _ccw_ring(verts: list[IntVec]) -> list[IntVec]:
     counterclockwise cycle from the least: the least, the vertices below
     the chord to the greatest, the greatest, then those above it backwards
     (no other vertex of a polygon lies on the chord).  A segment is the
-    cycle of its two ends and a point the cycle of itself.
+    cycle of its two ends and a point the cycle of itself.  Only the first
+    two entries of a vertex place it, so further entries ride along.
     """
-    (x0, y0), (x1, y1) = verts[0], verts[-1]
+    (x0, y0, *_), (x1, y1, *_) = verts[0], verts[-1]
     dx, dy = x1 - x0, y1 - y0
-    side = [dx * (y - y0) - dy * (x - x0) for x, y in verts[1:-1]]
+    side = [dx * (v[1] - y0) - dy * (v[0] - x0) for v in verts[1:-1]]
     below = [v for v, c in zip(verts[1:-1], side) if c <= 0]
     above = [v for v, c in zip(verts[1:-1], side) if c > 0]
     return [verts[0], *below, verts[-1], *reversed(above)][: len(verts)]
@@ -541,3 +552,157 @@ def _planar_sum(ks: pointset.PointSet, kq: pointset.PointSet) -> Polytope | None
     if twice is not None:
         raise InvariantError("sum edges repeat an outward normal", witness=twice)
     return _ring_polytope(facets, den)
+
+
+def _cross(u: IntVec, v: IntVec) -> IntVec:
+    """The cross product u x v in R^3."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _plane_ring(pts: list[IntVec], a: IntVec) -> list[IntVec]:
+    """The vertices of a polygon in R^3 on a plane with normal a, in a cycle
+    around it: `_ccw_ring` of their projection along a coordinate that a
+    does not vanish on, which maps the plane one to one."""
+    k = next(i for i, c in enumerate(a) if c)
+    i, j = [n for n in range(3) if n != k]
+    return [x for _, _, x in _ccw_ring(sorted([(x[i], x[j], x) for x in pts]))]
+
+
+def _spatial_faces(p: Polytope, den: int):
+    """(vertices, normals, edges) of a polytope in R^3 in integers over den:
+    its vertices; the outward normals of its two-dimensional faces, which
+    are its facet normals, or +-m for a polygon on a plane <m, x> = c; and
+    its edges (u, e, cone), from u along e, with the rows g such that a
+    vector a orthogonal to e is in the edge's normal cone iff <a, g> >= 0
+    for every g.
+
+    The normal cone of an edge of a full-dimensional P is spanned by the
+    normals n1, n2 of the two facets through it (two facets share the
+    edge iff they share two vertices); a = s n1 + t n2 has s >= 0 iff
+    <a, g> >= 0 for g = |n2|^2 n1 - <n1, n2> n2, the part of n1 orthogonal
+    to n2, and t >= 0 likewise.  A polygon's edge has the cone of a >= 0
+    on its outward direction in the plane, e x m or m x e as its cycle
+    turns about m, and a segment's edge every a orthogonal to it.
+    """
+    c = den // p.vertex_set.den
+    verts = [tuple([c * x for x in v]) for v in p.vertex_set.ints]
+    if p.dim == 3:
+        normals = [a for a, _ in p._data["hyps"]]
+        squares = [_idot(a, a) for a in normals]
+        masks = [sum([1 << j for j in f]) for f in p._data["facet_vertices"]]
+        edges = []
+        for i, n1 in enumerate(normals):
+            for j in range(i + 1, len(normals)):
+                common = masks[i] & masks[j]
+                if common.bit_count() == 2:
+                    u, v = verts[(common & -common).bit_length() - 1], verts[common.bit_length() - 1]
+                    n2, c = normals[j], _idot(n1, normals[j])
+                    g1 = tuple([squares[j] * x - c * y for x, y in zip(n1, n2)])
+                    g2 = tuple([squares[i] * y - c * x for x, y in zip(n1, n2)])
+                    edges.append((u, tuple(map(sub, v, u)), (g1, g2)))
+        return verts, normals, edges
+    if p.dim == 2:
+        m = p._data["eqs"][0][0]
+        ring = _plane_ring(verts, m)
+        u, v, w = ring[:3]
+        turn = _idot(m, _cross(tuple(map(sub, v, u)), tuple(map(sub, w, v))))
+        edges = []
+        for u, v in _ring_edges(ring):
+            e = tuple(map(sub, v, u))
+            g = _cross(e, m) if turn > 0 else _cross(m, e)
+            edges.append((u, e, (g,)))
+        return verts, [m, vneg(m)], edges
+    if p.dim == 1:
+        return verts, [], [(verts[0], tuple(map(sub, verts[1], verts[0])), ())]
+    return verts, [], []
+
+
+def _support(pts: list[IntVec], a: IntVec) -> tuple[int, list[IntVec]]:
+    """(h(a), the points attaining it): the largest <a, x> over pts."""
+    a0, a1, a2 = a
+    dots = [a0 * x + a1 * y + a2 * z for x, y, z in pts]
+    h = max(dots)
+    return h, [x for x, t in zip(pts, dots) if t == h]
+
+
+def _spatial_sum(p: Polytope, q: Polytope) -> Polytope | None:
+    """P + Q for two polytopes in R^3 from their faces, or None when the
+    sum is flat.
+
+    Every face of P + Q is face_P(a) + face_Q(a) for an outward normal a,
+    so a facet normal of the sum is a facet normal of a summand, +-m for a
+    polygon summand on <m, x> = c, or +-e x f for an edge e of P and f of
+    Q whose normal cones both hold it (Fukuda, J. Symb. Comput. 38, 2004;
+    Fogel and Halperin, CAD 39, 2007).  In integers over lcm(D_P, D_Q)
+    each candidate a, once, has beta = h_P(a) + h_Q(a) off the summands'
+    vertices, and is kept when face_P(a) + face_Q(a) is two-dimensional.
+    A vertex sum v + w is read off as a point of each kept facet it lies
+    on, and it is a vertex when it lies on three or more distinct facet
+    planes, the d <= 3 rule of `_hull_full_dim`.
+
+    The certificate replaces the containment sweep.  A facet from an edge
+    pair must pass through the two edges, <a, u + w> = beta, so it lies on
+    a face of the sum that a supports, and the normals differ, one kept
+    facet to a normal.  Each facet has three or more vertices, and each
+    edge of its vertex cycle (`_plane_ring`) lies on exactly one other
+    kept facet, so the facets close up into the boundary of the sum and
+    none is missing.  A failure raises InvariantError with the normal or
+    the edge as the witness.
+    """
+    if p.dim + q.dim < 3:
+        return None
+    den = math.lcm(p.vertex_set.den, q.vertex_set.den)
+    vp, ap, ep = _spatial_faces(p, den)
+    vq, aq, eq = _spatial_faces(q, den)
+    if p.dim < 3 and q.dim < 3:
+        m = ap[0] if p.dim == 2 else aq[0]
+        if len({_idot(m, x) for x in (vq if p.dim == 2 else vp)}) == 1:
+            return None  # the other summand is parallel to the polygon's plane
+    # candidate normal -> the sum of a point of its two edges, or None
+    cands = dict.fromkeys(ap + aq)
+    for u, e, cone_p in ep:
+        for w, f, cone_q in eq:
+            a = _cross(e, f)
+            if not any(a):
+                continue
+            sides = [_idot(a, g) for g in cone_p + cone_q]
+            if min(sides, default=0) < 0:
+                if max(sides) > 0:
+                    continue
+                a = vneg(a)
+            a = _primitive(a)
+            if a not in cands:
+                cands[a] = tuple(map(add, u, w))
+    facets = []
+    for a, x in cands.items():
+        h_p, face_p = _support(vp, a)
+        h_q, face_q = _support(vq, a)
+        beta = h_p + h_q
+        if x is not None and _idot(a, x) != beta:
+            raise InvariantError("sum facet is off the summands' supporting planes", witness=a)
+        if len(face_p) > 2 or len(face_q) > 2 or (
+            len(face_p) == len(face_q) == 2
+            and any(_cross(tuple(map(sub, *face_p)), tuple(map(sub, *face_q))))
+        ):
+            facets.append(((a, beta), face_p, face_q))
+    facets.sort()
+    tight: dict[IntVec, list[int]] = {}  # a vertex sum -> the kept facets it lies on
+    for n, (_, face_p, face_q) in enumerate(facets):
+        for v0, v1, v2 in face_p:
+            for w0, w1, w2 in face_q:
+                on = tight.setdefault((v0 + w0, v1 + w1, v2 + w2), [])
+                if not on or on[-1] != n:
+                    on.append(n)
+    verts = sorted([x for x, on in tight.items() if len(on) >= 3])
+    on_plane = [[] for _ in facets]
+    for pos, x in enumerate(verts):
+        for n in tight[x]:
+            on_plane[n].append(pos)
+    for ((a, _), _, _), on in zip(facets, on_plane):
+        if len(on) < 3:
+            raise InvariantError("sum facet has fewer than three vertices", witness=a)
+        for x, y in _ring_edges(_plane_ring([verts[i] for i in on], a)):
+            if len(set(tight[x]).intersection(tight[y])) != 2:
+                witness = [tuple([Fraction(c, den) for c in v]) for v in (x, y)]
+                raise InvariantError("sum facet edge is not on exactly one other facet", witness=witness)
+    return _polytope(3, den, [plane for plane, _, _ in facets], verts, on_plane)

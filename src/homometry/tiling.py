@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedDimensionError,
 )
-from .lattice import Lattice
+from .lattice import IntVec, Lattice
 from .linalg import Vec, mat, mat_vec, vdot, vec, vec_str, vneg, vsub
 from .pointset import PointSet
 
@@ -80,9 +80,10 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
 
     The direct-sum condition is decided by counting: T must hit each of the
     index-many cosets of L in M exactly once.  A tile with fewer points than
-    the index fails on its count; any other one is walked coset by coset,
-    so a tile with more points names two in one coset (pigeonhole), and a
-    tile that passes the walk has at most, hence exactly, index-many points.
+    the index fails on its count, and names an M-point of a coset it misses
+    (`_missed_coset`); any other one is walked coset by coset, so a tile
+    with more points names two in one coset (pigeonhole), and a tile that
+    passes the walk has at most, hence exactly, index-many points.
     """
     if not (ambient.dim == translations.dim == tile.dim):
         raise ValueError("dimension mismatch between lattices and tile")
@@ -96,12 +97,11 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     idx = translations.determinant / ambient.determinant  # [M:L], an integer as L ⊆ M
     if len(tile) < idx:
         raise NotATilingError(
-            f"tile has {len(tile)} points but the index [M:L] is {idx}"
+            f"tile has {len(tile)} points but the index [M:L] is {idx}",
+            witness=_missed_coset(ambient, translations, tile),
         )
-    m, zs = translations.scaled_coordinates(tile.ints, tile.den)
     seen = {}
-    for p, z in zip(tile.ints, zs):
-        r = tuple([c % m for c in z])  # the coordinates m B^-1 p mod m name the coset
+    for p, r in zip(tile.ints, _cosets(translations, tile.ints, tile.den)):
         if r in seen:
             first, p = tile._point(seen[r]), tile._point(p)
             raise NotATilingError(
@@ -113,6 +113,26 @@ def verify_tiling(ambient: Lattice, translations: Lattice, tile: PointSet) -> Ti
     if gap is not None:
         raise NotLatticeConvexError(f"tile misses the M-point {vec_str(gap)}", witness=gap)
     return Tiling(ambient, translations, tile, verified=True)
+
+
+def _cosets(translations: Lattice, ints, den: int) -> list[IntVec]:
+    """The coset of L of each point p / den, named by the coordinates
+    m B^-1 p mod m, with one m for all the points."""
+    m, zs = translations.scaled_coordinates(ints, den)
+    return [tuple([c % m for c in z]) for z in zs]
+
+
+def _missed_coset(ambient: Lattice, translations: Lattice, tile: PointSet) -> Vec:
+    """The least M-point of the half-open cell of L's basis at o, which holds
+    one M-point of each coset of L, whose coset no point of the tile lies
+    in; the tile has fewer points than the cosets, so there is one."""
+    cell = dirichlet_tile(ambient, translations.basis, (0,) * ambient.dim)
+    den = math.lcm(tile.den, cell.den)
+    ints = [tuple([den // k.den * c for c in p]) for k in (tile, cell) for p in k.ints]
+    names = _cosets(translations, ints, den)
+    seen = set(names[: len(tile)])
+    p = next(p for p, r in zip(ints[len(tile) :], names[len(tile) :]) if r not in seen)
+    return tuple([Fraction(c, den) for c in p])
 
 
 # -- thin directions -------------------------------------------------------

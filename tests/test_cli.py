@@ -123,6 +123,17 @@ def test_verify_tiling_ok_and_violation(tmp_path, capsys):
     assert "witnesses" in doc
 
 
+def test_verify_tiling_names_a_missed_coset_of_a_too_small_tile(tmp_path, capsys):
+    # T = {o} misses the odd coset of 2Z x Z; (1, 1) is the least point of
+    # the cell (0, 2] x (0, 1] in it
+    short = {"M": {"basis": [[1, 0], [0, 1]]}, "L": {"basis": [[2, 0], [0, 1]]}, "T": {"points": [[0, 0]]}}
+    path = write_doc(tmp_path, "short.json", short)
+    code, doc = run_json(capsys, ["verify-tiling", path])
+    assert code == 1
+    assert doc["payload"]["reason"] == "tile has 1 points but the index [M:L] is 2"
+    assert doc["witnesses"] == [1, 1]
+
+
 HALVES = {"basis": [["1/2", 0], [0, 1]]}
 
 

@@ -190,3 +190,53 @@ def test_minkowski_certificate_runs_under_optimize(moved, message, witness):
     assert report["raised"] == "InvariantError"
     assert report["message"] == message
     assert report["witness"] == witness
+
+
+# Moves the vertex (4, 4, 4) of a cube summand, as if its hull had been
+# corrupted, and adds the segment from (0, 0, 0) to (1, 0, 0) to it in R^3.
+# Moved inside, the cube's stale edges put a facet through two edges that
+# the new vertex set no longer supports.  Moved outside, the faces of the
+# cube's stale facet normals shrink, (0, 4, 4) drops off the facet x = 0,
+# and that facet's cycle takes an edge across it that no other facet holds.
+CORRUPT_ONE_SPATIAL_SUMMAND = """
+import itertools, json, sys
+from homometry import jsonio, polytope
+from homometry.pointset import PointSet
+
+moved = tuple(json.loads(sys.argv[1]))
+corners = list(itertools.product((0, 4), repeat=3))
+cube = PointSet(corners).hull()
+cube.vertex_set = PointSet([p for p in corners if p != (4, 4, 4)] + [moved])
+try:
+    polytope.minkowski_hull(cube, PointSet([(0, 0, 0), (1, 0, 0)]).hull())
+    out = {"raised": None}
+except Exception as exc:
+    out = {"raised": type(exc).__name__, "message": str(exc),
+           "witness": jsonio.exact_out(exc.witness)}
+out["debug"] = __debug__
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize(
+    "moved, message, witness",
+    [
+        ((3, 3, 3), "sum facet is off the summands' supporting planes", [0, -1, 1]),
+        ((5, 5, 5), "sum facet edge is not on exactly one other facet", [[0, 4, 0], [0, 0, 4]]),
+    ],
+)
+def test_spatial_minkowski_certificate_runs_under_optimize(moved, message, witness):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_ONE_SPATIAL_SUMMAND, json.dumps(moved)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["debug"] is False
+    assert report["raised"] == "InvariantError"
+    assert report["message"] == message
+    assert report["witness"] == witness

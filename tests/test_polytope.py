@@ -4,6 +4,7 @@ read off the facets of a hull."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from operator import mul
 
@@ -702,10 +703,15 @@ def test_planar_minkowski_hull_matches_the_vertex_sum_hull(k, q):
         ([(0, 0), (1, 2)], [(0, 0), (F(3, 2), 0)], 0),  # two segments
         ([(5, 5)], [(0, 0), (1, 0), (0, 1)], 0),  # a point and a triangle
         ([(0, 0), (1, 1)], [(0, 0), (2, 2), (3, 3)], 1),  # a flat sum
-        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 1)], 1),
     ],
 )
 def test_a_two_dimensional_planar_sum_is_merged_without_a_hull(monkeypatch, k, q, hulls):
+    assert_sum_hull_calls(monkeypatch, k, q, hulls)
+
+
+def assert_sum_hull_calls(monkeypatch, k, q, hulls):
+    """minkowski_hull of conv(k) and conv(q) calls Polytope.hull `hulls`
+    times and equals the hull of the vertex sums."""
     p_hull, q_hull = PointSet(k).hull(), PointSet(q).hull()
     calls = []
     build = Polytope.hull
@@ -714,6 +720,78 @@ def test_a_two_dimensional_planar_sum_is_merged_without_a_hull(monkeypatch, k, q
     assert len(calls) == hulls
     monkeypatch.undo()
     assert got.vertex_set == Polytope.hull(pointset._sum(p_hull.vertex_set, q_hull.vertex_set)).vertex_set
+
+
+# -- the three-dimensional Minkowski sum from the summands' faces -----------
+
+
+@st.composite
+def spatial_summands(draw):
+    """A point, a segment, a polygon in a skew plane or a random set (often
+    a full-dimensional polytope) in R^3 over a rational denominator, on a
+    small grid so that the summands often have parallel edges and
+    coplanar facets, and shifted past 2**64 at times."""
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    kind = draw(st.sampled_from(["point", "segment", "polygon", "grid", "grid"]))
+    small = st.integers(-3, 3)
+    triple = st.tuples(small, small, small)
+    base = draw(triple)
+    if kind == "point":
+        pts = [base]
+    elif kind == "segment":
+        pts = [base, draw(triple)]
+    elif kind == "polygon":
+        u, v = draw(triple), draw(triple)
+        steps = draw(st.lists(st.tuples(small, small), min_size=3, max_size=7))
+        pts = [tuple([b + s * x + t * y for b, x, y in zip(base, u, v)]) for s, t in steps]
+    else:
+        pts = draw(st.lists(triple, min_size=4, max_size=12))
+    shift = draw(st.sampled_from([(0, 0, 0), (0, 0, 0), (2**64 + 1, -(2**65), 5), (-(2**70), 3, 2**66)]))
+    return PointSet([tuple([F(c, den) + o for c, o in zip(p, shift)]) for p in pts])
+
+
+def assert_matches_the_vertex_sum_hull(p_hull, q_hull):
+    got = polytope.minkowski_hull(p_hull, q_hull)
+    oracle = Polytope.hull(pointset._sum(p_hull.vertex_set, q_hull.vertex_set))
+    assert got.vertex_set == oracle.vertex_set
+    assert (got.ambient, got.dim) == (oracle.ambient, oracle.dim)
+    assert got.constraint_system() == oracle.constraint_system()
+    if oracle.dim == oracle.ambient:
+        assert got.facet_vertex_sets() == oracle.facet_vertex_sets()
+
+
+@settings(max_examples=300, deadline=None)
+@given(spatial_summands(), spatial_summands())
+def test_spatial_minkowski_hull_matches_the_vertex_sum_hull(k, q):
+    assert_matches_the_vertex_sum_hull(k.hull(), q.hull())
+
+
+def test_the_pool_sums_in_d_3_match_the_vertex_sum_hull():
+    # condition (b) adds conv(S) and conv(T) for every d = 3 instance of the
+    # acceptance pool: S a truncated cube with 10 vertices, T a segment or a
+    # full-dimensional tile with 4 or 6 vertices.  Imported here, as
+    # test_acceptance imports this module.
+    from .test_acceptance import _abc_pool
+
+    _, pool = _abc_pool()
+    sums = [(s.hull(), t.tile.hull()) for s, t in pool if s.dim == 3]
+    shapes = Counter((len(p.vertex_set), q.dim, len(q.vertex_set)) for p, q in sums)
+    assert shapes == {(10, 1, 2): 49, (10, 3, 4): 16, (10, 3, 6): 11}
+    for p_hull, q_hull in sums:
+        assert_matches_the_vertex_sum_hull(p_hull, q_hull)
+
+
+@pytest.mark.parametrize(
+    "k, q, hulls",
+    [
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 1)], 0),
+        ([(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(0, 0, 0), (1, 1, 1)], 0),  # a prism
+        ([(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(0, 0, 1), (1, 0, 1), (0, 0, 2)], 0),
+        ([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 1)], 1),  # a flat sum
+    ],
+)
+def test_a_full_dimensional_spatial_sum_is_built_without_a_hull(monkeypatch, k, q, hulls):
+    assert_sum_hull_calls(monkeypatch, k, q, hulls)
 
 
 def test_minkowski_hull_refuses_polytopes_of_different_dimensions():

@@ -92,6 +92,24 @@ def test_verify_reports_the_count_of_a_too_small_tile():
         ti.verify_tiling(Z2, Lattice([(2, 0), (0, 2)]), PointSet([(0, 0), (1, 0)]))
 
 
+@pytest.mark.parametrize(
+    "ambient, base, tile",
+    [
+        (Z2, Lattice([(2, 0), (0, 1)]), PointSet([(0, 0)])),
+        (Z2, Lattice([(2, 0), (0, 2)]), PointSet([(0, 0), (1, 0)])),
+        (Z2, Lattice([(3, 1), (1, 2)]), PointSet([(5, -7), (1, 1), (-2, 0)])),
+        (Lattice([(F(1, 2), 0), (0, 1)]), Lattice([(F(3, 2), 0), (0, 1)]), PointSet([(F(1, 2), 0)])),
+        (Z3, Lattice([(2, 0, 0), (1, 2, 0), (0, 1, 2)]), PointSet([(0, 0, 0), (1, 0, 0), (0, 1, 1)])),
+    ],
+)
+def test_a_too_small_tile_names_an_m_point_of_a_coset_it_misses(ambient, base, tile):
+    with pytest.raises(NotATilingError, match=r"^tile has \d+ points but the index") as err:
+        ti.verify_tiling(ambient, base, tile)
+    w = err.value.witness
+    assert ambient.contains(w)
+    assert all(not base.contains(linalg.vsub(w, t)) for t in tile)
+
+
 def test_verify_rejects_residue_collision():
     base = Lattice([(2, 0), (0, 2)])
     with pytest.raises(NotATilingError):
